@@ -24,7 +24,7 @@ from .analysis import (
 from .config import RunConfig
 from .detection import SETTINGS, AnalyzerSetting, DetectorModel, analyzer_state
 from .errors import ConfigError, NumericalError
-from .jones import SagnacConfig, prepare_pump, pump_state
+from .jones import pump_state
 from .lgmodes import FieldImage, LGMode, lg_amplitude, peak_radius, petal_fit
 from .pipelines import run_hybrid_witness, run_polarization_bell, run_pump_gallery
 from .quantum import (
@@ -59,7 +59,6 @@ __all__ = [
     "NumericalError",
     "RunConfig",
     "SETTINGS",
-    "SagnacConfig",
     "Subsystem",
     "VisibilityResult",
     "analyzer_state",
@@ -78,7 +77,6 @@ __all__ = [
     "petal_fit",
     "pol_ket",
     "pol_subsystem",
-    "prepare_pump",
     "project",
     "pump_state",
     "run_hybrid_witness",

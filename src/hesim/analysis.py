@@ -23,7 +23,6 @@ from . import detection, lgmodes
 from .detection import (
     DetectorModel,
     SETTINGS,
-    analyzer_state,
     coincidence_prob,
     conditional_oam,
     derived_seed,
@@ -31,12 +30,11 @@ from .detection import (
     sample_counts,
     thread_budget,
 )
-from .errors import ConfigError, NumericalError
-from .lgmodes import AngularHistogram, PetalFit, circular_distance, petal_fit
-from .quantum import DensityMatrix, Ket, pol_ket, pol_subsystem
+from .errors import NumericalError
+from .lgmodes import PetalFit, cosine_fit, petal_fit
+from .quantum import DensityMatrix, pol_ket, pol_subsystem
 from .spdc import SIGNAL_OAM
 
-TWO_PI = 2.0 * np.pi
 CHSH_SETTINGS_DEG = (0.0, 45.0, 22.5, 67.5)
 BELL_VISIBILITY_BOUND = 1.0 / math.sqrt(2.0)
 
@@ -52,21 +50,6 @@ class VisibilityResult:
     theta0: float
     stderr: float
     flags: tuple = ()
-
-
-def _weighted_cosine_fit(angles, values, freq):
-    """m + a cos + b sin by plain least squares, with parameter covariance."""
-    design = np.column_stack(
-        [np.ones_like(angles), np.cos(freq * angles), np.sin(freq * angles)]
-    )
-    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-    if rank < 3:
-        raise NumericalError("angle set cannot resolve a fringe (rank-deficient fit)")
-    resid = values - design @ coef
-    dof = max(len(values) - 3, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    return coef, cov
 
 
 def fit_visibility(series) -> VisibilityResult:
@@ -85,7 +68,7 @@ def fit_visibility(series) -> VisibilityResult:
     if angles.max() - angles.min() < np.pi - 1e-9:
         raise ValueError("sweep must span at least 180 degrees")
 
-    coef, cov = _weighted_cosine_fit(angles, values, 2)
+    coef, _, cov = cosine_fit(angles, values, 2)
     m, a, b = coef
     amp = math.hypot(a, b)
     flags = []
@@ -115,6 +98,13 @@ def fit_visibility(series) -> VisibilityResult:
     return VisibilityResult(float(v), theta0, stderr, tuple(flags))
 
 
+def _counts(prob: float, det: DetectorModel, l: int, sampled: bool, tag) -> float:
+    """Coincidence counts for one setting: a Poisson draw or its expected mean."""
+    if sampled:
+        return float(sample_counts(prob, det, l, tag=tag))
+    return det.mean_counts(prob, l)
+
+
 def sweep_series(
     state,
     idler,
@@ -133,11 +123,7 @@ def sweep_series(
         prob = coincidence_prob(
             state, idler, linear_analyzer_ket(ang, "signal", name="signal_pol")
         )
-        if sampled:
-            counts = float(sample_counts(prob, det, l, tag=(tag, k)))
-        else:
-            counts = det.mean_counts(prob, l)
-        out.append((ang, counts))
+        out.append((ang, _counts(prob, det, l, sampled, (tag, k))))
     return out
 
 
@@ -166,10 +152,7 @@ def chsh_table(
         for j, sa in enumerate(signal_angles):
             ket_s = linear_analyzer_ket(sa, "signal", name="signal_pol")
             prob = coincidence_prob(state, ket_i, ket_s)
-            if sampled:
-                table[i, j] = sample_counts(prob, det, l, tag=(tag, i, j))
-            else:
-                table[i, j] = det.mean_counts(prob, l)
+            table[i, j] = _counts(prob, det, l, sampled, (tag, i, j))
     return table
 
 
@@ -234,10 +217,7 @@ def tomography_counts(
     counts = np.zeros(16)
     for k, (li, ls) in enumerate(TOMO_SETTINGS):
         prob = coincidence_prob(state, SETTINGS[li], SETTINGS[ls])
-        if sampled:
-            counts[k] = sample_counts(prob, det, l, tag=(tag, k))
-        else:
-            counts[k] = det.mean_counts(prob, l)
+        counts[k] = _counts(prob, det, l, sampled, (tag, k))
     return counts
 
 
@@ -271,34 +251,68 @@ def tomography_linear(counts16) -> DensityMatrix:
 _BASIS_OFFSETS = {"A": 0.0, "D": 0.5, "R": 0.25, "L": 0.75}
 
 
-def pair_visibility(fit_x: PetalFit, fit_y: PetalFit, anchor=None) -> float:
-    """Correlation contrast of two conjugate heralded petal curves.
+def _contrast(curve_x, curve_y, anchor: float, l: int) -> float:
+    """Correlation contrast of two conjugate petal curves (callables of theta).
 
-    Both fitted curves are read at the anchor orientation and a quarter
-    petal-period away; the four values form a normalised difference. For a
-    hybrid entangled state the curves are complementary and the contrast
-    equals the fringe visibility; for an idler-separable state the heralded
-    pattern cannot depend on the idler basis and the contrast collapses.
-
-    The anchor defaults to the first curve's own maximum, which is fine for
-    a lone pair. A witness summing two basis pairs must pass anchors a rigid
-    45/l degrees apart instead: if each pair re-centres on its own best
-    orientation, a separable state with a petal-shaped signal marginal can
-    push the sum above one.
+    Both curves are read at the anchor orientation and a quarter petal
+    period away; the four values form a normalised difference. For a hybrid
+    entangled state the curves are complementary and the contrast equals
+    the fringe visibility; for an idler-separable state the heralded pattern
+    cannot depend on the idler basis and the contrast collapses.
     """
-    if fit_x.l != fit_y.l:
-        raise ValueError("petal fits disagree on l")
-    l = fit_x.l
-    if anchor is None:
-        anchor = fit_x.theta0 if not fit_x.degenerate else 0.0
     t1 = float(anchor)
     t2 = t1 + np.pi / (2 * l)
-    cx1, cx2 = float(fit_x.curve(t1)), float(fit_x.curve(t2))
-    cy1, cy2 = float(fit_y.curve(t1)), float(fit_y.curve(t2))
+    cx1, cx2 = float(curve_x(t1)), float(curve_x(t2))
+    cy1, cy2 = float(curve_y(t1)), float(curve_y(t2))
     denom = cx1 + cx2 + cy1 + cy2
     if denom <= 1e-30:
         return 0.0
     return abs(cx1 + cy2 - cx2 - cy1) / denom
+
+
+def _reference(theta0: dict, l: int) -> float:
+    """Orientation of the A-basis maximum, shared by both witness pairs.
+
+    Recovered from the first basis with a finite petal orientation, by
+    backing out that basis's known offset. Keeping one reference is what
+    makes the witness a fixed observable; how the reference noise enters
+    cancels to first order because every read-out sits at a stationary
+    point of its curve.
+    """
+    for basis in ("A", "D", "R", "L"):
+        t0 = theta0.get(basis, float("nan"))
+        if math.isfinite(t0):
+            return t0 - _BASIS_OFFSETS[basis] * (np.pi / l)
+    return 0.0
+
+
+def _witness_pairs(curves: dict, theta0: dict, l: int) -> dict:
+    """V_DA and V_RL from per-basis curves and orientations, where both bases exist.
+
+    Both pairs are read at anchors a rigid 45/l degrees apart, tied to one
+    reference: if each pair re-centred on its own best orientation, a
+    separable state with a petal-shaped signal marginal could push W above 1.
+    """
+    ref = _reference(theta0, l)
+    pairs = {}
+    if "A" in curves and "D" in curves:
+        pairs["DA"] = _contrast(curves["A"], curves["D"], ref, l)
+    if "R" in curves and "L" in curves:
+        pairs["RL"] = _contrast(curves["R"], curves["L"], ref + np.pi / (4 * l), l)
+    return pairs
+
+
+def pair_visibility(fit_x: PetalFit, fit_y: PetalFit, anchor=None) -> float:
+    """Correlation contrast of two conjugate heralded petal fits.
+
+    The anchor defaults to the first fit's own maximum, which is fine for a
+    lone pair; the witness instead ties both of its pairs to one reference.
+    """
+    if fit_x.l != fit_y.l:
+        raise ValueError("petal fits disagree on l")
+    if anchor is None:
+        anchor = fit_x.theta0 if not fit_x.degenerate else 0.0
+    return _contrast(fit_x.curve, fit_y.curve, anchor, fit_x.l)
 
 
 def witness(v_rl: VisibilityResult, v_da: VisibilityResult) -> tuple:
@@ -356,32 +370,11 @@ def angular_basis_scan(
         fits[basis] = petal_fit(hist, l)
         hists[basis] = hist
         images[basis] = img
-    ref = _scan_reference(fits, l)
-    pair_vis = {}
-    if "D" in fits and "A" in fits:
-        pair_vis["DA"] = pair_visibility(fits["A"], fits["D"], anchor=ref)
-    if "R" in fits and "L" in fits:
-        pair_vis["RL"] = pair_visibility(
-            fits["R"], fits["L"], anchor=ref + np.pi / (4 * l)
-        )
+    pair_vis = _witness_pairs(
+        {b: f.curve for b, f in fits.items()}, {b: f.theta0 for b, f in fits.items()}, l
+    )
     w = sum(pair_vis.values()) if len(pair_vis) == 2 else float("nan")
     return AngularScan(l, fits, hists, images, pair_vis, w)
-
-
-def _scan_reference(fits: dict, l: int) -> float:
-    """Orientation of the A-basis maximum, shared by both witness pairs.
-
-    Recovered from whichever basis fit is usable, by backing out that
-    basis's known offset. Keeping one reference is what makes the witness
-    a fixed observable; how the reference noise enters cancels to first
-    order because every read-out sits at a stationary point of its curve.
-    """
-    period = np.pi / l
-    for basis in ("A", "D", "R", "L"):
-        fit = fits.get(basis)
-        if fit is not None and not fit.degenerate:
-            return fit.theta0 - _BASIS_OFFSETS[basis] * period
-    return 0.0
 
 
 def _oam_curve_params(block: np.ndarray, alphabet, l: int):
@@ -419,37 +412,19 @@ def witness_expectation(state, l: int, signal_pol: str = "D") -> dict:
         block, _ = conditional_oam(state, SETTINGS[basis], SETTINGS[signal_pol])
         params[basis] = _oam_curve_params(block, alphabet, l)
 
-    def val(basis, t):
-        b, a, t0 = params[basis]
+    def curve(b, a, t0):
         if not math.isfinite(t0):
-            return b
-        return b + a * math.cos(2 * l * (t - t0))
+            return lambda t: b
+        return lambda t: b + a * math.cos(2 * l * (t - t0))
 
-    ref = 0.0
-    for basis in ("A", "D", "R", "L"):
-        _, amp, t0 = params[basis]
-        if amp > 0 and math.isfinite(t0):
-            ref = t0 - _BASIS_OFFSETS[basis] * (np.pi / l)
-            break
-
-    def contrast(x, y, t1):
-        # both witness pairs read at orientations tied to the one reference
-        t2 = t1 + np.pi / (2 * l)
-        cx1, cx2 = val(x, t1), val(x, t2)
-        cy1, cy2 = val(y, t1), val(y, t2)
-        denom = cx1 + cx2 + cy1 + cy2
-        if denom <= 1e-30:
-            return 0.0
-        return abs(cx1 + cy2 - cx2 - cy1) / denom
-
-    v_da = contrast("A", "D", ref)
-    v_rl = contrast("R", "L", ref + np.pi / (4 * l))
+    theta0 = {basis: p[2] for basis, p in params.items()}
+    pairs = _witness_pairs({basis: curve(*p) for basis, p in params.items()}, theta0, l)
     return {
-        "V_DA": v_da,
-        "V_RL": v_rl,
-        "W": v_da + v_rl,
-        "theta0": {b: params[b][2] for b in params},
-        "baseline": {b: params[b][0] for b in params},
+        "V_DA": pairs["DA"],
+        "V_RL": pairs["RL"],
+        "W": pairs["DA"] + pairs["RL"],
+        "theta0": theta0,
+        "baseline": {basis: p[0] for basis, p in params.items()},
     }
 
 

@@ -6,6 +6,7 @@ input). Anything else crashing out of a run exits 1.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -70,13 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig.from_dict({})
     if args.seed is not None:
-        cfg.detector.seed = int(args.seed)
+        cfg.detector = dataclasses.replace(cfg.detector, seed=args.seed)
     if args.charge is not None:
-        cfg.pump = type(cfg.pump)(l=args.charge, phi=cfg.pump.phi, alpha=cfg.pump.alpha)
+        cfg.pump = dataclasses.replace(cfg.pump, l=args.charge)
     if args.noise is not None:
-        cfg.noise = type(cfg.noise)(p_white=args.noise, space=cfg.noise.space)
+        cfg.noise = dataclasses.replace(cfg.noise, p_white=args.noise)
     if args.expected:
-        cfg.detector.sampled = False
+        cfg.detector = dataclasses.replace(cfg.detector, sampled=False)
     return cfg
 
 

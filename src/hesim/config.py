@@ -8,6 +8,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from .detection import DetectorModel
 from .errors import ConfigError
 
 
@@ -63,29 +64,6 @@ class NoiseConfig:
 
 
 @dataclass
-class DetectorConfig:
-    pair_rate: float = 1e4
-    accidental_rate: float = 0.0
-    integration_time: float = 10.0
-    rate_scale_per_l: dict = field(
-        default_factory=lambda: {0: 1.0, 1: 0.5, 2: 0.25, 3: 0.12}
-    )
-    seed: int = 0
-    sampled: bool = True
-
-    def __post_init__(self):
-        if self.pair_rate < 0 or self.accidental_rate < 0:
-            raise ConfigError("rates must be non-negative")
-        if self.integration_time <= 0:
-            raise ConfigError("integration_time must be positive")
-        # JSON object keys arrive as strings
-        self.rate_scale_per_l = {
-            int(k): float(v) for k, v in dict(self.rate_scale_per_l).items()
-        }
-        self.seed = int(self.seed)
-
-
-@dataclass
 class GridConfig:
     n: int = 256
     extent: float | None = None  # None: sized from waist and max |l|
@@ -133,7 +111,7 @@ class AnalysisConfig:
 class RunConfig:
     pump: PumpConfig = field(default_factory=PumpConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    detector: DetectorModel = field(default_factory=DetectorModel)
     grid: GridConfig = field(default_factory=GridConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 

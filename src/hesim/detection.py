@@ -87,6 +87,8 @@ class DetectorModel:
 
     The per-l rate scale stands in for the l-dependent generation and
     coupling efficiency; the values are synthetic knobs, not measurements.
+    ``sampled`` tells the benches to record Poisson draws (True) or the
+    expected means themselves (False).
     """
 
     pair_rate: float = 1.0e4
@@ -96,15 +98,20 @@ class DetectorModel:
         default_factory=lambda: {0: 1.0, 1: 0.5, 2: 0.25, 3: 0.12}
     )
     seed: int = 0
+    sampled: bool = True
 
     def __post_init__(self):
         if self.pair_rate < 0 or self.accidental_rate < 0:
             raise ConfigError("rates must be non-negative")
         if self.integration_time <= 0:
             raise ConfigError("integration time must be positive")
-        for l, scale in self.rate_scale_per_l.items():
+        # JSON object keys arrive as strings
+        scales = {int(k): float(v) for k, v in dict(self.rate_scale_per_l).items()}
+        for l, scale in scales.items():
             if not 0.0 < scale <= 1.0:
                 raise ConfigError(f"rate scale for l={l} must sit in (0, 1], got {scale}")
+        object.__setattr__(self, "rate_scale_per_l", scales)
+        object.__setattr__(self, "seed", int(self.seed))
 
     def scale(self, l: int) -> float:
         try:
@@ -211,18 +218,16 @@ def conditional_oam(state, idler, signal_pol):
         return total, weight
 
     st, p1 = project(state, _as_proj_ket(idler, IDLER), subsystem=IDLER)
+    if st is not None:
+        st, p2 = project(st, _as_proj_ket(signal_pol, SIGNAL_POL), subsystem=SIGNAL_POL)
     if st is None:
         n = state.dims[state.axis(SIGNAL_OAM)]
         return np.zeros((n, n), dtype=complex), 0.0
-    st2, p2 = project(st, _as_proj_ket(signal_pol, SIGNAL_POL), subsystem=SIGNAL_POL)
     weight = p1 * p2
-    if st2 is None:
-        n = state.dims[state.axis(SIGNAL_OAM)]
-        return np.zeros((n, n), dtype=complex), 0.0
-    if isinstance(st2, Ket):
-        block = np.outer(st2.amplitudes, st2.amplitudes.conj())
+    if isinstance(st, Ket):
+        block = np.outer(st.amplitudes, st.amplitudes.conj())
     else:
-        block = st2.matrix
+        block = st.matrix
     return block * weight, weight
 
 

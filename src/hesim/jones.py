@@ -7,11 +7,10 @@ theta from H is the axis-frame retarder rotated by theta:
 
 with delta = pi for a half-wave plate and delta = pi/2 for a quarter-wave
 plate, i.e. the component along the plate axis is left alone and the
-orthogonal component picks up the retardance. Global phases are dropped
-when results are wrapped back into Kets.
+orthogonal component picks up the retardance. ``pump_state`` is the closed
+form of the polarizing Sagnac loop; the tests trace the loop element by
+element as its oracle.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,87 +40,6 @@ def quarter_wave(theta: float) -> np.ndarray:
     """QWP with fast axis at theta; axis-frame matrix diag(1, i)."""
     r = rotation(theta)
     return (r @ np.diag([1.0, 1.0j]) @ r.T).astype(complex)
-
-
-def pbs_transmit() -> np.ndarray:
-    """Projector onto H (the transmitted port)."""
-    return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
-def pbs_reflect() -> np.ndarray:
-    """Projector onto V (the reflected port)."""
-    return np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
-
-def apply_jones(matrix: np.ndarray, state: Ket) -> Ket:
-    """Apply a 2x2 Jones matrix to a single-subsystem polarization ket."""
-    if len(state.subsystems) != 1 or state.dim != 2:
-        raise ValueError("apply_jones expects a bare polarization ket")
-    out = np.asarray(matrix, dtype=complex) @ state.amplitudes
-    if np.linalg.norm(out) < 1e-12:
-        raise ValueError("element extinguished the state")
-    return Ket(state.subsystems, out)
-
-
-@dataclass(frozen=True)
-class SagnacConfig:
-    """Polarizing Sagnac loop around a spiral phase plate.
-
-    spp_order: topological charge the plate adds to the counter-clockwise
-        (H-polarized) pass; the clockwise pass sees the conjugate, -spp_order.
-    asymmetry_phase: relative phase phi picked up by the clockwise (V) path
-        from the off-center placement of the plate, wrapped into [0, 2*pi).
-    """
-
-    spp_order: int = 1
-    asymmetry_phase: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "spp_order", int(self.spp_order))
-        object.__setattr__(
-            self, "asymmetry_phase", float(self.asymmetry_phase) % TWO_PI
-        )
-
-
-def prepare_pump(cfg: SagnacConfig, alphabet=DEFAULT_OAM_ALPHABET) -> Ket:
-    """Trace the diagonal pump through the Sagnac element by element.
-
-    A diagonally polarized Gaussian enters the loop; the PBS sends H around
-    counter-clockwise and V clockwise. Each pass crosses the spiral plate
-    once, acquiring charge +l (CCW) or -l (CW), and the CW path additionally
-    picks up exp(-i*phi) from the plate offset. The output is the coherent
-    sum of the two paths:
-
-        (|H,+l> + exp(-i*phi) |V,-l>) / sqrt(2)
-
-    With the plate removed (spp_order == 0) there is no offset phase either,
-    and the pump stays separable: (|H> + |V>)/sqrt(2) x |0>.
-    """
-    pol = pol_subsystem()
-    oam = oam_subsystem(alphabet)
-    l = cfg.spp_order
-    if l not in oam.labels or -l not in oam.labels or 0 not in oam.labels:
-        raise ConfigError(f"charges {{0, +-{l}}} must fit the OAM alphabet {oam.labels}")
-
-    n = oam.dim
-    amp = np.zeros((2, n), dtype=complex)
-    amp[0, oam.index(0)] = 1.0 / np.sqrt(2.0)  # H component of the input
-    amp[1, oam.index(0)] = 1.0 / np.sqrt(2.0)  # V component
-
-    ccw = np.zeros_like(amp)
-    cw = np.zeros_like(amp)
-    ccw[0] = (pbs_transmit() @ amp)[0]
-    cw[1] = (pbs_reflect() @ amp)[1]
-
-    if l != 0:
-        shifted = np.zeros_like(ccw)
-        shifted[0, oam.index(l)] = ccw[0, oam.index(0)]
-        ccw = shifted
-        shifted = np.zeros_like(cw)
-        shifted[1, oam.index(-l)] = cw[1, oam.index(0)]
-        cw = shifted * np.exp(-1j * cfg.asymmetry_phase)
-
-    return Ket((pol, oam), (ccw + cw).reshape(-1))
 
 
 def pump_state(

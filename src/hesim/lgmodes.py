@@ -295,16 +295,24 @@ class PetalFit:
         )
 
 
-def _cosine_lsq(angles: np.ndarray, values: np.ndarray, freq: int):
-    """Linear fit of m + a cos(f t) + b sin(f t); returns (m, amp, phase, rms)."""
+def cosine_fit(angles: np.ndarray, values: np.ndarray, freq: int):
+    """Least-squares fit of m + a cos(f t) + b sin(f t).
+
+    Returns the coefficients (m, a, b), the residuals, and the parameter
+    covariance scaled by the residual variance. An angle set that cannot
+    separate the three terms raises NumericalError.
+    """
     design = np.column_stack(
         [np.ones_like(angles), np.cos(freq * angles), np.sin(freq * angles)]
     )
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    m, a, b = coef
+    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    if rank < 3:
+        raise NumericalError("angle set cannot resolve a fringe (rank-deficient fit)")
     resid = values - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return float(m), float(np.hypot(a, b)), float(np.arctan2(b, a)), rms
+    dof = max(len(values) - 3, 1)
+    sigma2 = float(resid @ resid) / dof
+    cov = sigma2 * np.linalg.inv(design.T @ design)
+    return coef, resid, cov
 
 
 def petal_fit(hist: AngularHistogram, l: int) -> PetalFit:
@@ -317,21 +325,19 @@ def petal_fit(hist: AngularHistogram, l: int) -> PetalFit:
     l = int(l)
     if l < 1:
         raise ValueError("petal fit needs l >= 1")
-    if hist.nbins < 4 * l:
-        raise ValueError(f"need at least {4 * l} bins to resolve 2l={2 * l} petals")
-    m, amp, phase, rms = _cosine_lsq(hist.bin_centers, hist.bins, 2 * l)
+    if hist.nbins <= 4 * l:
+        # at 4l bins cos(2l theta) vanishes at every bin center
+        raise ValueError(f"need more than {4 * l} bins to resolve 2l={2 * l} petals")
+    coef, resid, _ = cosine_fit(hist.bin_centers, hist.bins, 2 * l)
+    m, a, b = (float(c) for c in coef)
+    amp, phase = float(np.hypot(a, b)), float(np.arctan2(b, a))
+    rms = float(np.sqrt(np.mean(resid**2)))
     period = np.pi / l
     if m <= 0 or amp / max(abs(m), 1e-300) < 1e-12:
         return PetalFit(l, float("nan"), 0.0, max(m, 0.0), rms, degenerate=True)
     theta0 = (phase / (2.0 * l)) % period
     vis = min(amp / m, 1.0)
     return PetalFit(l, float(theta0), float(vis), float(m), rms)
-
-
-def circular_distance(a: float, b: float, period: float) -> float:
-    """Shortest separation of two orientations on a circle of given period."""
-    d = abs(a - b) % period
-    return min(d, period - d)
 
 
 # -- serialization -----------------------------------------------------------
@@ -351,24 +357,15 @@ def write_pgm(img: FieldImage, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if tokens[0] != "P2":
-        raise ValueError("only plain PGM (P2) is supported")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    data = np.array(tokens[4:], dtype=int)
-    if data.size != w * h:
-        raise ValueError("pixel count does not match header")
-    if data.max(initial=0) > maxval:
-        raise ValueError("pixel exceeds declared maxval")
-    return data.reshape(h, w)
+def write_angle_csv(header: str, angles, values, path) -> None:
+    """Two columns under ``header``: an angle in degrees and its value."""
+    lines = [header]
+    for a, v in zip(angles, values):
+        lines.append(f"{math.degrees(a):.12g},{v:.12g}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_histogram_csv(hist: AngularHistogram, path) -> None:
     """Two columns: bin center in degrees, summed value."""
-    lines = ["bin_center_deg,value"]
-    for c, v in zip(hist.bin_centers, hist.bins):
-        lines.append(f"{math.degrees(c):.12g},{v:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_angle_csv("bin_center_deg,value", hist.bin_centers, hist.bins, path)

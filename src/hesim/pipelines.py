@@ -33,22 +33,11 @@ from .analysis import (
     witness_expectation,
 )
 from .config import RunConfig
-from .detection import SETTINGS, DetectorModel
+from .detection import SETTINGS
 from .errors import ConfigError
 from .jones import pump_state
 from .quantum import Ket, fidelity, oam_subsystem, pol_ket, project
 from .spdc import CrystalPairConfig, apply_noise, down_convert
-
-
-def detector_from_config(cfg: RunConfig) -> DetectorModel:
-    d = cfg.detector
-    return DetectorModel(
-        pair_rate=d.pair_rate,
-        accidental_rate=d.accidental_rate,
-        integration_time=d.integration_time,
-        rate_scale_per_l=dict(d.rate_scale_per_l),
-        seed=d.seed,
-    )
 
 
 def _grid(cfg: RunConfig, l: int):
@@ -58,17 +47,26 @@ def _grid(cfg: RunConfig, l: int):
     return (cfg.grid.n, extent)
 
 
-def _alphabet(l: int) -> tuple:
+def _annulus(cfg: RunConfig, l: int) -> tuple:
+    """Petal-analysis annulus for charge l; checks the bins can resolve 2l petals."""
+    if cfg.analysis.nbins <= 4 * l:
+        raise ConfigError(
+            f"analysis.nbins={cfg.analysis.nbins} must exceed 4*l={4 * l} "
+            f"to resolve {2 * l} petals"
+        )
+    return cfg.analysis.annulus or lgmodes.default_annulus(cfg.grid.waist, l)
+
+
+def _pump(cfg: RunConfig, l: int):
     m = max(abs(int(l)), 1)
-    return tuple(range(-m, m + 1))
+    return pump_state(l, cfg.pump.phi, cfg.pump.alpha, tuple(range(-m, m + 1)))
 
 
 def build_source(cfg: RunConfig, l: int | None = None):
     """Pump -> paired crystals -> optional white noise, as one state."""
     if l is None:
         l = cfg.pump.l
-    pump = pump_state(l, cfg.pump.phi, cfg.pump.alpha, _alphabet(l))
-    psi = down_convert(pump, CrystalPairConfig())
+    psi = down_convert(_pump(cfg, l), CrystalPairConfig())
     return apply_noise(psi, cfg.noise.p_white, space=cfg.noise.space)
 
 
@@ -83,18 +81,19 @@ def _formats(formats) -> frozenset:
     return chosen
 
 
+def _petal_summary(fit, hist) -> dict:
+    return {
+        "theta0_deg": None if fit.degenerate else math.degrees(fit.theta0),
+        "visibility": fit.visibility,
+        "n_maxima": int(len(lgmodes.angular_maxima(hist))),
+        "degenerate": fit.degenerate,
+    }
+
+
 def _write_json(doc: dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _write_sweep_csv(series, path: str) -> None:
-    lines = ["angle_deg,counts"]
-    for ang, val in series:
-        lines.append(f"{math.degrees(ang):.12g},{val:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # -- bench 1: classical pump gallery -----------------------------------------
@@ -111,14 +110,12 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     (any of "pgm", "csv", "json"; default all).
     """
     fmt = _formats(formats)
-    os.makedirs(outdir, exist_ok=True)
     l = cfg.pump.l
-    pump = pump_state(l, cfg.pump.phi, cfg.pump.alpha, _alphabet(l))
+    annulus = _annulus(cfg, l) if l >= 1 else None
+    os.makedirs(outdir, exist_ok=True)
+    pump = _pump(cfg, l)
     grid = _grid(cfg, l)
     waist = cfg.grid.waist
-    annulus = cfg.analysis.annulus
-    if annulus is None and l >= 1:
-        annulus = lgmodes.default_annulus(waist, l)
 
     manifest = {
         "kind": "pump_gallery",
@@ -138,13 +135,7 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
         }
         if l >= 1 and not img.empty:
             hist = lgmodes.angular_profile(img, cfg.analysis.nbins, annulus)
-            fit = lgmodes.petal_fit(hist, l)
-            entry["petals"] = {
-                "theta0_deg": None if fit.degenerate else math.degrees(fit.theta0),
-                "visibility": fit.visibility,
-                "n_maxima": int(len(lgmodes.angular_maxima(hist))),
-                "degenerate": fit.degenerate,
-            }
+            entry["petals"] = _petal_summary(lgmodes.petal_fit(hist, l), hist)
         manifest["images"][label] = entry
 
     img = lgmodes.render_unprojected(pump, grid, waist)
@@ -172,8 +163,8 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
     fmt = _formats(formats)
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg, l=0)
-    det = detector_from_config(cfg)
-    sampled = cfg.detector.sampled
+    det = cfg.detector
+    sampled = det.sampled
 
     angles_deg = np.arange(0.0, 360.0, cfg.analysis.sweep_step_deg)
     visibilities = {}
@@ -183,7 +174,9 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
             angles_deg=angles_deg, sampled=sampled, tag=f"sweep_{basis}",
         )
         if "csv" in fmt:
-            _write_sweep_csv(series, os.path.join(outdir, f"sweep_{basis}.csv"))
+            lgmodes.write_angle_csv(
+                "angle_deg,counts", *zip(*series), os.path.join(outdir, f"sweep_{basis}.csv")
+            )
         visibilities[basis] = fit_visibility(series)
 
     table = chsh_table(
@@ -204,7 +197,9 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
     )
     oam0 = Ket.basis_state((oam_subsystem((0,), name="signal_oam"),), 0)
     ideal, _ = project(ideal_full, oam0, subsystem="signal_oam")
-    fid = fidelity(rho, ideal)
+    # linear inversion of noiseless counts is often slightly non-physical;
+    # the reported fidelity is read off the clipped estimate then
+    fid = fidelity(rho if rho.psd_flag else rho.clip_to_physical(), ideal)
 
     report = AnalysisReport(
         kind="polarization_bell",
@@ -216,8 +211,7 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
         config=cfg.to_dict(),
     )
     if "json" in fmt:
-        with open(os.path.join(outdir, "report.json"), "w") as fh:
-            fh.write(report.to_json())
+        _write_json(report.to_dict(), os.path.join(outdir, "report.json"))
     return report
 
 
@@ -232,35 +226,33 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
     the difference between the two.
     """
     fmt = _formats(formats)
-    os.makedirs(outdir, exist_ok=True)
     l = cfg.pump.l
     if l < 1:
         raise ConfigError("hybrid witness needs a pump charge l >= 1")
+    annulus = _annulus(cfg, l)
+    os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg)
-    det = detector_from_config(cfg)
-    sampled = cfg.detector.sampled
+    det = cfg.detector
+    sampled = det.sampled
     grid = _grid(cfg, l)
     waist = cfg.grid.waist
-    annulus = cfg.analysis.annulus or lgmodes.default_annulus(waist, l)
 
     scan = angular_basis_scan(
         state, l, det, grid, waist,
         annulus=annulus, nbins=cfg.analysis.nbins, sampled=sampled, tag="scan",
     )
+    img_none = detection.heralded_image(
+        state, None, SETTINGS["D"], grid, waist, det, l,
+        sampled=sampled, tag=("scan", "none"),
+    )
     if "pgm" in fmt:
-        for basis, img in scan.images.items():
+        for basis, img in {**scan.images, "none": img_none}.items():
             lgmodes.write_pgm(img, os.path.join(outdir, f"heralded_{basis}.pgm"))
     if "csv" in fmt:
         for basis, hist in scan.histograms.items():
             lgmodes.write_histogram_csv(
                 hist, os.path.join(outdir, f"profile_{basis}.csv")
             )
-    img_none = detection.heralded_image(
-        state, None, SETTINGS["D"], grid, waist, det, l,
-        sampled=sampled, tag=("scan", "none"),
-    )
-    if "pgm" in fmt:
-        lgmodes.write_pgm(img_none, os.path.join(outdir, "heralded_none.pgm"))
 
     expected = witness_expectation(state, l)
 
@@ -284,20 +276,11 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
         w_sigma = boot.sigma("W")
 
     petals = {
-        basis: {
-            "theta0_deg": None if fit.degenerate else math.degrees(fit.theta0),
-            "visibility": fit.visibility,
-            "n_maxima": int(len(lgmodes.angular_maxima(scan.histograms[basis]))),
-            "degenerate": fit.degenerate,
-        }
+        basis: _petal_summary(fit, scan.histograms[basis])
         for basis, fit in scan.fits.items()
     }
     petals["pair_visibility"] = dict(scan.pair_vis)
-    petals["expectation"] = {
-        "W": expected["W"],
-        "V_DA": expected["V_DA"],
-        "V_RL": expected["V_RL"],
-    }
+    petals["expectation"] = {k: expected[k] for k in ("W", "V_DA", "V_RL")}
     if boot is not None:
         petals["bootstrap"] = {
             "n": boot.n_iter,
@@ -314,6 +297,5 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
         config=cfg.to_dict(),
     )
     if "json" in fmt:
-        with open(os.path.join(outdir, "report.json"), "w") as fh:
-            fh.write(report.to_json())
+        _write_json(report.to_dict(), os.path.join(outdir, "report.json"))
     return report

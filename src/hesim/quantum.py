@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import NumericalError
 
-NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 PSD_TOL = 1e-9
 NULL_TOL = 1e-15
@@ -83,10 +82,44 @@ def _fix_global_phase(amp: np.ndarray) -> np.ndarray:
     return amp
 
 
-class Ket:
+def _flat_index(subsystems, label) -> int:
+    """Position of a label tuple in the flat basis; a bare label addresses one subsystem."""
+    if not isinstance(label, tuple):
+        label = (label,)
+    if len(label) != len(subsystems):
+        raise ValueError(f"label {label!r} does not address {len(subsystems)} subsystems")
+    return np.ravel_multi_index(
+        tuple(s.index(l) for s, l in zip(subsystems, label)), [s.dim for s in subsystems]
+    )
+
+
+class _State:
+    """Subsystem bookkeeping shared by Ket and DensityMatrix."""
+
+    __slots__ = ("_subsystems",)
+
+    @property
+    def subsystems(self) -> tuple:
+        return self._subsystems
+
+    @property
+    def dims(self) -> tuple:
+        return tuple(s.dim for s in self._subsystems)
+
+    def names(self):
+        return tuple(s.name for s in self._subsystems)
+
+    def axis(self, name: str) -> int:
+        for i, s in enumerate(self._subsystems):
+            if s.name == name:
+                return i
+        raise KeyError(f"no subsystem named {name!r}")
+
+
+class Ket(_State):
     """Normalised pure state over an ordered tuple of subsystems."""
 
-    __slots__ = ("_subsystems", "_amp")
+    __slots__ = ("_amp",)
 
     def __init__(self, subsystems, amplitudes, fix_phase: bool = True):
         self._subsystems = _check_subsystems(subsystems)
@@ -109,17 +142,9 @@ class Ket:
     def from_terms(cls, subsystems, terms: dict, fix_phase: bool = True) -> "Ket":
         """Build from {label-tuple: amplitude}; labels of single subsystems may be bare."""
         subsystems = _check_subsystems(subsystems)
-        dims = [s.dim for s in subsystems]
-        amp = np.zeros(int(np.prod(dims)), dtype=complex)
+        amp = np.zeros(int(np.prod([s.dim for s in subsystems])), dtype=complex)
         for label, value in terms.items():
-            if not isinstance(label, tuple):
-                label = (label,)
-            if len(label) != len(subsystems):
-                raise ValueError(f"label {label!r} does not address {len(subsystems)} subsystems")
-            idx = np.ravel_multi_index(
-                tuple(s.index(l) for s, l in zip(subsystems, label)), dims
-            )
-            amp[idx] += value
+            amp[_flat_index(subsystems, label)] += value
         return cls(subsystems, amp, fix_phase=fix_phase)
 
     @classmethod
@@ -129,46 +154,18 @@ class Ket:
     # -- structure ---------------------------------------------------------
 
     @property
-    def subsystems(self) -> tuple:
-        return self._subsystems
-
-    @property
     def amplitudes(self) -> np.ndarray:
         return self._amp
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(s.dim for s in self._subsystems)
 
     @property
     def dim(self) -> int:
         return self._amp.size
 
-    def names(self):
-        return tuple(s.name for s in self._subsystems)
-
-    def axis(self, name: str) -> int:
-        for i, s in enumerate(self._subsystems):
-            if s.name == name:
-                return i
-        raise KeyError(f"no subsystem named {name!r}")
-
     def subsystem(self, name: str) -> Subsystem:
         return self._subsystems[self.axis(name)]
 
-    def basis_labels(self):
-        return list(itertools.product(*(s.labels for s in self._subsystems)))
-
     def amplitude(self, label) -> complex:
-        if not isinstance(label, tuple):
-            label = (label,)
-        idx = np.ravel_multi_index(
-            tuple(s.index(l) for s, l in zip(self._subsystems, label)), self.dims
-        )
-        return complex(self._amp[idx])
-
-    def amplitude_map(self) -> dict:
-        return {lab: complex(a) for lab, a in zip(self.basis_labels(), self._amp)}
+        return complex(self._amp[_flat_index(self._subsystems, label)])
 
     def isclose(self, other: "Ket", atol: float = 1e-9) -> bool:
         return (
@@ -177,8 +174,9 @@ class Ket:
         )
 
     def __repr__(self):
+        labels = itertools.product(*(s.labels for s in self._subsystems))
         terms = ", ".join(
-            f"{lab}: {a:.4g}" for lab, a in self.amplitude_map().items() if abs(a) > 1e-9
+            f"{lab}: {complex(a):.4g}" for lab, a in zip(labels, self._amp) if abs(a) > 1e-9
         )
         return f"Ket({terms})"
 
@@ -201,7 +199,7 @@ def pol_ket(label: str, name: str = "pol") -> Ket:
     return Ket((pol_subsystem(name),), amp)
 
 
-class DensityMatrix:
+class DensityMatrix(_State):
     """Hermitian, unit-trace operator over named subsystems.
 
     Positivity is diagnosed, not enforced: ``psd_flag`` reports whether the
@@ -209,7 +207,7 @@ class DensityMatrix:
     matrix after noisy reconstruction must opt in via ``clip_to_physical``.
     """
 
-    __slots__ = ("_subsystems", "_mat", "_eigvals")
+    __slots__ = ("_mat", "_eigvals")
 
     def __init__(self, subsystems, matrix):
         self._subsystems = _check_subsystems(subsystems)
@@ -233,16 +231,8 @@ class DensityMatrix:
         return cls(psi.subsystems, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
     @property
-    def subsystems(self) -> tuple:
-        return self._subsystems
-
-    @property
     def matrix(self) -> np.ndarray:
         return self._mat
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(s.dim for s in self._subsystems)
 
     @property
     def dim(self) -> int:
@@ -254,15 +244,6 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return self._eigvals.copy()
-
-    def names(self):
-        return tuple(s.name for s in self._subsystems)
-
-    def axis(self, name: str) -> int:
-        for i, s in enumerate(self._subsystems):
-            if s.name == name:
-                return i
-        raise KeyError(f"no subsystem named {name!r}")
 
     def purity(self) -> float:
         return float(np.real(np.trace(self._mat @ self._mat)))
@@ -277,12 +258,6 @@ class DensityMatrix:
         mat = (vecs * (vals / total)) @ vecs.conj().T
         mat = 0.5 * (mat + mat.conj().T)
         return DensityMatrix(self._subsystems, mat)
-
-    def isclose(self, other: "DensityMatrix", atol: float = 1e-9) -> bool:
-        return (
-            self._subsystems == other._subsystems
-            and bool(np.allclose(self._mat, other._mat, atol=atol))
-        )
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.4f}, psd={self.psd_flag})"
@@ -322,34 +297,31 @@ def project(state, proj: Ket, subsystem: str | None = None):
     """
     if subsystem is None:
         subsystem = proj.subsystems[0].name
+    if not isinstance(state, _State):
+        raise TypeError(f"cannot project a {type(state).__name__}")
+    ax = state.axis(subsystem)
+    v = _single_subsystem_proj(proj, state.subsystems[ax])
+    remaining = state.subsystems[:ax] + state.subsystems[ax + 1 :]
     if isinstance(state, Ket):
-        ax = state.axis(subsystem)
-        v = _single_subsystem_proj(proj, state.subsystems[ax])
         t = state.amplitudes.reshape(state.dims)
         res = np.tensordot(v.conj(), t, axes=([0], [ax]))
         p = float(np.sum(np.abs(res) ** 2))
-        remaining = state.subsystems[:ax] + state.subsystems[ax + 1 :]
         if p < NULL_TOL or not remaining:
             return None, p
         return Ket(remaining, res.reshape(-1) / np.sqrt(p)), p
-    if isinstance(state, DensityMatrix):
-        ax = state.axis(subsystem)
-        v = _single_subsystem_proj(proj, state.subsystems[ax])
-        k = len(state.subsystems)
-        t = state.matrix.reshape(state.dims + state.dims)
-        # contract ket index with <proj| and bra index with |proj>
-        t = np.tensordot(v.conj(), t, axes=([0], [ax]))
-        t = np.tensordot(t, v, axes=([k - 1 + ax], [0]))
-        remaining = state.subsystems[:ax] + state.subsystems[ax + 1 :]
-        d_rem = int(np.prod([s.dim for s in remaining])) if remaining else 1
-        mat = t.reshape(d_rem, d_rem)
-        p = float(np.real(np.trace(mat)))
-        if p < NULL_TOL or not remaining:
-            return None, max(p, 0.0)
-        mat = mat / p
-        mat = 0.5 * (mat + mat.conj().T)
-        return DensityMatrix(remaining, mat), p
-    raise TypeError(f"cannot project a {type(state).__name__}")
+    k = len(state.subsystems)
+    t = state.matrix.reshape(state.dims + state.dims)
+    # contract ket index with <proj| and bra index with |proj>
+    t = np.tensordot(v.conj(), t, axes=([0], [ax]))
+    t = np.tensordot(t, v, axes=([k - 1 + ax], [0]))
+    d_rem = int(np.prod([s.dim for s in remaining])) if remaining else 1
+    mat = t.reshape(d_rem, d_rem)
+    p = float(np.real(np.trace(mat)))
+    if p < NULL_TOL or not remaining:
+        return None, max(p, 0.0)
+    mat = mat / p
+    mat = 0.5 * (mat + mat.conj().T)
+    return DensityMatrix(remaining, mat), p
 
 
 def joint_probability(state, projections: dict) -> float:
@@ -402,12 +374,10 @@ def partial_trace(state, keep) -> DensityMatrix:
 
 def fidelity(rho, target: Ket) -> float:
     """Overlap <target|rho|target>; accepts a Ket in place of rho."""
-    if isinstance(rho, Ket):
-        if rho.subsystems != target.subsystems:
-            raise InvalidCompositionError("states live on different subsystems")
-        return float(np.abs(np.vdot(target.amplitudes, rho.amplitudes)) ** 2)
     if rho.subsystems != target.subsystems:
         raise InvalidCompositionError("states live on different subsystems")
+    if isinstance(rho, Ket):
+        return float(np.abs(np.vdot(target.amplitudes, rho.amplitudes)) ** 2)
     v = target.amplitudes
     val = np.vdot(v, rho.matrix @ v)
     if abs(val.imag) > 1e-10:
@@ -440,13 +410,3 @@ def state_fidelity(a, b) -> float:
     if out > 1.0 + 1e-9:
         raise NumericalError(f"fidelity {out} outside [0, 1]")
     return min(out, 1.0)
-
-
-def white_noise_mix(psi: Ket, p: float) -> DensityMatrix:
-    """(1-p) |psi><psi| + p I/dim over psi's full declared space."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise weight p={p} outside [0, 1]")
-    d = psi.dim
-    mat = (1.0 - p) * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    mat += (p / d) * np.eye(d)
-    return DensityMatrix(psi.subsystems, mat)

@@ -56,6 +56,7 @@ def test_unknown_keys_rejected_at_both_levels():
         {"analysis": {"annulus": [1.5, 0.5]}},
         {"analysis": {"chsh_settings": [0.0, 45.0, 22.5]}},
         {"analysis": {"n_bootstrap": 0}},
+        {"detector": {"rate_scale_per_l": {"3": 1.5}}},
     ],
 )
 def test_bad_values_rejected(patch):
@@ -153,12 +154,33 @@ def test_cli_polarization_bell_runs(tmp_path, capsys):
     assert report["chsh"]["S"] > 2.6
 
 
+def test_cli_polarization_bell_noiseless_fidelity_in_range(tmp_path):
+    # linear tomography of noiseless counts is not PSD for these seeds
+    for seed in (2, 4, 8, 10):
+        out = tmp_path / str(seed)
+        assert main(["polarization-bell", "--seed", str(seed), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["rho"]["psd"] is False
+        assert 0.0 <= report["fidelity"] <= 1.0
+
+
 def test_cli_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"pump": {"l": -3}}))
     assert main(["pump-gallery", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     missing = tmp_path / "missing.json"
     assert main(["pump-gallery", "--config", str(missing), "--out", str(tmp_path / "y")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["pump-gallery", "--l", "2"], ["hybrid-witness", "--expected"]]
+)
+def test_cli_rejects_bins_that_alias_petals(tmp_path, argv):
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"analysis": {"nbins": 8}}))
+    out = tmp_path / "never"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_hybrid_witness_rejects_zero_charge(tmp_path):

@@ -13,7 +13,6 @@ from hesim.lgmodes import (
     LGMode,
     angular_maxima,
     angular_profile,
-    circular_distance,
     default_annulus,
     default_extent,
     lg_amplitude,
@@ -21,7 +20,6 @@ from hesim.lgmodes import (
     peak_radius,
     petal_fit,
     pixel_polar,
-    read_pgm,
     render_projection,
     render_unprojected,
     write_histogram_csv,
@@ -30,6 +28,26 @@ from hesim.lgmodes import (
 from hesim.quantum import pol_ket
 
 GRID = (256, default_extent(1.0, 3))
+
+
+def circular_distance(a: float, b: float, period: float) -> float:
+    """Shortest separation of two orientations on a circle of given period."""
+    d = abs(a - b) % period
+    return min(d, period - d)
+
+
+def read_pgm(path) -> np.ndarray:
+    with open(path) as fh:
+        tokens = fh.read().split()
+    if tokens[0] != "P2":
+        raise ValueError("only plain PGM (P2) is supported")
+    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    data = np.array(tokens[4:], dtype=int)
+    if data.size != w * h:
+        raise ValueError("pixel count does not match header")
+    if data.max(initial=0) > maxval:
+        raise ValueError("pixel exceeds declared maxval")
+    return data.reshape(h, w)
 
 
 def scan_peak_oracle(l, w=1.0):
@@ -203,7 +221,9 @@ def test_petal_fit_flat_flags_degenerate():
 
 def test_petal_fit_argument_guards():
     with pytest.raises(ValueError):
-        petal_fit(synthetic_hist(1, nbins=8), 3)  # needs >= 4l bins
+        petal_fit(synthetic_hist(1, nbins=8), 3)  # needs more than 4l bins
+    with pytest.raises(ValueError):
+        petal_fit(synthetic_hist(2, nbins=8), 2)  # 4l bins alias cos(2l theta) away
     with pytest.raises(ValueError):
         petal_fit(synthetic_hist(1), 0)
 

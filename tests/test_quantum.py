@@ -15,7 +15,6 @@ from hesim.quantum import (
     project,
     state_fidelity,
     tensor,
-    white_noise_mix,
 )
 from hesim.errors import NumericalError
 
@@ -29,6 +28,16 @@ BELL_MINUS = (np.kron(H, H) - np.kron(V, V)) / np.sqrt(2)  # (|HH> - |VV>)/sqrt 
 
 POL = pol_subsystem()
 OAM3 = oam_subsystem((-3, -2, -1, 0, 1, 2, 3))
+
+
+def white_noise_mix(psi: Ket, p: float) -> DensityMatrix:
+    """(1-p) |psi><psi| + p I/dim over psi's full declared space."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"noise weight p={p} outside [0, 1]")
+    d = psi.dim
+    mat = (1.0 - p) * np.outer(psi.amplitudes, psi.amplitudes.conj())
+    mat += (p / d) * np.eye(d)
+    return DensityMatrix(psi.subsystems, mat)
 
 
 def bell_minus_ket():
