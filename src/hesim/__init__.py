@@ -15,10 +15,8 @@ from .analysis import (
     chsh,
     chsh_table,
     fit_visibility,
-    pair_visibility,
     tomography_counts,
     tomography_linear,
-    witness,
     witness_expectation,
 )
 from .config import RunConfig
@@ -39,9 +37,8 @@ from .quantum import (
     pol_subsystem,
     project,
     state_fidelity,
-    tensor,
 )
-from .spdc import CrystalPairConfig, apply_noise, down_convert, herald
+from .spdc import apply_noise, down_convert
 
 __version__ = "0.1.0"
 
@@ -49,7 +46,6 @@ __all__ = [
     "AnalysisReport",
     "AnalyzerSetting",
     "ConfigError",
-    "CrystalPairConfig",
     "DensityMatrix",
     "DetectorModel",
     "FieldImage",
@@ -68,10 +64,8 @@ __all__ = [
     "down_convert",
     "fidelity",
     "fit_visibility",
-    "herald",
     "lg_amplitude",
     "oam_subsystem",
-    "pair_visibility",
     "partial_trace",
     "peak_radius",
     "petal_fit",
@@ -83,9 +77,7 @@ __all__ = [
     "run_polarization_bell",
     "run_pump_gallery",
     "state_fidelity",
-    "tensor",
     "tomography_counts",
     "tomography_linear",
-    "witness",
     "witness_expectation",
 ]

@@ -12,7 +12,6 @@ Collapsing one into the other would hide exactly the discretisation and
 shot-noise effects this package exists to expose.
 """
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from .detection import (
     thread_budget,
 )
 from .errors import NumericalError
-from .lgmodes import PetalFit, cosine_fit, petal_fit
+from .lgmodes import cosine_fit, petal_fit
 from .quantum import DensityMatrix, pol_ket, pol_subsystem
 from .spdc import SIGNAL_OAM
 
@@ -302,29 +301,6 @@ def _witness_pairs(curves: dict, theta0: dict, l: int) -> dict:
     return pairs
 
 
-def pair_visibility(fit_x: PetalFit, fit_y: PetalFit, anchor=None) -> float:
-    """Correlation contrast of two conjugate heralded petal fits.
-
-    The anchor defaults to the first fit's own maximum, which is fine for a
-    lone pair; the witness instead ties both of its pairs to one reference.
-    """
-    if fit_x.l != fit_y.l:
-        raise ValueError("petal fits disagree on l")
-    if anchor is None:
-        anchor = fit_x.theta0 if not fit_x.degenerate else 0.0
-    return _contrast(fit_x.curve, fit_y.curve, anchor, fit_x.l)
-
-
-def witness(v_rl: VisibilityResult, v_da: VisibilityResult) -> tuple:
-    """W = V_R/L + V_D/A with errors combined in quadrature.
-
-    W <= 1 for every idler-separable state; the ideal hybrid state reaches 2.
-    """
-    w = v_rl.V + v_da.V
-    sigma = math.sqrt(v_rl.stderr**2 + v_da.stderr**2)
-    return float(w), float(sigma)
-
-
 @dataclass
 class AngularScan:
     """Everything the petal pipeline produced for one state and l."""
@@ -462,6 +438,8 @@ def bootstrap_errors(pipeline, n_iter: int, seed: int) -> BootstrapResult:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(pipeline, seeds))
     else:
+        # in this thread: a lone pool thread allocates from a second malloc
+        # arena, which raised peak memory by about 3 MB on an l=3 witness run
         results = [pipeline(s) for s in seeds]
     names = results[0].keys()
     samples = {k: np.array([r[k] for r in results], dtype=float) for k in names}
@@ -560,6 +538,3 @@ class AnalysisReport:
         if self.petals:
             doc["petals"] = self.petals
         return _json_ready(doc)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -105,6 +105,9 @@ class AnalysisConfig:
         self.n_bootstrap = int(self.n_bootstrap)
         if self.n_bootstrap < 1:
             raise ConfigError("analysis.n_bootstrap must be at least 1")
+        # at least 8 sweep points; the value is kept as given, the report echoes it
+        if not 0.0 < float(self.sweep_step_deg) < 360.0 / 7:
+            raise ConfigError("analysis.sweep_step_deg must lie in (0, 360/7)")
 
 
 @dataclass

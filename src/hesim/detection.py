@@ -65,15 +65,15 @@ def analyzer_state(setting: AnalyzerSetting, name: str = "pol") -> Ket:
 
 
 def linear_analyzer_ket(angle: float, arm: str, name: str = "pol") -> Ket:
-    """Transmitted state of a bare linear analyzer at a local dial angle."""
-    c, s = np.cos(angle), np.sin(angle)
-    if arm == "idler":
-        amp = (c, s)
-    elif arm == "signal":
-        amp = (c, -s)  # opposed propagation flips the rotation sense
-    else:
+    """Transmitted state of a bare linear analyzer at a local dial angle.
+
+    The dial is a half-wave plate at half the angle; the signal arm turns it
+    the other way, because the two arms face opposite directions.
+    """
+    signs = {"idler": 1.0, "signal": -1.0}
+    if arm not in signs:
         raise ConfigError(f"unknown arm {arm!r}")
-    return Ket((pol_subsystem(name),), amp)
+    return analyzer_state(AnalyzerSetting(None, signs[arm] * angle / 2.0), name=name)
 
 
 @dataclass(frozen=True)
@@ -181,22 +181,16 @@ def _as_proj_ket(setting, name):
     raise ConfigError(f"cannot interpret analyzer setting {setting!r}")
 
 
-def coincidence_prob(state, idler, signal, signal_oam_proj: Ket | None = None) -> float:
+def coincidence_prob(state, idler, signal) -> float:
     """Joint Born probability for idler and signal analyzer projections.
 
-    The signal OAM register is traced out unless an explicit OAM projection
-    ket is supplied. Settings may be AnalyzerSetting values, basis labels,
-    or bare polarization kets.
+    The signal OAM register is traced out. Settings may be AnalyzerSetting
+    values, basis labels, or bare polarization kets.
     """
     projections = {
         IDLER: _as_proj_ket(idler, IDLER),
         SIGNAL_POL: _as_proj_ket(signal, SIGNAL_POL),
     }
-    if signal_oam_proj is not None:
-        oam = state.subsystems[state.axis(SIGNAL_OAM)]
-        projections[SIGNAL_OAM] = Ket(
-            (Subsystem(SIGNAL_OAM, oam.labels),), signal_oam_proj.amplitudes, fix_phase=False
-        )
     return joint_probability(state, projections)
 
 

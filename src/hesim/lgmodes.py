@@ -68,7 +68,7 @@ def default_annulus(waist: float, l: int) -> tuple:
     """Analysis annulus bracketing the petal ring at +-35%."""
     if l == 0:
         raise ValueError("a Gaussian mode has no petal ring to bracket")
-    rp = waist * math.sqrt(abs(l) / 2.0)
+    rp = peak_radius(LGMode(l, waist))
     return (0.65 * rp, 1.35 * rp)
 
 
@@ -96,17 +96,27 @@ class FieldImage:
         return self.pixels.shape[0]
 
 
-def pixel_polar(n: int, extent: float):
-    """(r, theta) arrays at the pixel centers of an n x n image."""
+def _pixel_xy(n: int, extent: float):
+    """x as a row and y as a column, at the pixel centers of an n x n image."""
     step = extent / n
     c = (n - 1) / 2.0
     cols = (np.arange(n) - c) * step
     rows = (c - np.arange(n)) * step
-    x = cols[None, :]
-    y = rows[:, None]
+    return cols[None, :], rows[:, None]
+
+
+def pixel_polar(n: int, extent: float):
+    """(r, theta) arrays at the pixel centers of an n x n image."""
+    x, y = _pixel_xy(n, extent)
     r = np.hypot(x, y)  # broadcasts to (n, n)
     theta = np.mod(np.arctan2(y, x), TWO_PI)
     return r, theta
+
+
+def annulus_on_grid(n: int, extent: float, annulus) -> bool:
+    """Whether angular_profile finds a pixel center of an n x n image in the annulus."""
+    r = np.hypot(*_pixel_xy(n, extent))
+    return bool(((r >= annulus[0]) & (r <= annulus[1])).any())
 
 
 def mode_stack(alphabet, n: int, extent: float, waist: float) -> np.ndarray:

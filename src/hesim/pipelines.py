@@ -37,7 +37,7 @@ from .detection import SETTINGS
 from .errors import ConfigError
 from .jones import pump_state
 from .quantum import Ket, fidelity, oam_subsystem, pol_ket, project
-from .spdc import CrystalPairConfig, apply_noise, down_convert
+from .spdc import apply_noise, down_convert
 
 
 def _grid(cfg: RunConfig, l: int):
@@ -48,13 +48,20 @@ def _grid(cfg: RunConfig, l: int):
 
 
 def _annulus(cfg: RunConfig, l: int) -> tuple:
-    """Petal-analysis annulus for charge l; checks the bins can resolve 2l petals."""
+    """Petal-analysis annulus for charge l, checked against the bins and the grid."""
     if cfg.analysis.nbins <= 4 * l:
         raise ConfigError(
             f"analysis.nbins={cfg.analysis.nbins} must exceed 4*l={4 * l} "
             f"to resolve {2 * l} petals"
         )
-    return cfg.analysis.annulus or lgmodes.default_annulus(cfg.grid.waist, l)
+    annulus = cfg.analysis.annulus or lgmodes.default_annulus(cfg.grid.waist, l)
+    n, extent = _grid(cfg, l)
+    if not lgmodes.annulus_on_grid(n, extent, annulus):
+        raise ConfigError(
+            f"analysis annulus {annulus} holds no pixel center of the "
+            f"{n}x{n} grid of extent {extent:g}"
+        )
+    return annulus
 
 
 def _pump(cfg: RunConfig, l: int):
@@ -66,7 +73,7 @@ def build_source(cfg: RunConfig, l: int | None = None):
     """Pump -> paired crystals -> optional white noise, as one state."""
     if l is None:
         l = cfg.pump.l
-    psi = down_convert(_pump(cfg, l), CrystalPairConfig())
+    psi = down_convert(_pump(cfg, l))
     return apply_noise(psi, cfg.noise.p_white, space=cfg.noise.space)
 
 
@@ -161,6 +168,7 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
     noise settings still apply.
     """
     fmt = _formats(formats)
+    cfg.detector.scale(0)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg, l=0)
     det = cfg.detector
@@ -192,9 +200,7 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
     rho = tomography_linear(counts)
     # noiseless reference: same source, OAM register projected off (it is
     # trivially |0> here, so this is exact, not a post-selection)
-    ideal_full = down_convert(
-        pump_state(0, cfg.pump.phi, cfg.pump.alpha, (0,)), CrystalPairConfig()
-    )
+    ideal_full = down_convert(pump_state(0, cfg.pump.phi, cfg.pump.alpha, (0,)))
     oam0 = Ket.basis_state((oam_subsystem((0,), name="signal_oam"),), 0)
     ideal, _ = project(ideal_full, oam0, subsystem="signal_oam")
     # linear inversion of noiseless counts is often slightly non-physical;
@@ -230,6 +236,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
     if l < 1:
         raise ConfigError("hybrid witness needs a pump charge l >= 1")
     annulus = _annulus(cfg, l)
+    cfg.detector.scale(l)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg)
     det = cfg.detector

@@ -167,12 +167,6 @@ class Ket(_State):
     def amplitude(self, label) -> complex:
         return complex(self._amp[_flat_index(self._subsystems, label)])
 
-    def isclose(self, other: "Ket", atol: float = 1e-9) -> bool:
-        return (
-            self._subsystems == other._subsystems
-            and bool(np.allclose(self._amp, other._amp, atol=atol))
-        )
-
     def __repr__(self):
         labels = itertools.product(*(s.labels for s in self._subsystems))
         terms = ", ".join(
@@ -207,7 +201,7 @@ class DensityMatrix(_State):
     matrix after noisy reconstruction must opt in via ``clip_to_physical``.
     """
 
-    __slots__ = ("_mat", "_eigvals")
+    __slots__ = ("_mat",)
 
     def __init__(self, subsystems, matrix):
         self._subsystems = _check_subsystems(subsystems)
@@ -224,7 +218,6 @@ class DensityMatrix(_State):
         mat = mat / tr.real  # remove residual float drift
         mat.setflags(write=False)
         self._mat = mat
-        self._eigvals = np.linalg.eigvalsh(mat)
 
     @classmethod
     def from_ket(cls, psi: Ket) -> "DensityMatrix":
@@ -240,10 +233,10 @@ class DensityMatrix(_State):
 
     @property
     def psd_flag(self) -> bool:
-        return bool(self._eigvals[0] >= -PSD_TOL)
+        return bool(self.eigenvalues()[0] >= -PSD_TOL)
 
     def eigenvalues(self) -> np.ndarray:
-        return self._eigvals.copy()
+        return np.linalg.eigvalsh(self._mat)
 
     def purity(self) -> float:
         return float(np.real(np.trace(self._mat @ self._mat)))
@@ -263,16 +256,7 @@ class DensityMatrix(_State):
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.4f}, psd={self.psd_flag})"
 
 
-# -- composition and measurement -------------------------------------------
-
-
-def tensor(a: Ket, b: Ket) -> Ket:
-    """Tensor product; fails if the two states share a subsystem name."""
-    shared = set(a.names()) & set(b.names())
-    if shared:
-        raise InvalidCompositionError(f"subsystem name collision: {sorted(shared)}")
-    amp = np.kron(a.amplitudes, b.amplitudes)
-    return Ket(a.subsystems + b.subsystems, amp)
+# -- measurement -----------------------------------------------------------
 
 
 def _single_subsystem_proj(proj: Ket, target: Subsystem):

@@ -9,12 +9,11 @@ signal photon:
     |H, l>_pump  ->  s |V>_idler |V, l>_signal
     |V, l>_pump  ->    |H>_idler |H, l>_signal
 
-The relative conversion coefficient s between the two crystals is a unit
-complex number, -1 by default, which turns the diagonal Gaussian pump into
-(|HH> - |VV>)/sqrt(2).
+The relative conversion coefficient s between the two crystals is fixed at
+-1, which turns the diagonal Gaussian pump into (|HH> - |VV>)/sqrt(2). A
+coefficient -exp(i chi) would only shift the pump phase phi by chi (up to a
+global phase), so the pair's relative phase is set through the pump.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,28 +24,16 @@ from .quantum import (
     Subsystem,
     partial_trace,
     pol_subsystem,
-    project,
 )
 
 IDLER = "idler"
 SIGNAL_POL = "signal_pol"
 SIGNAL_OAM = "signal_oam"
 
-
-@dataclass(frozen=True)
-class CrystalPairConfig:
-    """Relative amplitude of the H->VV conversion against V->HH."""
-
-    h_pump_sign: complex = -1.0
-
-    def __post_init__(self):
-        s = complex(self.h_pump_sign)
-        if abs(abs(s) - 1.0) > 1e-12:
-            raise ConfigError(f"h_pump_sign must be a unit complex number, got {s}")
-        object.__setattr__(self, "h_pump_sign", s)
+H_PUMP_SIGN = complex(-1.0)  # s, the H->VV amplitude relative to V->HH
 
 
-def down_convert(pump: Ket, cfg: CrystalPairConfig = CrystalPairConfig()) -> Ket:
+def down_convert(pump: Ket) -> Ket:
     """Map a pol x OAM pump ket onto the post-selected two-photon ket.
 
     The output lives on (idler pol) x (signal pol) x (signal OAM) and keeps
@@ -58,11 +45,10 @@ def down_convert(pump: Ket, cfg: CrystalPairConfig = CrystalPairConfig()) -> Ket
         raise ConfigError(f"pump must live on (pol, oam), got {pump.names()}")
     oam = pump.subsystem("oam")
     n = oam.dim
-    s = cfg.h_pump_sign
 
     pump_amp = pump.amplitudes.reshape(2, n)  # rows H, V
     out = np.zeros((2, 2, n), dtype=complex)  # (idler, signal_pol, signal_oam)
-    out[1, 1, :] = s * pump_amp[0, :]  # H pump -> |V V, l>
+    out[1, 1, :] = H_PUMP_SIGN * pump_amp[0, :]  # H pump -> s |V V, l>
     out[0, 0, :] = pump_amp[1, :]  # V pump -> |H H, l>
 
     subsystems = (
@@ -73,20 +59,6 @@ def down_convert(pump: Ket, cfg: CrystalPairConfig = CrystalPairConfig()) -> Ket
     # fix_phase=False: the transfer must stay an isometry, not just agree
     # up to a state-dependent global phase
     return Ket(subsystems, out.reshape(-1), fix_phase=False)
-
-
-def herald(state, idler_pol: Ket):
-    """Condition the signal on an idler polarization detection.
-
-    Returns (signal_state, probability) where the signal keeps both its
-    polarization and OAM registers; a null outcome returns (None, p).
-    The idler projector may be given on any single 2-dim subsystem, it is
-    re-labeled onto the idler register here.
-    """
-    if len(idler_pol.subsystems) != 1 or idler_pol.dim != 2:
-        raise ConfigError("idler projection must be a single polarization ket")
-    proj = Ket((pol_subsystem(IDLER),), idler_pol.amplitudes, fix_phase=False)
-    return project(state, proj, subsystem=IDLER)
 
 
 def _occupied_oam(state) -> list:

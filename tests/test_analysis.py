@@ -10,22 +10,22 @@ from hesim.analysis import (
     AnalysisReport,
     VisibilityResult,
     TOMO_SETTINGS,
+    _witness_pairs,
     angular_basis_scan,
     bootstrap_errors,
     chsh,
     chsh_table,
     fit_visibility,
-    pair_visibility,
     sweep_series,
     tomography_counts,
     tomography_linear,
-    witness,
     witness_expectation,
 )
 from hesim.detection import DetectorModel
 from hesim.errors import NumericalError
 from hesim.jones import pump_state
 from hesim.lgmodes import AngularHistogram, default_extent, petal_fit
+from hesim.pipelines import _write_json
 from hesim.quantum import DensityMatrix, Ket, fidelity, oam_subsystem, pol_subsystem, state_fidelity
 from hesim.spdc import apply_noise, down_convert
 
@@ -219,21 +219,12 @@ def synthetic_fit(l, theta0, vis, base=1.0):
 
 def test_pair_visibility_of_complementary_petals():
     a = synthetic_fit(3, 0.0, 1.0)
-    b = synthetic_fit(3, np.pi / 6, 1.0)  # quarter period away
-    assert pair_visibility(a, b) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_pair_visibility_rejects_mismatched_l():
-    with pytest.raises(ValueError):
-        pair_visibility(synthetic_fit(1, 0.0, 1.0), synthetic_fit(2, 0.0, 1.0))
-
-
-def test_witness_quadrature_error():
-    v1 = VisibilityResult(0.9, 0.0, 0.03, ())
-    v2 = VisibilityResult(0.8, 0.0, 0.04, ())
-    w, sigma = witness(v1, v2)
-    assert w == pytest.approx(1.7)
-    assert sigma == pytest.approx(0.05)
+    d = synthetic_fit(3, np.pi / 6, 1.0)  # quarter period away
+    fits = {"A": a, "D": d}
+    pairs = _witness_pairs(
+        {b: f.curve for b, f in fits.items()}, {b: f.theta0 for b, f in fits.items()}, 3
+    )
+    assert pairs == {"DA": pytest.approx(1.0, abs=1e-9)}
 
 
 def test_witness_expectation_ideal_values():
@@ -358,12 +349,13 @@ def test_report_bell_bound_flag():
     assert AnalysisReport(kind="t").bell_bound_flag() is None
 
 
-def test_report_json_format():
+def test_report_json_format(tmp_path):
     rep = AnalysisReport(kind="t", S=1.0 / 3.0, S_sigma=float("nan"))
     doc = rep.to_dict()
     assert doc["chsh"]["S"] == pytest.approx(0.333333333333, abs=1e-15)
     assert doc["chsh"]["sigma"] is None
-    text = rep.to_json()
+    _write_json(doc, tmp_path / "report.json")
+    text = (tmp_path / "report.json").read_text()
     parsed = json.loads(text)
     assert parsed["schema_version"] == 1
     keys = list(parsed.keys())

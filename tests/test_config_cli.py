@@ -57,6 +57,9 @@ def test_unknown_keys_rejected_at_both_levels():
         {"analysis": {"chsh_settings": [0.0, 45.0, 22.5]}},
         {"analysis": {"n_bootstrap": 0}},
         {"detector": {"rate_scale_per_l": {"3": 1.5}}},
+        {"analysis": {"sweep_step_deg": 0}},
+        {"analysis": {"sweep_step_deg": -5}},
+        {"analysis": {"sweep_step_deg": 60}},
     ],
 )
 def test_bad_values_rejected(patch):
@@ -173,13 +176,31 @@ def test_cli_bad_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["pump-gallery", "--l", "2"], ["hybrid-witness", "--expected"]]
+    "config, argv",
+    [
+        pytest.param(
+            {"analysis": {"nbins": 8}}, ["pump-gallery", "--l", "2"], id="bins-gallery"
+        ),
+        pytest.param(
+            {"analysis": {"nbins": 8}}, ["hybrid-witness", "--expected"], id="bins-witness"
+        ),
+        pytest.param({"analysis": {"annulus": [50, 60]}}, ["pump-gallery"], id="annulus-gallery"),
+        pytest.param(
+            {"analysis": {"annulus": [50, 60]}}, ["hybrid-witness"], id="annulus-witness"
+        ),
+        pytest.param({"grid": {"extent": 0.5}}, ["pump-gallery"], id="extent-gallery"),
+        pytest.param({}, ["hybrid-witness", "--l", "4"], id="scale-witness"),
+        pytest.param(
+            {"detector": {"rate_scale_per_l": {"3": 0.12}}}, ["polarization-bell"], id="scale-bell"
+        ),
+        pytest.param({"analysis": {"sweep_step_deg": 60}}, ["polarization-bell"], id="step-bell"),
+    ],
 )
-def test_cli_rejects_bins_that_alias_petals(tmp_path, argv):
-    cfg = tmp_path / "coarse.json"
-    cfg.write_text(json.dumps({"analysis": {"nbins": 8}}))
+def test_cli_rejects_before_writing(tmp_path, config, argv):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
     out = tmp_path / "never"
-    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from hesim.errors import ConfigError, NumericalError
 from hesim.jones import pump_state
 from hesim.lgmodes import angular_maxima, angular_profile, default_annulus, default_extent, petal_fit
 from hesim.quantum import pol_ket
-from hesim.spdc import apply_noise, down_convert, herald
+from hesim.spdc import apply_noise, down_convert
 
 POL = {
     "H": np.array([1.0, 0.0]),

@@ -7,6 +7,7 @@ from hesim.errors import ConfigError
 from hesim.jones import pump_state
 from hesim.quantum import (
     DensityMatrix,
+    InvalidCompositionError,
     Ket,
     fidelity,
     oam_subsystem,
@@ -15,7 +16,7 @@ from hesim.quantum import (
     pol_subsystem,
     project,
 )
-from hesim.spdc import CrystalPairConfig, apply_noise, down_convert, herald
+from hesim.spdc import apply_noise, down_convert
 
 H = np.array([1.0, 0.0])
 V = np.array([0.0, 1.0])
@@ -67,16 +68,14 @@ def test_v_pump_component_converts_to_hh():
 
 
 def test_custom_crystal_sign():
-    cfg = CrystalPairConfig(h_pump_sign=1j)
-    full = down_convert(pump_basis_ket(H, (0,), 0), cfg)
-    assert full.amplitudes.reshape(2, 2, 1)[1, 1, 0] == pytest.approx(1j, abs=1e-12)
-
-
-def test_crystal_sign_must_be_unit_modulus():
-    with pytest.raises(ConfigError):
-        CrystalPairConfig(h_pump_sign=0.5)
-    with pytest.raises(ConfigError):
-        CrystalPairConfig(h_pump_sign=-2.0)
+    # a crystal pair with s = -exp(i chi) gives the state of s = -1 with the
+    # pump phase shifted by chi, up to the global phase exp(i chi)
+    for chi in (0.4, 1.3, np.pi, 5.0):
+        for phi in (0.0, 0.7):
+            amps = down_convert(pump_state(2, phi)).amplitudes.reshape(2, 2, -1).copy()
+            amps[1, 1, :] *= np.exp(1j * chi)  # the H -> VV branch carries s
+            shifted = down_convert(pump_state(2, phi + chi)).amplitudes
+            assert np.allclose(amps.reshape(-1), np.exp(1j * chi) * shifted, atol=1e-12)
 
 
 def test_down_convert_rejects_wrong_register_names():
@@ -120,7 +119,7 @@ def test_down_convert_is_an_isometry():
 
 def test_herald_on_v_selects_the_plus_l_branch():
     full = down_convert(pump_state(3))
-    signal, p = herald(full, pol_ket("V"))
+    signal, p = project(full, pol_ket("V"), subsystem="idler")
     assert p == pytest.approx(0.5, abs=1e-12)
     oracle = np.zeros(14)
     oracle[7 + 6] = 1.0  # V signal pol, OAM +3
@@ -129,7 +128,7 @@ def test_herald_on_v_selects_the_plus_l_branch():
 
 def test_herald_on_d_gives_antisymmetric_oam_after_d_analysis():
     full = down_convert(pump_state(1, alphabet=(-1, 0, 1)))
-    signal, p = herald(full, pol_ket("D"))
+    signal, p = project(full, pol_ket("D"), subsystem="idler")
     assert p == pytest.approx(0.5, abs=1e-12)
     cond, q = project(signal, pol_ket("D", name="signal_pol"), subsystem="signal_pol")
     # (|+1> - |-1>)/sqrt(2) up to global phase
@@ -144,7 +143,7 @@ def test_r_and_l_heralds_are_orthogonal_petal_patterns():
     full = down_convert(pump_state(l, alphabet=(-2, -1, 0, 1, 2)))
     phases = {}
     for name in ("R", "L"):
-        signal, _ = herald(full, pol_ket(name))
+        signal, _ = project(full, pol_ket(name), subsystem="idler")
         cond, _ = project(signal, pol_ket("D", name="signal_pol"), subsystem="signal_pol")
         amps = cond.amplitudes
         phases[name] = np.angle(amps[-1] / amps[0])
@@ -155,15 +154,15 @@ def test_r_and_l_heralds_are_orthogonal_petal_patterns():
 def test_herald_completeness_over_bases():
     full = down_convert(pump_state(2, 0.3))
     for pair in (("H", "V"), ("D", "A"), ("R", "L")):
-        total = sum(herald(full, pol_ket(n))[1] for n in pair)
+        total = sum(project(full, pol_ket(n), subsystem="idler")[1] for n in pair)
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_herald_requires_single_qubit_projection():
     full = down_convert(pump_state(1))
     two = Ket((pol_subsystem("a"), pol_subsystem("b")), np.array([1, 0, 0, 0.0]))
-    with pytest.raises(ConfigError):
-        herald(full, two)
+    with pytest.raises(InvalidCompositionError):
+        project(full, two, subsystem="idler")
 
 
 # -- white noise ---------------------------------------------------------------------
