@@ -119,9 +119,7 @@ def sweep_series(
     out = []
     for k, deg in enumerate(angles_deg):
         ang = math.radians(float(deg))
-        prob = coincidence_prob(
-            state, idler, linear_analyzer_ket(ang, "signal", name="signal_pol")
-        )
+        prob = coincidence_prob(state, idler, linear_analyzer_ket(ang, "signal"))
         out.append((ang, _counts(prob, det, l, sampled, (tag, k))))
     return out
 
@@ -147,9 +145,9 @@ def chsh_table(
     signal_angles = (b, b + np.pi / 2, bp, bp + np.pi / 2)
     table = np.zeros((4, 4))
     for i, ia in enumerate(idler_angles):
-        ket_i = linear_analyzer_ket(ia, "idler", name="idler")
+        ket_i = linear_analyzer_ket(ia, "idler")
         for j, sa in enumerate(signal_angles):
-            ket_s = linear_analyzer_ket(sa, "signal", name="signal_pol")
+            ket_s = linear_analyzer_ket(sa, "signal")
             prob = coincidence_prob(state, ket_i, ket_s)
             table[i, j] = _counts(prob, det, l, sampled, (tag, i, j))
     return table
@@ -303,9 +301,8 @@ def _witness_pairs(curves: dict, theta0: dict, l: int) -> dict:
 
 @dataclass
 class AngularScan:
-    """Everything the petal pipeline produced for one state and l."""
+    """Everything the petal pipeline produced for one state."""
 
-    l: int
     fits: dict
     histograms: dict
     images: dict
@@ -321,20 +318,21 @@ def angular_basis_scan(
     waist: float,
     annulus=None,
     nbins: int = 72,
-    bases=("A", "D", "R", "L"),
-    signal_pol: str = "D",
     sampled: bool = True,
     tag: str = "scan",
 ) -> AngularScan:
-    """Heralded image -> angular profile -> petal fit, per idler basis."""
+    """Heralded image -> angular profile -> petal fit, per idler basis.
+
+    The idler is analyzed in A, D, R and L; the signal always in D.
+    """
     if annulus is None:
         annulus = lgmodes.default_annulus(waist, l)
     fits, hists, images = {}, {}, {}
-    for basis in bases:
+    for basis in ("A", "D", "R", "L"):
         img = detection.heralded_image(
             state,
             SETTINGS[basis],
-            SETTINGS[signal_pol],
+            SETTINGS["D"],
             grid,
             waist,
             det,
@@ -349,8 +347,7 @@ def angular_basis_scan(
     pair_vis = _witness_pairs(
         {b: f.curve for b, f in fits.items()}, {b: f.theta0 for b, f in fits.items()}, l
     )
-    w = sum(pair_vis.values()) if len(pair_vis) == 2 else float("nan")
-    return AngularScan(l, fits, hists, images, pair_vis, w)
+    return AngularScan(fits, hists, images, pair_vis, pair_vis["DA"] + pair_vis["RL"])
 
 
 def _oam_curve_params(block: np.ndarray, alphabet, l: int):
@@ -374,7 +371,7 @@ def _oam_curve_params(block: np.ndarray, alphabet, l: int):
     return base, amp, theta0
 
 
-def witness_expectation(state, l: int, signal_pol: str = "D") -> dict:
+def witness_expectation(state, l: int) -> dict:
     """Witness from exact Born-level angular densities (no grid, no noise).
 
     Serves as the oracle the desk-scale image route is checked against.
@@ -385,7 +382,7 @@ def witness_expectation(state, l: int, signal_pol: str = "D") -> dict:
     alphabet = state.subsystems[state.axis(SIGNAL_OAM)].labels
     params = {}
     for basis in ("A", "D", "R", "L"):
-        block, _ = conditional_oam(state, SETTINGS[basis], SETTINGS[signal_pol])
+        block, _ = conditional_oam(state, SETTINGS[basis], SETTINGS["D"])
         params[basis] = _oam_curve_params(block, alphabet, l)
 
     def curve(b, a, t0):

@@ -14,6 +14,13 @@ from .config import RunConfig
 from .errors import ConfigError, NumericalError
 from .pipelines import run_hybrid_witness, run_polarization_bell, run_pump_gallery
 
+# subcommand names and their help lines; main() dispatches on the name
+COMMANDS = (
+    ("pump-gallery", "image the classical pump behind each analyzer"),
+    ("polarization-bell", "fringe sweeps, CHSH, and tomography of the polarization pair"),
+    ("hybrid-witness", "heralded petal images and the hybrid entanglement witness"),
+)
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run configuration")
@@ -51,20 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser(
-        "pump-gallery", help="image the classical pump behind each analyzer"
-    )
-    _add_common(p)
-    p = sub.add_parser(
-        "polarization-bell",
-        help="fringe sweeps, CHSH, and tomography of the polarization pair",
-    )
-    _add_common(p)
-    p = sub.add_parser(
-        "hybrid-witness",
-        help="heralded petal images and the hybrid entanglement witness",
-    )
-    _add_common(p)
+    for name, text in COMMANDS:
+        _add_common(sub.add_parser(name, help=text))
     return parser
 
 

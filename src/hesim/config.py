@@ -8,6 +8,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from .analysis import CHSH_SETTINGS_DEG
 from .detection import DetectorModel
 from .errors import ConfigError
 
@@ -86,7 +87,7 @@ class GridConfig:
 class AnalysisConfig:
     nbins: int = 72
     annulus: tuple | None = None  # None: sized from the petal ring radius
-    chsh_settings: tuple = (0.0, 45.0, 22.5, 67.5)
+    chsh_settings: tuple = CHSH_SETTINGS_DEG
     n_bootstrap: int = 100
     sweep_step_deg: float = 10.0
 

@@ -36,6 +36,7 @@ from .quantum import (
 from .spdc import IDLER, SIGNAL_OAM, SIGNAL_POL
 
 MEAN_OVERFLOW = 1e12
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def analyzer_state(setting: AnalyzerSetting, name: str = "pol") -> Ket:
     return Ket((pol_subsystem(name),), vec)
 
 
-def linear_analyzer_ket(angle: float, arm: str, name: str = "pol") -> Ket:
+def linear_analyzer_ket(angle: float, arm: str) -> Ket:
     """Transmitted state of a bare linear analyzer at a local dial angle.
 
     The dial is a half-wave plate at half the angle; the signal arm turns it
@@ -73,7 +74,7 @@ def linear_analyzer_ket(angle: float, arm: str, name: str = "pol") -> Ket:
     signs = {"idler": 1.0, "signal": -1.0}
     if arm not in signs:
         raise ConfigError(f"unknown arm {arm!r}")
-    return analyzer_state(AnalyzerSetting(None, signs[arm] * angle / 2.0), name=name)
+    return analyzer_state(AnalyzerSetting(None, signs[arm] * angle / 2.0))
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,14 @@ class DetectorModel:
 
 
 def thread_budget() -> int:
-    """Worker cap from HE_SIM_THREADS (results never depend on it)."""
+    """Worker cap from HE_SIM_THREADS, at most MAX_THREADS (results never depend on it)."""
     raw = os.environ.get("HE_SIM_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
         raise ConfigError(f"HE_SIM_THREADS must be an integer, got {raw!r}") from None
+    if n > MAX_THREADS:
+        raise ConfigError(f"HE_SIM_THREADS={n} exceeds the cap of {MAX_THREADS}")
     return max(1, n)
 
 
@@ -176,8 +179,6 @@ def _as_proj_ket(setting, name):
         return Ket((Subsystem(name, ("H", "V")),), setting.amplitudes, fix_phase=False)
     if isinstance(setting, AnalyzerSetting):
         return analyzer_state(setting, name=name)
-    if isinstance(setting, str):
-        return analyzer_state(SETTINGS[setting], name=name)
     raise ConfigError(f"cannot interpret analyzer setting {setting!r}")
 
 
@@ -185,7 +186,7 @@ def coincidence_prob(state, idler, signal) -> float:
     """Joint Born probability for idler and signal analyzer projections.
 
     The signal OAM register is traced out. Settings may be AnalyzerSetting
-    values, basis labels, or bare polarization kets.
+    values or bare polarization kets; look basis labels up in SETTINGS.
     """
     projections = {
         IDLER: _as_proj_ket(idler, IDLER),

@@ -153,17 +153,13 @@ def render_projection(state, pol, grid, waist: float) -> FieldImage:
     from .quantum import project  # local import keeps module load order simple
 
     residual, prob = project(state, pol)
-    n, extent = int(grid[0]), float(grid[1])
     meta = {"projection_probability": prob}
     if residual is None:
-        return FieldImage(np.zeros((n, n)), extent, meta=meta, empty=True)
-    alphabet = residual.subsystems[0].labels
+        n = int(grid[0])
+        return FieldImage(np.zeros((n, n)), float(grid[1]), meta=meta, empty=True)
     amp = residual.amplitudes
-    intensity = render_from_density(np.outer(amp, amp.conj()), alphabet, grid, waist)
-    peak = intensity.max()
-    if peak > 0:
-        intensity = intensity / peak
-    return FieldImage(intensity, extent, meta=meta)
+    rho = np.outer(amp, amp.conj())
+    return _peak_normalised(rho, residual.subsystems[0].labels, grid, waist, meta)
 
 
 def render_unprojected(state, grid, waist: float) -> FieldImage:
@@ -174,14 +170,21 @@ def render_unprojected(state, grid, waist: float) -> FieldImage:
     oam_name = names[-1]
     rho = partial_trace(state, keep=oam_name)
     alphabet = rho.subsystems[0].labels
-    intensity = render_from_density(rho.matrix, alphabet, grid, waist)
+    return _peak_normalised(rho.matrix, alphabet, grid, waist, {"projection": None})
+
+
+def _peak_normalised(rho_oam, alphabet, grid, waist: float, meta: dict) -> FieldImage:
+    """Render an OAM density block and scale the brightest pixel to one."""
+    intensity = render_from_density(rho_oam, alphabet, grid, waist)
     peak = intensity.max()
     if peak > 0:
         intensity = intensity / peak
-    return FieldImage(intensity, float(grid[1]), meta={"projection": None})
+    return FieldImage(intensity, float(grid[1]), meta=meta)
 
 
 # -- angular analysis --------------------------------------------------------
+
+MIN_PROMINENCE = 0.1  # of the smoothed histogram range, for angular_maxima
 
 
 @dataclass
@@ -189,7 +192,6 @@ class AngularHistogram:
     """Counts (or intensity) summed per polar-angle bin inside an annulus."""
 
     bins: np.ndarray
-    annulus: tuple
 
     def __post_init__(self):
         b = np.asarray(self.bins, dtype=float)
@@ -221,14 +223,14 @@ def angular_profile(img: FieldImage, nbins: int, annulus: tuple) -> AngularHisto
         raise ValueError("annulus contains no pixels on this grid")
     idx = np.minimum((theta[mask] / TWO_PI * nbins).astype(int), nbins - 1)
     bins = np.bincount(idx, weights=img.pixels[mask], minlength=nbins)
-    return AngularHistogram(bins, (r_min, r_max))
+    return AngularHistogram(bins)
 
 
-def angular_maxima(hist: AngularHistogram, min_prominence: float = 0.1) -> np.ndarray:
+def angular_maxima(hist: AngularHistogram) -> np.ndarray:
     """Bin-center angles of petal maxima.
 
     Bins get a one-bin circular smoothing, runs of equal values count as a
-    single peak, and peaks whose prominence falls below min_prominence times
+    single peak, and peaks whose prominence falls below MIN_PROMINENCE times
     the smoothed range are dropped. The pruning matters at N=256: per-bin
     pixel-area jitter puts percent-level wiggles on petal shoulders that a
     bare neighbor comparison would count as extra maxima. Returned angles are
@@ -268,7 +270,7 @@ def angular_maxima(hist: AngularHistogram, min_prominence: float = 0.1) -> np.nd
                     break
                 lowest = min(lowest, sm[j])
             side_minima.append(lowest)
-        if h - max(side_minima) >= min_prominence * rng:
+        if h - max(side_minima) >= MIN_PROMINENCE * rng:
             keep.append((s, run, idx))
     width = TWO_PI / n
     angles = []
@@ -361,10 +363,9 @@ def write_pgm(img: FieldImage, path) -> None:
     peak = px.max()
     scale = PGM_MAXVAL / peak if peak > 0 else 0.0
     quant = np.rint(px * scale).astype(int)
-    lines = ["P2", f"{img.n} {img.n}", f"{PGM_MAXVAL}"]
-    lines.extend(" ".join(str(v) for v in row) for row in quant)
+    header = f"P2\n{img.n} {img.n}\n{PGM_MAXVAL}"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, quant, fmt="%d", delimiter=" ", header=header, comments="")
 
 
 def write_angle_csv(header: str, angles, values, path) -> None:

@@ -33,7 +33,7 @@ from .analysis import (
     witness_expectation,
 )
 from .config import RunConfig
-from .detection import SETTINGS
+from .detection import SETTINGS, thread_budget
 from .errors import ConfigError
 from .jones import pump_state
 from .quantum import Ket, fidelity, oam_subsystem, pol_ket, project
@@ -64,9 +64,31 @@ def _annulus(cfg: RunConfig, l: int) -> tuple:
     return annulus
 
 
-def _pump(cfg: RunConfig, l: int):
+def _alphabet(l: int) -> tuple:
     m = max(abs(int(l)), 1)
-    return pump_state(l, cfg.pump.phi, cfg.pump.alpha, tuple(range(-m, m + 1)))
+    return tuple(range(-m, m + 1))
+
+
+def _pump(cfg: RunConfig, l: int):
+    return pump_state(l, cfg.pump.phi, cfg.pump.alpha, _alphabet(l))
+
+
+MODE_STACK_BUDGET = 2 * 1024**3  # bytes of LG mode stacks held at once
+
+
+def _check_stack_memory(cfg: RunConfig, l: int, workers: int) -> None:
+    """Refuse a grid whose mode stacks would exceed MODE_STACK_BUDGET.
+
+    A stack holds one complex n x n field per mode of the source alphabet,
+    and every bootstrap worker renders its own.
+    """
+    modes = len(_alphabet(l))
+    need = modes * cfg.grid.n**2 * 16 * workers
+    if need > MODE_STACK_BUDGET:
+        raise ConfigError(
+            f"grid.n={cfg.grid.n} needs {need:,} bytes of mode stacks ({modes} "
+            f"modes x {workers} workers), over the cap of {MODE_STACK_BUDGET:,}"
+        )
 
 
 def build_source(cfg: RunConfig, l: int | None = None):
@@ -118,6 +140,7 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     """
     fmt = _formats(formats)
     l = cfg.pump.l
+    _check_stack_memory(cfg, l, workers=1)
     annulus = _annulus(cfg, l) if l >= 1 else None
     os.makedirs(outdir, exist_ok=True)
     pump = _pump(cfg, l)
@@ -235,6 +258,9 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
     l = cfg.pump.l
     if l < 1:
         raise ConfigError("hybrid witness needs a pump charge l >= 1")
+    threads = thread_budget()  # a bad HE_SIM_THREADS fails here, before any file
+    bootstrap = cfg.detector.sampled and cfg.analysis.n_bootstrap >= 2
+    _check_stack_memory(cfg, l, min(threads, cfg.analysis.n_bootstrap) if bootstrap else 1)
     annulus = _annulus(cfg, l)
     cfg.detector.scale(l)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
@@ -265,7 +291,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
 
     w_sigma = None
     boot = None
-    if sampled and cfg.analysis.n_bootstrap >= 2:
+    if bootstrap:
 
         def one(seed: int) -> dict:
             det_i = dataclasses.replace(det, seed=seed)
@@ -273,11 +299,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
                 state, l, det_i, grid, waist,
                 annulus=annulus, nbins=cfg.analysis.nbins, sampled=True, tag="scan",
             )
-            return {
-                "W": sc.W,
-                "V_DA": sc.pair_vis.get("DA", float("nan")),
-                "V_RL": sc.pair_vis.get("RL", float("nan")),
-            }
+            return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 
         boot = bootstrap_errors(one, cfg.analysis.n_bootstrap, det.seed)
         w_sigma = boot.sigma("W")

@@ -164,9 +164,6 @@ class Ket(_State):
     def subsystem(self, name: str) -> Subsystem:
         return self._subsystems[self.axis(name)]
 
-    def amplitude(self, label) -> complex:
-        return complex(self._amp[_flat_index(self._subsystems, label)])
-
     def __repr__(self):
         labels = itertools.product(*(s.labels for s in self._subsystems))
         terms = ", ".join(
@@ -238,9 +235,6 @@ class DensityMatrix(_State):
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self._mat)
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self._mat @ self._mat)))
-
     def clip_to_physical(self) -> "DensityMatrix":
         """Project onto the PSD cone (clip negative eigenvalues, renormalise)."""
         vals, vecs = np.linalg.eigh(self._mat)
@@ -253,7 +247,7 @@ class DensityMatrix(_State):
         return DensityMatrix(self._subsystems, mat)
 
     def __repr__(self):
-        return f"DensityMatrix(dim={self.dim}, purity={self.purity():.4f}, psd={self.psd_flag})"
+        return f"DensityMatrix(dim={self.dim}, psd={self.psd_flag})"
 
 
 # -- measurement -----------------------------------------------------------

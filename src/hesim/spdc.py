@@ -61,27 +61,18 @@ def down_convert(pump: Ket) -> Ket:
     return Ket(subsystems, out.reshape(-1), fix_phase=False)
 
 
-def _occupied_oam(state) -> list:
-    """Indices of OAM labels that carry any population."""
-    if isinstance(state, Ket):
-        dm_oam = np.sum(
-            np.abs(state.amplitudes.reshape(state.dims)) ** 2, axis=(0, 1)
-        )
-    else:
-        dm_oam = np.real(np.diagonal(partial_trace(state, keep=SIGNAL_OAM).matrix))
-    return [i for i, w in enumerate(dm_oam) if w > 1e-12]
-
-
-def apply_noise(state, p: float, space: str = "postselected"):
-    """Mix in white noise of weight p.
+def apply_noise(state: Ket, p: float, space: str = "postselected"):
+    """Mix a two-photon ket with white noise of weight p.
 
     space = "postselected": identity over idler x signal_pol x the occupied
     OAM pair (the subspace the experiment actually post-selects), embedded
     in the declared alphabet.
     space = "polarization": noise acts on the two polarization qubits only;
     the OAM register keeps its reduced state.
-    p = 0 returns the input unchanged (same type).
+    p = 0 returns the input ket unchanged; any other p a DensityMatrix.
     """
+    if not isinstance(state, Ket):
+        raise TypeError(f"cannot add noise to a {type(state).__name__}")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"noise weight p={p} outside [0, 1]")
     if p == 0.0:
@@ -89,11 +80,12 @@ def apply_noise(state, p: float, space: str = "postselected"):
     names = state.names()
     if names != (IDLER, SIGNAL_POL, SIGNAL_OAM):
         raise ConfigError(f"expected a two-photon state, got subsystems {names}")
-    dm = state if isinstance(state, DensityMatrix) else DensityMatrix.from_ket(state)
+    dm = DensityMatrix.from_ket(state)
     n = dm.dims[2]
 
     if space == "postselected":
-        occ = _occupied_oam(state)
+        pops = np.sum(np.abs(state.amplitudes.reshape(state.dims)) ** 2, axis=(0, 1))
+        occ = [i for i, w in enumerate(pops) if w > 1e-12]
         if not occ:
             raise ConfigError("state has no OAM population")
         diag = np.zeros(n)

@@ -21,7 +21,7 @@ from hesim.analysis import (
     tomography_linear,
     witness_expectation,
 )
-from hesim.detection import DetectorModel
+from hesim.detection import SETTINGS, DetectorModel
 from hesim.errors import NumericalError
 from hesim.jones import pump_state
 from hesim.lgmodes import AngularHistogram, default_extent, petal_fit
@@ -49,7 +49,7 @@ def expectation_detector():
 
 
 def test_ideal_sweep_fits_unit_visibility():
-    series = sweep_series(bell_state(), "H", expectation_detector(), sampled=False)
+    series = sweep_series(bell_state(), SETTINGS["H"], expectation_detector(), sampled=False)
     fit = fit_visibility(series)
     assert fit.V == pytest.approx(1.0, abs=1e-9)
     assert not fit.flags
@@ -57,7 +57,7 @@ def test_ideal_sweep_fits_unit_visibility():
 
 def test_werner_sweep_visibility_matches_noise():
     rho = apply_noise(bell_state(3), 0.003)
-    series = sweep_series(rho, "H", expectation_detector(), l=3, sampled=False)
+    series = sweep_series(rho, SETTINGS["H"], expectation_detector(), l=3, sampled=False)
     fit = fit_visibility(series)
     assert fit.V == pytest.approx(0.997, abs=1e-6)
 
@@ -214,7 +214,7 @@ def synthetic_fit(l, theta0, vis, base=1.0):
     nbins = 72
     centers = (np.arange(nbins) + 0.5) * 2 * np.pi / nbins
     vals = base * (1 + vis * np.cos(2 * l * (centers - theta0))) / 2
-    return petal_fit(AngularHistogram(vals, (0.5, 1.5)), l)
+    return petal_fit(AngularHistogram(vals), l)
 
 
 def test_pair_visibility_of_complementary_petals():
@@ -288,6 +288,22 @@ def test_scan_petal_shifts_follow_quarter_and_half_periods():
             d = min(d, period - d)
             assert abs(d - expect) <= half_bin, (l, pair)
         assert scan.W == pytest.approx(2.0, abs=0.05)
+
+
+def test_image_route_bound_over_random_product_states():
+    # separable idler x (signal pol x OAM) states keep W <= 1 on the image
+    # route too, not only on the expectation route
+    rng = np.random.default_rng(44)
+    det = expectation_detector()
+    for l in (1, 2, 3):
+        subs = TWO_QUBIT_SUBS + (oam_subsystem((-l, l), name="signal_oam"),)
+        grid = (128, default_extent(1.0, l))
+        for _ in range(60):
+            idler = rng.normal(size=2) + 1j * rng.normal(size=2)
+            sig = rng.normal(size=4) + 1j * rng.normal(size=4)
+            state = Ket(subs, np.kron(idler, sig))
+            scan = angular_basis_scan(state, l, det, grid, 1.0, sampled=False)
+            assert scan.W <= 1.0, l
 
 
 # -- bootstrap ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hesim.cli import main
 from hesim.config import RunConfig
 from hesim.errors import ConfigError
+from hesim.pipelines import _check_stack_memory
 
 
 # -- config ------------------------------------------------------------------------
@@ -175,33 +176,64 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert main(["pump-gallery", "--config", str(missing), "--out", str(tmp_path / "y")]) == 2
 
 
+SMALL_WITNESS = ({"grid": {"n": 32}}, ["hybrid-witness", "--expected", "--l", "1"])
+
+
 @pytest.mark.parametrize(
-    "config, argv",
+    "config, argv, env",
     [
         pytest.param(
-            {"analysis": {"nbins": 8}}, ["pump-gallery", "--l", "2"], id="bins-gallery"
+            {"analysis": {"nbins": 8}}, ["pump-gallery", "--l", "2"], {}, id="bins-gallery"
         ),
         pytest.param(
-            {"analysis": {"nbins": 8}}, ["hybrid-witness", "--expected"], id="bins-witness"
+            {"analysis": {"nbins": 8}}, ["hybrid-witness", "--expected"], {}, id="bins-witness"
         ),
-        pytest.param({"analysis": {"annulus": [50, 60]}}, ["pump-gallery"], id="annulus-gallery"),
         pytest.param(
-            {"analysis": {"annulus": [50, 60]}}, ["hybrid-witness"], id="annulus-witness"
+            {"analysis": {"annulus": [50, 60]}}, ["pump-gallery"], {}, id="annulus-gallery"
         ),
-        pytest.param({"grid": {"extent": 0.5}}, ["pump-gallery"], id="extent-gallery"),
-        pytest.param({}, ["hybrid-witness", "--l", "4"], id="scale-witness"),
         pytest.param(
-            {"detector": {"rate_scale_per_l": {"3": 0.12}}}, ["polarization-bell"], id="scale-bell"
+            {"analysis": {"annulus": [50, 60]}}, ["hybrid-witness"], {}, id="annulus-witness"
         ),
-        pytest.param({"analysis": {"sweep_step_deg": 60}}, ["polarization-bell"], id="step-bell"),
+        pytest.param({"grid": {"extent": 0.5}}, ["pump-gallery"], {}, id="extent-gallery"),
+        pytest.param({}, ["hybrid-witness", "--l", "4"], {}, id="scale-witness"),
+        pytest.param(
+            {"detector": {"rate_scale_per_l": {"3": 0.12}}},
+            ["polarization-bell"],
+            {},
+            id="scale-bell",
+        ),
+        pytest.param(
+            {"analysis": {"sweep_step_deg": 60}}, ["polarization-bell"], {}, id="step-bell"
+        ),
+        pytest.param(*SMALL_WITNESS, {"HE_SIM_THREADS": "abc"}, id="threads-nonint-witness"),
+        pytest.param(*SMALL_WITNESS, {"HE_SIM_THREADS": "65"}, id="threads-cap-witness"),
+        # 7 modes x 20000^2 px x 16 B = 41.7 GiB for the one stack of a gallery
+        pytest.param({"grid": {"n": 20000}}, ["pump-gallery"], {}, id="memory-gallery"),
+        # 7 x 4096^2 x 16 B = 1.75 GiB per stack: one worker fits 2 GiB, two do not
+        pytest.param(
+            {"grid": {"n": 4096}},
+            ["hybrid-witness", "--l", "3"],
+            {"HE_SIM_THREADS": "2"},
+            id="memory-witness",
+        ),
     ],
 )
-def test_cli_rejects_before_writing(tmp_path, config, argv):
+def test_cli_rejects_before_writing(tmp_path, monkeypatch, config, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "never"
     assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_mode_stack_budget_counts_workers():
+    # the arithmetic behind memory-witness, checked without running anything
+    cfg = RunConfig.from_dict({"grid": {"n": 4096}})
+    _check_stack_memory(cfg, 3, workers=1)
+    with pytest.raises(ConfigError, match="2 workers"):
+        _check_stack_memory(cfg, 3, workers=2)
 
 
 def test_cli_hybrid_witness_rejects_zero_charge(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hesim.detection import (
+    MAX_THREADS,
     SETTINGS,
     DetectorModel,
     analyzer_state,
@@ -78,15 +79,17 @@ def test_coincidence_table_against_kron_oracle():
     for a, va in POL.items():
         for b, vb in POL.items():
             expected = abs(np.vdot(np.kron(va, vb), bell)) ** 2
-            got = coincidence_prob(state, a, b)
+            got = coincidence_prob(state, SETTINGS[a], SETTINGS[b])
             assert got == pytest.approx(expected, abs=1e-10), (a, b)
 
 
 def test_coincidence_spot_values():
     state = bell_state()
-    assert coincidence_prob(state, "H", "H") == pytest.approx(0.5, abs=1e-12)
-    assert coincidence_prob(state, "D", "D") == pytest.approx(0.0, abs=1e-12)
-    assert coincidence_prob(state, "D", "A") == pytest.approx(0.5, abs=1e-12)
+    assert coincidence_prob(state, SETTINGS["H"], SETTINGS["H"]) == pytest.approx(0.5, abs=1e-12)
+    assert coincidence_prob(state, SETTINGS["D"], SETTINGS["D"]) == pytest.approx(0.0, abs=1e-12)
+    assert coincidence_prob(state, SETTINGS["D"], SETTINGS["A"]) == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(ConfigError):  # labels are looked up in SETTINGS by the caller
+        coincidence_prob(state, "H", "H")
 
 
 def test_werner_correlation_visibility_is_one_minus_p():
@@ -106,7 +109,7 @@ def test_no_signaling_idler_marginal():
     base = None
     for chi in np.radians(np.arange(0, 180, 12.5)):
         total = sum(
-            coincidence_prob(rho, "D", linear_analyzer_ket(c, "signal"))
+            coincidence_prob(rho, SETTINGS["D"], linear_analyzer_ket(c, "signal"))
             for c in (chi, chi + np.pi / 2)
         )
         base = total if base is None else base
@@ -195,9 +198,14 @@ def test_thread_budget_parsing(monkeypatch):
     assert thread_budget() == 4
     monkeypatch.setenv("HE_SIM_THREADS", "0")
     assert thread_budget() == 1
-    monkeypatch.setenv("HE_SIM_THREADS", "many")
-    with pytest.raises(ConfigError):
-        thread_budget()
+    monkeypatch.setenv("HE_SIM_THREADS", "-3")
+    assert thread_budget() == 1
+    monkeypatch.setenv("HE_SIM_THREADS", str(MAX_THREADS))
+    assert thread_budget() == MAX_THREADS
+    for raw in ("many", str(MAX_THREADS + 1)):
+        monkeypatch.setenv("HE_SIM_THREADS", raw)
+        with pytest.raises(ConfigError):
+            thread_budget()
 
 
 def test_derived_seed_flattens_nested_tags():
@@ -215,16 +223,16 @@ def test_derived_seed_flattens_nested_tags():
 
 def test_conditional_oam_weight_equals_trace():
     state = down_convert(pump_state(3))
-    block, weight = conditional_oam(state, "A", "D")
+    block, weight = conditional_oam(state, SETTINGS["A"], SETTINGS["D"])
     assert weight == pytest.approx(np.trace(block).real, abs=1e-12)
     assert weight == pytest.approx(0.25, abs=1e-12)
 
 
 def test_conditional_oam_without_idler_sums_basis():
     state = down_convert(pump_state(1))
-    none_block, none_w = conditional_oam(state, None, "D")
-    h_block, h_w = conditional_oam(state, pol_ket("H"), "D")
-    v_block, v_w = conditional_oam(state, pol_ket("V"), "D")
+    none_block, none_w = conditional_oam(state, None, SETTINGS["D"])
+    h_block, h_w = conditional_oam(state, pol_ket("H"), SETTINGS["D"])
+    v_block, v_w = conditional_oam(state, pol_ket("V"), SETTINGS["D"])
     assert np.allclose(none_block, h_block + v_block, atol=1e-12)
     assert none_w == pytest.approx(h_w + v_w, abs=1e-12)
     # the mixture has no +l/-l coherence: off-diagonal block vanishes
@@ -233,7 +241,7 @@ def test_conditional_oam_without_idler_sums_basis():
 
 def test_conditional_oam_null_projection_is_zero():
     state = down_convert(pump_state(1, alpha=1.0))  # idler is purely V
-    block, weight = conditional_oam(state, pol_ket("H"), "D")
+    block, weight = conditional_oam(state, pol_ket("H"), SETTINGS["D"])
     assert weight == 0.0
     assert not block.any()
 
@@ -248,8 +256,9 @@ def make_detector(seed=0):
 def heralded(l, idler, sampled=False, seed=0, tag="t"):
     state = down_convert(pump_state(l))
     grid = (256, default_extent(1.0, l))
+    setting = None if idler is None else SETTINGS[idler]
     return heralded_image(
-        state, idler, "D", grid, 1.0, make_detector(seed), l, sampled=sampled, tag=tag
+        state, setting, SETTINGS["D"], grid, 1.0, make_detector(seed), l, sampled=sampled, tag=tag
     )
 
 
@@ -270,7 +279,7 @@ def test_heralded_none_image_is_uniform():
     )
     state = down_convert(pump_state(1))
     grid = (256, default_extent(1.0, 1))
-    img_s = heralded_image(state, None, "D", grid, 1.0, det, 1, sampled=True)
+    img_s = heralded_image(state, None, SETTINGS["D"], grid, 1.0, det, 1, sampled=True)
     fit_s = petal_fit(angular_profile(img_s, 72, default_annulus(1.0, 1)), 1)
     assert fit_s.visibility < 0.02
 
@@ -292,7 +301,9 @@ def test_heralded_r_and_a_differ_by_quarter_period():
 def test_heralded_empty_image_flag():
     state = down_convert(pump_state(1, alpha=1.0))
     grid = (256, default_extent(1.0, 1))
-    img = heralded_image(state, "H", "D", grid, 1.0, make_detector(), 1, sampled=False)
+    img = heralded_image(
+        state, SETTINGS["H"], SETTINGS["D"], grid, 1.0, make_detector(), 1, sampled=False
+    )
     assert img.empty
     assert not img.pixels.any()
 

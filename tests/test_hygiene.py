@@ -1,4 +1,4 @@
-"""Source hygiene: every module-level import and public top-level name in src/hesim is used."""
+"""Source hygiene: every module-level import, public top-level name and public member in src/hesim is used."""
 
 import ast
 import pathlib
@@ -87,3 +87,65 @@ def test_dead_names_detected():
 def test_no_dead_names_in_package():
     found = dead_names({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
     assert [hit for hit in found if hit[1] not in DEAD_NAME_ALLOWED] == []
+
+
+def dead_members(sources: dict) -> list:
+    """(module, "Class.member") of public methods and properties no code reads.
+
+    A member counts as read where its name appears as an attribute anywhere
+    in ``sources`` except inside a ``__repr__``, which only describes the
+    object; ``__init__.py`` is skipped as in ``dead_names``.
+    """
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        if module == "__init__.py":
+            continue
+        tree = ast.parse(source)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defined += [
+                    (module, cls.name, node.name)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                ]
+        in_repr = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "__repr__"
+            for inner in ast.walk(node)
+        }
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in in_repr
+        }
+    return sorted((m, f"{c}.{name}") for m, c, name in defined if name not in read)
+
+
+def test_dead_members_detected():
+    sources = {
+        "a.py": (
+            "class Box:\n"
+            "    def used(self):\n"
+            "        return self.size\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 1\n"
+            "    def shown(self):\n"
+            "        return 2\n"
+            "    def dead(self):\n"
+            "        return 3\n"
+            "    def _private(self):\n"
+            "        return 4\n"
+            "    def __repr__(self):\n"
+            "        return f'Box({self.shown()})'\n"
+        ),
+        "b.py": "from .a import Box\n\nBox().used()\n",
+        "__init__.py": "from .a import Box\nBox().dead()\n",
+    }
+    assert dead_members(sources) == [("a.py", "Box.dead"), ("a.py", "Box.shown")]
+
+
+def test_no_dead_members_in_package():
+    assert dead_members({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}) == []

@@ -174,7 +174,7 @@ def test_empty_annulus_raises():
 
 def test_histogram_validation():
     with pytest.raises(ValueError):
-        AngularHistogram(np.ones(4), (0.5, 1.5))  # fewer than 8 bins
+        AngularHistogram(np.ones(4))  # fewer than 8 bins
 
 
 # -- petal fits --------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_histogram_validation():
 def synthetic_hist(l, theta0=0.0, background=0.0, nbins=72):
     centers = (np.arange(nbins) + 0.5) * 2 * np.pi / nbins
     vals = np.cos(l * (centers - theta0)) ** 2 + background
-    return AngularHistogram(vals, (0.5, 1.5))
+    return AngularHistogram(vals)
 
 
 def test_petal_fit_self_consistency():
@@ -208,12 +208,12 @@ def test_petal_fit_mixture_background_visibility():
     nbins = 72
     centers = (np.arange(nbins) + 0.5) * 2 * np.pi / nbins
     vals = 0.9 * np.cos(3 * centers) ** 2 + 0.1
-    fit = petal_fit(AngularHistogram(vals, (0.5, 1.5)), 3)
+    fit = petal_fit(AngularHistogram(vals), 3)
     assert fit.visibility == pytest.approx(9.0 / 11.0, abs=1e-9)
 
 
 def test_petal_fit_flat_flags_degenerate():
-    fit = petal_fit(AngularHistogram(np.full(72, 2.5), (0.5, 1.5)), 3)
+    fit = petal_fit(AngularHistogram(np.full(72, 2.5)), 3)
     assert fit.degenerate
     assert fit.visibility == 0.0
     assert math.isnan(fit.theta0)

@@ -29,6 +29,12 @@ POL = pol_subsystem()
 OAM3 = oam_subsystem((-3, -2, -1, 0, 1, 2, 3))
 
 
+def amplitude(ket: Ket, *labels) -> complex:
+    """Amplitude of ``ket`` at one label per subsystem, in declaration order."""
+    index = tuple(s.index(lab) for s, lab in zip(ket.subsystems, labels))
+    return complex(ket.amplitudes.reshape(ket.dims)[index])
+
+
 def tensor(a: Ket, b: Ket) -> Ket:
     """Product state; Ket itself rejects subsystem names the factors share."""
     return Ket(a.subsystems + b.subsystems, np.kron(a.amplitudes, b.amplitudes))
@@ -65,21 +71,21 @@ def pump_ket(l, phi=0.0):
 
 def test_tensor_product_basis_state():
     k = tensor(Ket((POL,), H), Ket((OAM3,), np.eye(7)[4]))
-    assert k.amplitude(("H", 1)) == pytest.approx(1.0)
+    assert amplitude(k, "H", 1) == pytest.approx(1.0)
     assert np.count_nonzero(k.amplitudes) == 1
 
 
 def test_tensor_distributes_amplitudes():
     k = tensor(Ket((POL,), D), Ket((OAM3,), np.eye(7)[3]))
-    assert k.amplitude(("H", 0)) == pytest.approx(1 / np.sqrt(2))
-    assert k.amplitude(("V", 0)) == pytest.approx(1 / np.sqrt(2))
+    assert amplitude(k, "H", 0) == pytest.approx(1 / np.sqrt(2))
+    assert amplitude(k, "V", 0) == pytest.approx(1 / np.sqrt(2))
 
 
 def test_tensor_pol_with_oam_superposition():
     oam = Ket.from_terms((OAM3,), {3: 1 / np.sqrt(2), -3: 1 / np.sqrt(2)})
     k = tensor(pol_ket("D"), oam)
     for label in (("H", 3), ("H", -3), ("V", 3), ("V", -3)):
-        assert k.amplitude(label) == pytest.approx(0.5)
+        assert amplitude(k, *label) == pytest.approx(0.5)
 
 
 def test_tensor_rejects_duplicate_subsystem_names():
@@ -100,7 +106,7 @@ def test_project_orthogonal_is_null():
 def test_project_pump_on_h_leaves_plus_vortex():
     residual, p = project(pump_ket(1), pol_ket("H"), subsystem="pol")
     assert p == pytest.approx(0.5, abs=1e-12)
-    assert residual.amplitude(1) == pytest.approx(1.0)
+    assert amplitude(residual, 1) == pytest.approx(1.0)
 
 
 def test_project_bell_idler_d_gives_antidiagonal():
@@ -255,4 +261,4 @@ def test_psd_flag_reports_negative_eigenvalue():
 def test_partial_trace_of_bell_is_maximally_mixed():
     red = partial_trace(bell_minus_ket(), "idler")
     assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
-    assert red.purity() == pytest.approx(0.5, abs=1e-10)
+    assert np.trace(red.matrix @ red.matrix).real == pytest.approx(0.5, abs=1e-10)

@@ -201,7 +201,7 @@ def test_noise_strength_sets_sweep_visibility():
     idler = pol_ket("V", name="idler")
     angles = np.radians(np.arange(0, 360, 15.0))
     probs = [
-        coincidence_prob(rho, idler, linear_analyzer_ket(a, "signal", name="signal_pol"))
+        coincidence_prob(rho, idler, linear_analyzer_ket(a, "signal"))
         for a in angles
     ]
     vis = (max(probs) - min(probs)) / (max(probs) + min(probs))
@@ -230,6 +230,8 @@ def test_noise_validation():
         apply_noise(full, 1.5)
     with pytest.raises(ConfigError):
         apply_noise(full, 0.3, space="spatial")
+    with pytest.raises(TypeError):  # noise is mixed into the source ket only
+        apply_noise(DensityMatrix.from_ket(full), 0.3)
 
 
 def test_noise_preserves_trace_and_hermiticity():
