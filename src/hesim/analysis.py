@@ -284,19 +284,17 @@ def _reference(theta0: dict, l: int) -> float:
 
 
 def _witness_pairs(curves: dict, theta0: dict, l: int) -> dict:
-    """V_DA and V_RL from per-basis curves and orientations, where both bases exist.
+    """V_DA and V_RL from the curves and orientations of the four idler bases.
 
     Both pairs are read at anchors a rigid 45/l degrees apart, tied to one
     reference: if each pair re-centred on its own best orientation, a
     separable state with a petal-shaped signal marginal could push W above 1.
     """
     ref = _reference(theta0, l)
-    pairs = {}
-    if "A" in curves and "D" in curves:
-        pairs["DA"] = _contrast(curves["A"], curves["D"], ref, l)
-    if "R" in curves and "L" in curves:
-        pairs["RL"] = _contrast(curves["R"], curves["L"], ref + np.pi / (4 * l), l)
-    return pairs
+    return {
+        "DA": _contrast(curves["A"], curves["D"], ref, l),
+        "RL": _contrast(curves["R"], curves["L"], ref + np.pi / (4 * l), l),
+    }
 
 
 @dataclass

@@ -14,7 +14,18 @@ idler side and cos(chi) H - sin(chi) V on the signal side. Named basis kets
 
 All sampling is routed through counter-based Philox streams keyed by
 (seed, purpose, indices), so counts are pure functions of their inputs and
-never depend on call order or thread count.
+never depend on call order or thread count. The keys are the determinism
+contract; changing one moves every draw made from it:
+
+* sample_counts keys on (seed, "counts", l, float(mean), tag), so any
+  change to the Born-probability or mean arithmetic moves every sweep,
+  CHSH and tomography count;
+* heralded_image keys on (seed, "heralded_image", l, str(tag)), so the tag
+  7 and the tag "7" draw the same image.
+
+The Poisson draw of an image depends on every bit of its mean image. The
+render memo in lgmodes returns the bits a fresh render gives, so it never
+moves a draw.
 """
 
 import os

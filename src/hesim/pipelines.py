@@ -79,8 +79,10 @@ MODE_STACK_BUDGET = 2 * 1024**3  # bytes of LG mode stacks held at once
 def _check_stack_memory(cfg: RunConfig, l: int, workers: int) -> None:
     """Refuse a grid whose mode stacks would exceed MODE_STACK_BUDGET.
 
-    A stack holds one complex n x n field per mode of the source alphabet,
-    and every bootstrap worker renders its own.
+    A stack holds one complex n x n field per mode of the source alphabet.
+    Bootstrap workers share the one stack lgmodes holds, but each concurrent
+    render makes a conjugate copy of it for its einsum, so the check counts
+    one stack per worker.
     """
     modes = len(_alphabet(l))
     need = modes * cfg.grid.n**2 * 16 * workers

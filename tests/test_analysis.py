@@ -218,13 +218,20 @@ def synthetic_fit(l, theta0, vis, base=1.0):
 
 
 def test_pair_visibility_of_complementary_petals():
-    a = synthetic_fit(3, 0.0, 1.0)
-    d = synthetic_fit(3, np.pi / 6, 1.0)  # quarter period away
-    fits = {"A": a, "D": d}
+    # petal orientations in units of the period pi/3: A 0, D 1/2, R 1/4, L 3/4
+    fits = {
+        "A": synthetic_fit(3, 0.0, 1.0),
+        "D": synthetic_fit(3, np.pi / 6, 1.0),
+        "R": synthetic_fit(3, np.pi / 12, 1.0),
+        "L": synthetic_fit(3, np.pi / 4, 1.0),
+    }
     pairs = _witness_pairs(
         {b: f.curve for b, f in fits.items()}, {b: f.theta0 for b, f in fits.items()}, 3
     )
-    assert pairs == {"DA": pytest.approx(1.0, abs=1e-9)}
+    assert pairs == {
+        "DA": pytest.approx(1.0, abs=1e-9),
+        "RL": pytest.approx(1.0, abs=1e-9),
+    }
 
 
 def test_witness_expectation_ideal_values():

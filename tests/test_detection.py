@@ -13,6 +13,7 @@ from hesim.detection import (
     derived_seed,
     heralded_image,
     linear_analyzer_ket,
+    rng_stream,
     sample_counts,
     thread_budget,
 )
@@ -322,3 +323,20 @@ def test_heralded_sampling_determinism():
     c = heralded(2, "D", sampled=True, seed=5, tag="y")
     assert np.array_equal(a.pixels, b.pixels)
     assert not np.array_equal(a.pixels, c.pixels)
+
+
+def test_random_streams_follow_the_determinism_contract():
+    # sample_counts keys on (seed, "counts", l, float(mean), tag)
+    det = make_detector(seed=9)
+    for prob, l, tag in ((0.3, 0, 0), (0.7, 2, "sweep"), (1.0, 3, ("chsh", 4))):
+        mean = det.mean_counts(prob, l)
+        expected = int(rng_stream(9, "counts", l, float(mean), tag).poisson(mean))
+        assert sample_counts(prob, det, l, tag=tag) == expected
+    # heralded images key on (seed, "heralded_image", l, str(tag)), drawn from
+    # the unsampled image's means; repeated renders leave those bits alone
+    lams = [heralded(2, "R", sampled=False, seed=9).pixels for _ in range(3)]
+    assert all(lam.tobytes() == lams[0].tobytes() for lam in lams)
+    drawn = rng_stream(9, "heralded_image", 2, "7").poisson(lams[0]).astype(float)
+    for tag in (7, "7"):
+        img = heralded(2, "R", sampled=True, seed=9, tag=tag)
+        assert img.pixels.tobytes() == drawn.tobytes()

@@ -1,10 +1,15 @@
 """Field rendering and petal analysis, anchored to 1-D scan oracles."""
 
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from hesim import lgmodes
 from hesim.errors import NumericalError
 from hesim.jones import pump_state
 from hesim.lgmodes import (
@@ -20,6 +25,7 @@ from hesim.lgmodes import (
     peak_radius,
     petal_fit,
     pixel_polar,
+    render_from_density,
     render_projection,
     render_unprojected,
     write_histogram_csv,
@@ -288,3 +294,163 @@ def test_field_image_validation():
         FieldImage(-np.ones((16, 16)), 4.0)
     with pytest.raises(NumericalError):
         FieldImage(np.full((16, 16), np.nan), 4.0)
+
+
+# -- held stacks, renders and bins ------------------------------------------------
+
+# a base key, then keys that each differ from it in one field only, so a
+# cache that left a field out of its key hands back a wrong array
+STACK_KEYS = [
+    ((-1, 0, 1), 32, 6.0, 1.0),
+    ((-1, 0, 2), 32, 6.0, 1.0),
+    ((-1, 0, 1), 40, 6.0, 1.0),
+    ((-1, 0, 1), 32, 7.0, 1.0),
+    ((-1, 0, 1), 32, 6.0, 1.3),
+]
+
+
+def interleaved(keys):
+    """base, k1, base, k2, ..., base: every key revisits a stale held entry."""
+    out = [keys[0]]
+    for key in keys[1:]:
+        out += [key, keys[0]]
+    return out
+
+
+def direct_stack(alphabet, n, extent, waist):
+    r, theta = pixel_polar(n, extent)
+    return np.stack([lg_amplitude(r, theta, LGMode(l, waist)) for l in alphabet])
+
+
+def direct_render(rho, key):
+    fields = direct_stack(*key)
+    out = np.real(np.einsum("ab,aij,bij->ij", rho, fields, fields.conj())).copy()
+    out[out < 0] = 0.0
+    return out
+
+
+def random_block(rng, k=3):
+    m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    return m @ m.conj().T
+
+
+def render(rho, key):
+    alphabet, n, extent, waist = key
+    return render_from_density(rho, alphabet, (n, extent), waist)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_mode_stack_interleaved_keys_match_direct():
+    for key in interleaved(STACK_KEYS):
+        stack = mode_stack(*key)
+        assert same_bits(stack, direct_stack(*key))
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+
+
+def test_new_stack_key_drops_the_held_stack():
+    first = weakref.ref(mode_stack(*STACK_KEYS[0]))
+    gc.collect()
+    assert first() is not None  # held between calls
+    assert mode_stack(*STACK_KEYS[0]) is first()
+    mode_stack(*STACK_KEYS[1])
+    gc.collect()
+    assert first() is None
+
+
+def test_render_interleaved_keys_match_direct():
+    rng = np.random.default_rng(7)
+    blocks = [random_block(rng) for _ in range(2)]
+    # three renders of each block per visit: once, kept, returned from the memo
+    for key in interleaved(STACK_KEYS):
+        for rho in blocks:
+            for _ in range(3):
+                assert same_bits(render(rho, key), direct_render(rho, key))
+
+
+def test_render_keeps_only_repeated_blocks():
+    key = STACK_KEYS[0]
+    mode_stack(*STACK_KEYS[1])  # start from a stack with nothing kept
+    rho = random_block(np.random.default_rng(3))
+    once = render(rho, key)
+    assert once.flags.writeable
+    first = weakref.ref(once)
+    del once
+    gc.collect()
+    assert first() is None  # a block rendered once is not kept
+
+    kept = render(rho, key)
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 1.0
+    assert render(rho, key) is kept
+    second = weakref.ref(kept)
+    del kept
+    gc.collect()
+    assert second() is not None
+    mode_stack(*STACK_KEYS[1])  # kept intensities go with their stack
+    gc.collect()
+    assert second() is None
+
+
+def test_kept_renders_are_capped():
+    key = STACK_KEYS[0]
+    mode_stack(*STACK_KEYS[1])
+    rng = np.random.default_rng(5)
+    blocks = [random_block(rng) for _ in range(lgmodes.MAX_KEPT_RENDERS + 3)]
+    for _ in range(2):
+        for rho in blocks:
+            render(rho, key)
+    kept = [render(rho, key) for rho in blocks]
+    assert sum(not a.flags.writeable for a in kept) == lgmodes.MAX_KEPT_RENDERS
+    for rho, a in zip(blocks, kept):
+        assert same_bits(a, direct_render(rho, key))
+
+
+def test_concurrent_renders_match_direct():
+    # more workers than cores and a short switch interval, so threads swap
+    # the held stack under each other between lookup and store
+    rng = np.random.default_rng(11)
+    blocks = [random_block(rng) for _ in range(3)]
+    jobs = [(rho, key) for key in interleaved(STACK_KEYS) for rho in blocks] * 3
+    expected = [direct_render(rho, key) for rho, key in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(render, rho, key) for rho, key in jobs]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(same_bits(a, b) for a, b in zip(got, expected))
+
+
+def direct_profile(pixels, extent, nbins, annulus):
+    r, theta = pixel_polar(pixels.shape[0], extent)
+    mask = (r >= annulus[0]) & (r <= annulus[1])
+    idx = np.minimum((theta[mask] / (2 * np.pi) * nbins).astype(int), nbins - 1)
+    return np.bincount(idx, weights=pixels[mask], minlength=nbins)
+
+
+def test_angular_profile_interleaved_keys_match_direct():
+    rng = np.random.default_rng(13)
+    # (n, extent, annulus, nbins): a base, then one field changed at a time
+    keys = [
+        (32, 6.0, (1.0, 2.0), 16),
+        (40, 6.0, (1.0, 2.0), 16),
+        (32, 7.0, (1.0, 2.0), 16),
+        (32, 6.0, (0.8, 2.0), 16),
+        (32, 6.0, (1.0, 2.4), 16),
+        (32, 6.0, (1.0, 2.0), 24),
+    ]
+    for n, extent, annulus, nbins in interleaved(keys):
+        pixels = rng.random((n, n))
+        hist = angular_profile(FieldImage(pixels, extent), nbins, annulus)
+        assert same_bits(hist.bins, direct_profile(pixels, extent, nbins, annulus))
+    # an annulus with no pixel center still raises after a held entry
+    with pytest.raises(ValueError):
+        angular_profile(FieldImage(pixels, extent), nbins, (1e-4, 2e-4))
