@@ -13,7 +13,6 @@ shot-noise effects this package exists to expose.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ from .detection import (
     derived_seed,
     linear_analyzer_ket,
     sample_counts,
-    thread_budget,
 )
 from .errors import NumericalError
 from .lgmodes import cosine_fit, petal_fit
@@ -420,22 +418,13 @@ class BootstrapResult:
 def bootstrap_errors(pipeline, n_iter: int, seed: int) -> BootstrapResult:
     """Parametric bootstrap: rerun a sampled pipeline with derived seeds.
 
-    ``pipeline`` maps an integer seed to a {statistic: value} dict. Each
-    iteration gets a seed that is a pure function of (seed, iteration), so
-    the result is reproducible for any worker count (workers are capped by
-    HE_SIM_THREADS).
+    ``pipeline`` maps an integer seed to a {statistic: value} dict. Iteration
+    i runs on derived_seed(seed, "bootstrap", i), a pure function of (seed, i),
+    so the result is reproducible.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")
-    seeds = [derived_seed(seed, "bootstrap", i) for i in range(n_iter)]
-    workers = min(thread_budget(), n_iter)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(pipeline, seeds))
-    else:
-        # in this thread: a lone pool thread allocates from a second malloc
-        # arena, which raised peak memory by about 3 MB on an l=3 witness run
-        results = [pipeline(s) for s in seeds]
+    results = [pipeline(derived_seed(seed, "bootstrap", i)) for i in range(n_iter)]
     names = results[0].keys()
     samples = {k: np.array([r[k] for r in results], dtype=float) for k in names}
     return BootstrapResult(samples, n_iter)

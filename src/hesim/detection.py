@@ -14,8 +14,8 @@ idler side and cos(chi) H - sin(chi) V on the signal side. Named basis kets
 
 All sampling is routed through counter-based Philox streams keyed by
 (seed, purpose, indices), so counts are pure functions of their inputs and
-never depend on call order or thread count. The keys are the determinism
-contract; changing one moves every draw made from it:
+never depend on call order. The keys are the determinism contract; changing
+one moves every draw made from it:
 
 * sample_counts keys on (seed, "counts", l, float(mean), tag), so any
   change to the Born-probability or mean arithmetic moves every sweep,
@@ -28,7 +28,6 @@ render memo in lgmodes returns the bits a fresh render gives, so it never
 moves a draw.
 """
 
-import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -47,7 +46,6 @@ from .quantum import (
 from .spdc import IDLER, SIGNAL_OAM, SIGNAL_POL
 
 MEAN_OVERFLOW = 1e12
-MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -135,18 +133,6 @@ class DetectorModel:
         if not 0.0 <= prob <= 1.0 + 1e-9:
             raise ValueError(f"probability {prob} outside [0, 1]")
         return (self.pair_rate * self.scale(l) * min(prob, 1.0) + self.accidental_rate) * self.integration_time
-
-
-def thread_budget() -> int:
-    """Worker cap from HE_SIM_THREADS, at most MAX_THREADS (results never depend on it)."""
-    raw = os.environ.get("HE_SIM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"HE_SIM_THREADS must be an integer, got {raw!r}") from None
-    if n > MAX_THREADS:
-        raise ConfigError(f"HE_SIM_THREADS={n} exceeds the cap of {MAX_THREADS}")
-    return max(1, n)
 
 
 def _tag_ints(tags) -> tuple:

@@ -20,8 +20,9 @@ density blocks on one mode stack. So the module holds the last mode stack,
 the intensities of blocks rendered more than once on it, and the pixel mask
 and bin index of the last angular annulus. Held arrays are read-only and
 hold the bits a fresh computation gives, so a repeat returns identical
-images. One lock guards the holders; the einsum runs outside it, so
-concurrent bootstrap workers share one stack without queueing on it.
+images. The holders are module state, so one lock guards them against a
+caller that renders from several threads; the einsum runs outside it, so
+such threads share one stack without queueing on it.
 """
 
 import math
@@ -372,6 +373,8 @@ class PetalFit:
     degenerate: bool = False
 
     def curve(self, theta) -> np.ndarray:
+        if self.degenerate:  # flat at B / 2; its theta0 is nan
+            return np.full(np.shape(theta), self.base / 2.0)
         return (
             self.base
             * (1.0 + self.visibility * np.cos(2 * self.l * (np.asarray(theta) - self.theta0)))

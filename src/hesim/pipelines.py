@@ -33,7 +33,7 @@ from .analysis import (
     witness_expectation,
 )
 from .config import RunConfig
-from .detection import SETTINGS, thread_budget
+from .detection import SETTINGS
 from .errors import ConfigError
 from .jones import pump_state
 from .quantum import Ket, fidelity, oam_subsystem, pol_ket, project
@@ -73,23 +73,24 @@ def _pump(cfg: RunConfig, l: int):
     return pump_state(l, cfg.pump.phi, cfg.pump.alpha, _alphabet(l))
 
 
-MODE_STACK_BUDGET = 2 * 1024**3  # bytes of LG mode stacks held at once
+MODE_STACK_BUDGET = 2 * 1024**3  # bytes one render may hold
 
 
-def _check_stack_memory(cfg: RunConfig, l: int, workers: int) -> None:
-    """Refuse a grid whose mode stacks would exceed MODE_STACK_BUDGET.
+def _check_stack_memory(cfg: RunConfig, l: int) -> None:
+    """Refuse a grid whose renders would hold more than MODE_STACK_BUDGET.
 
-    A stack holds one complex n x n field per mode of the source alphabet.
-    Bootstrap workers share the one stack lgmodes holds, but each concurrent
-    render makes a conjugate copy of it for its einsum, so the check counts
-    one stack per worker.
+    A render holds the mode stack (one complex n x n field per mode of the
+    source alphabet), the conjugate copy of it that its einsum makes, the
+    einsum's complex n x n result, and up to lgmodes.MAX_KEPT_RENDERS kept
+    real n x n intensities.
     """
     modes = len(_alphabet(l))
-    need = modes * cfg.grid.n**2 * 16 * workers
+    per_pixel = 2 * modes * 16 + 16 + lgmodes.MAX_KEPT_RENDERS * 8
+    need = per_pixel * cfg.grid.n**2
     if need > MODE_STACK_BUDGET:
         raise ConfigError(
-            f"grid.n={cfg.grid.n} needs {need:,} bytes of mode stacks ({modes} "
-            f"modes x {workers} workers), over the cap of {MODE_STACK_BUDGET:,}"
+            f"grid.n={cfg.grid.n} needs {need:,} bytes to render ({modes} modes: "
+            f"{per_pixel} bytes per pixel), over the cap of {MODE_STACK_BUDGET:,}"
         )
 
 
@@ -142,7 +143,7 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     """
     fmt = _formats(formats)
     l = cfg.pump.l
-    _check_stack_memory(cfg, l, workers=1)
+    _check_stack_memory(cfg, l)
     annulus = _annulus(cfg, l) if l >= 1 else None
     os.makedirs(outdir, exist_ok=True)
     pump = _pump(cfg, l)
@@ -260,9 +261,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
     l = cfg.pump.l
     if l < 1:
         raise ConfigError("hybrid witness needs a pump charge l >= 1")
-    threads = thread_budget()  # a bad HE_SIM_THREADS fails here, before any file
-    bootstrap = cfg.detector.sampled and cfg.analysis.n_bootstrap >= 2
-    _check_stack_memory(cfg, l, min(threads, cfg.analysis.n_bootstrap) if bootstrap else 1)
+    _check_stack_memory(cfg, l)
     annulus = _annulus(cfg, l)
     cfg.detector.scale(l)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
@@ -293,7 +292,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
 
     w_sigma = None
     boot = None
-    if bootstrap:
+    if sampled and cfg.analysis.n_bootstrap >= 2:
 
         def one(seed: int) -> dict:
             det_i = dataclasses.replace(det, seed=seed)

@@ -1,5 +1,6 @@
 """Fringe fits, CHSH, tomography, witness, bootstrap, and the report schema."""
 
+import dataclasses
 import json
 import math
 
@@ -313,6 +314,28 @@ def test_image_route_bound_over_random_product_states():
             assert scan.W <= 1.0, l
 
 
+def test_sampled_image_route_bound_over_random_product_states():
+    # on Poisson-sampled images a separable state may pass W = 1 by shot
+    # noise only, so its W stays within 3 bootstrap sigma of the bound
+    rng = np.random.default_rng(45)
+    det = expectation_detector()
+    for l in (1, 2, 3):
+        subs = TWO_QUBIT_SUBS + (oam_subsystem((-l, l), name="signal_oam"),)
+        grid = (128, default_extent(1.0, l))
+        for i in range(10):
+            idler = rng.normal(size=2) + 1j * rng.normal(size=2)
+            sig = rng.normal(size=4) + 1j * rng.normal(size=4)
+            state = Ket(subs, np.kron(idler, sig))
+
+            def witness(seed):
+                det_i = dataclasses.replace(det, seed=seed)
+                return {"W": angular_basis_scan(state, l, det_i, grid, 1.0, sampled=True).W}
+
+            w = witness(det.seed)["W"]
+            sigma = bootstrap_errors(witness, n_iter=20, seed=det.seed).sigma("W")
+            assert w <= 1.0 + 3.0 * sigma, (l, i, w, sigma)
+
+
 # -- bootstrap ---------------------------------------------------------------------
 
 
@@ -345,9 +368,8 @@ def test_bootstrap_single_iteration_has_no_spread():
     assert boot.mean("S") > 0
 
 
-def test_bootstrap_reproducible_and_thread_invariant(monkeypatch):
+def test_bootstrap_reproducible_and_thread_invariant():
     a = bootstrap_errors(chsh_pipeline(1e4), n_iter=12, seed=5)
-    monkeypatch.setenv("HE_SIM_THREADS", "4")
     b = bootstrap_errors(chsh_pipeline(1e4), n_iter=12, seed=5)
     assert np.array_equal(a.samples["S"], b.samples["S"])
     with pytest.raises(ValueError):

@@ -2,9 +2,13 @@
 
 import json
 import math
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from hesim import lgmodes, pipelines
 from hesim.cli import main
 from hesim.config import RunConfig
 from hesim.errors import ConfigError
@@ -176,51 +180,40 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert main(["pump-gallery", "--config", str(missing), "--out", str(tmp_path / "y")]) == 2
 
 
-SMALL_WITNESS = ({"grid": {"n": 32}}, ["hybrid-witness", "--expected", "--l", "1"])
-
-
 @pytest.mark.parametrize(
-    "config, argv, env",
+    "config, argv",
     [
         pytest.param(
-            {"analysis": {"nbins": 8}}, ["pump-gallery", "--l", "2"], {}, id="bins-gallery"
+            {"analysis": {"nbins": 8}}, ["pump-gallery", "--l", "2"], id="bins-gallery"
         ),
         pytest.param(
-            {"analysis": {"nbins": 8}}, ["hybrid-witness", "--expected"], {}, id="bins-witness"
+            {"analysis": {"nbins": 8}}, ["hybrid-witness", "--expected"], id="bins-witness"
         ),
         pytest.param(
-            {"analysis": {"annulus": [50, 60]}}, ["pump-gallery"], {}, id="annulus-gallery"
+            {"analysis": {"annulus": [50, 60]}}, ["pump-gallery"], id="annulus-gallery"
         ),
         pytest.param(
-            {"analysis": {"annulus": [50, 60]}}, ["hybrid-witness"], {}, id="annulus-witness"
+            {"analysis": {"annulus": [50, 60]}}, ["hybrid-witness"], id="annulus-witness"
         ),
-        pytest.param({"grid": {"extent": 0.5}}, ["pump-gallery"], {}, id="extent-gallery"),
-        pytest.param({}, ["hybrid-witness", "--l", "4"], {}, id="scale-witness"),
+        pytest.param({"grid": {"extent": 0.5}}, ["pump-gallery"], id="extent-gallery"),
+        pytest.param({}, ["hybrid-witness", "--l", "4"], id="scale-witness"),
         pytest.param(
             {"detector": {"rate_scale_per_l": {"3": 0.12}}},
             ["polarization-bell"],
-            {},
             id="scale-bell",
         ),
         pytest.param(
-            {"analysis": {"sweep_step_deg": 60}}, ["polarization-bell"], {}, id="step-bell"
+            {"analysis": {"sweep_step_deg": 60}}, ["polarization-bell"], id="step-bell"
         ),
-        pytest.param(*SMALL_WITNESS, {"HE_SIM_THREADS": "abc"}, id="threads-nonint-witness"),
-        pytest.param(*SMALL_WITNESS, {"HE_SIM_THREADS": "65"}, id="threads-cap-witness"),
-        # 7 modes x 20000^2 px x 16 B = 41.7 GiB for the one stack of a gallery
-        pytest.param({"grid": {"n": 20000}}, ["pump-gallery"], {}, id="memory-gallery"),
-        # 7 x 4096^2 x 16 B = 1.75 GiB per stack: one worker fits 2 GiB, two do not
+        # 7 modes at 20000^2 px: 304 B x 20000^2 = 113 GiB for a gallery render
+        pytest.param({"grid": {"n": 20000}}, ["pump-gallery"], id="memory-gallery"),
+        # 7 modes at 4096^2 px: 304 B x 4096^2 = 4.75 GiB for a witness render
         pytest.param(
-            {"grid": {"n": 4096}},
-            ["hybrid-witness", "--l", "3"],
-            {"HE_SIM_THREADS": "2"},
-            id="memory-witness",
+            {"grid": {"n": 4096}}, ["hybrid-witness", "--l", "3"], id="memory-witness"
         ),
     ],
 )
-def test_cli_rejects_before_writing(tmp_path, monkeypatch, config, argv, env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_cli_rejects_before_writing(tmp_path, config, argv):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "never"
@@ -228,12 +221,49 @@ def test_cli_rejects_before_writing(tmp_path, monkeypatch, config, argv, env):
     assert not out.exists()
 
 
-def test_mode_stack_budget_counts_workers():
-    # the arithmetic behind memory-witness, checked without running anything
-    cfg = RunConfig.from_dict({"grid": {"n": 4096}})
-    _check_stack_memory(cfg, 3, workers=1)
-    with pytest.raises(ConfigError, match="2 workers"):
-        _check_stack_memory(cfg, 3, workers=2)
+def needed_bytes(error: ConfigError) -> int:
+    return int(re.search(r"needs ([\d,]+) bytes", str(error)).group(1).replace(",", ""))
+
+
+def test_render_memory_budget_boundary():
+    # l=3: the 7-mode stack, its conjugate and the complex result at 16 B, plus
+    # 8 kept intensities at 8 B: 304 B per pixel, so 2 GiB allows n = 2657
+    _check_stack_memory(RunConfig.from_dict({"grid": {"n": 2657}}), 3)
+    with pytest.raises(ConfigError) as exc:
+        _check_stack_memory(RunConfig.from_dict({"grid": {"n": 2658}}), 3)
+    assert needed_bytes(exc.value) == 304 * 2658**2
+
+
+def test_render_peak_within_memory_budget(monkeypatch):
+    n, l = 256, 3
+    monkeypatch.setattr(pipelines, "MODE_STACK_BUDGET", 0)
+    with pytest.raises(ConfigError) as exc:
+        _check_stack_memory(RunConfig.from_dict({"grid": {"n": n}}), l)
+    budget = needed_bytes(exc.value)
+    alphabet = tuple(range(-l, l + 1))
+    grid = (n, lgmodes.default_extent(1.0, l))
+    rng = np.random.default_rng(17)
+    blocks = []
+    for _ in range(lgmodes.MAX_KEPT_RENDERS + 1):
+        a = rng.normal(size=len(alphabet)) + 1j * rng.normal(size=len(alphabet))
+        blocks.append(np.outer(a, a.conj()))
+    lgmodes.mode_stack(alphabet, 32, 6.0, 1.0)  # drop any held stack of this key
+    tracemalloc.start()
+    try:
+        # the first render builds the stack; the last one runs with every
+        # kept intensity held
+        lgmodes.render_from_density(blocks[0], alphabet, grid, 1.0)
+        fresh = tracemalloc.get_traced_memory()[1]
+        for rho in blocks[:-1] * 2:
+            lgmodes.render_from_density(rho, alphabet, grid, 1.0)
+        assert len(lgmodes._held_stack.kept) == lgmodes.MAX_KEPT_RENDERS
+        tracemalloc.reset_peak()
+        lgmodes.render_from_density(blocks[-1], alphabet, grid, 1.0)
+        full = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the memo's Python objects and einsum's buffers add a few kB at any n
+    assert max(fresh, full) <= budget + 64 * 1024
 
 
 def test_cli_hybrid_witness_rejects_zero_charge(tmp_path):

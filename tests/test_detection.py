@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hesim.detection import (
-    MAX_THREADS,
     SETTINGS,
     DetectorModel,
     analyzer_state,
@@ -15,7 +14,6 @@ from hesim.detection import (
     linear_analyzer_ket,
     rng_stream,
     sample_counts,
-    thread_budget,
 )
 from hesim.errors import ConfigError, NumericalError
 from hesim.jones import pump_state
@@ -190,23 +188,6 @@ def test_detector_model_validation():
     with pytest.raises(ConfigError):
         DetectorModel(pair_rate=1.0, accidental_rate=0.0, integration_time=1.0,
                       rate_scale_per_l={0: 0.0}, seed=0)
-
-
-def test_thread_budget_parsing(monkeypatch):
-    monkeypatch.delenv("HE_SIM_THREADS", raising=False)
-    assert thread_budget() == 1
-    monkeypatch.setenv("HE_SIM_THREADS", "4")
-    assert thread_budget() == 4
-    monkeypatch.setenv("HE_SIM_THREADS", "0")
-    assert thread_budget() == 1
-    monkeypatch.setenv("HE_SIM_THREADS", "-3")
-    assert thread_budget() == 1
-    monkeypatch.setenv("HE_SIM_THREADS", str(MAX_THREADS))
-    assert thread_budget() == MAX_THREADS
-    for raw in ("many", str(MAX_THREADS + 1)):
-        monkeypatch.setenv("HE_SIM_THREADS", raw)
-        with pytest.raises(ConfigError):
-            thread_budget()
 
 
 def test_derived_seed_flattens_nested_tags():

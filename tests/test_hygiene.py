@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import, public top-level name and public member in src/hesim is used."""
+"""Source hygiene: every module-level import, public top-level name and public
+member in src/hesim is used, and no module reads the process environment."""
 
 import ast
 import pathlib
@@ -149,3 +150,41 @@ def test_dead_members_detected():
 
 def test_no_dead_members_in_package():
     assert dead_members({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}) == []
+
+
+ENVIRONMENT_READS = {"environ", "getenv"}
+
+
+def environment_reads(source: str) -> list:
+    """Lines that read the process environment through os.environ or os.getenv."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT_READS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in ENVIRONMENT_READS for alias in node.names)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_environment_reads_detected():
+    src = (
+        "import os\n"
+        "from os import getenv\n"
+        "n = os.environ.get('N', '1')\n"
+        "m = os.getenv('M')\n"
+        "path = os.path.join('a', 'b')\n"
+    )
+    assert environment_reads(src) == [2, 3, 4]
+
+
+def test_no_environment_reads_in_package():
+    # configuration comes only from the config file and the command line
+    found = {path.name: environment_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

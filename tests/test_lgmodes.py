@@ -223,6 +223,10 @@ def test_petal_fit_flat_flags_degenerate():
     assert fit.degenerate
     assert fit.visibility == 0.0
     assert math.isnan(fit.theta0)
+    # flat at B / 2, not nan: an empty sampled image must not make W nan
+    assert fit.curve(np.array([0.0, 1.0])) == pytest.approx([1.25, 1.25])
+    empty = petal_fit(AngularHistogram(np.zeros(72)), 3)
+    assert empty.degenerate and float(empty.curve(0.3)) == 0.0
 
 
 def test_petal_fit_argument_guards():
