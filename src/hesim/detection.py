@@ -25,7 +25,14 @@ one moves every draw made from it:
 
 The Poisson draw of an image depends on every bit of its mean image. The
 render memo in lgmodes returns the bits a fresh render gives, so it never
-moves a draw.
+moves a draw. Reruns are byte-identical on one numpy/OpenBLAS build and CPU
+family: a render's matrix product runs in OpenBLAS, which picks its kernel
+for the CPU at run time, so another CPU family may move a mean's last bits
+(the BLAS thread count does not). With no accidentals, a noiseless source's
+sampled images also depend on the sign of the rounding dust on nodal
+pixels: the render clips negative dust to a mean of 0, which takes no draw
+from the stream, while a tiny positive mean does, so one such pixel shifts
+the draws of every pixel after it.
 """
 
 import zlib

@@ -11,9 +11,12 @@ Geometry conventions (fixed, also used by the angular histogram):
 * Which lab direction is theta = 0 is a simulation convention; fitted petal
   orientations are only meaningful as differences between projections.
 
-Rendering is a closed-form evaluation on the pixel grid (no stochastic
-element, no evaluation-order dependence), so identical inputs give bit
-identical images.
+Rendering is a closed-form evaluation on the pixel grid with no stochastic
+element: one BLAS matrix product mixes the mode stack by the density block,
+and one real reduction pairs the result with the stack. Identical inputs
+give bit-identical images on one numpy/OpenBLAS build and CPU family.
+OpenBLAS picks its kernel for the CPU at run time, so another CPU family
+may move the last bits; the BLAS thread count does not.
 
 Renders repeat: every bootstrap draw of a witness row renders the same four
 density blocks on one mode stack. So the module holds the last mode stack,
@@ -21,8 +24,8 @@ the intensities of blocks rendered more than once on it, and the pixel mask
 and bin index of the last angular annulus. Held arrays are read-only and
 hold the bits a fresh computation gives, so a repeat returns identical
 images. The holders are module state, so one lock guards them against a
-caller that renders from several threads; the einsum runs outside it, so
-such threads share one stack without queueing on it.
+caller that renders from several threads; the product and its reduction
+run outside it, so such threads share one stack without queueing on it.
 """
 
 import math
@@ -160,9 +163,10 @@ def mode_stack(alphabet, n: int, extent: float, waist: float) -> np.ndarray:
         if _held_stack is None or _held_stack.key != key:
             _held_stack = None
             r, theta = pixel_polar(n, extent)
-            # np.stack's transient second stack stays below a render's own
-            # peak (the stack and its einsum conjugate), so a preallocated
-            # fill would lower no peak; it measured 3 MB more peak RSS
+            # np.stack's transient second stack stays within what pipelines
+            # budgets for a render (the stack, its mixed copy and the kept
+            # intensities), so a preallocated fill would lower no budgeted
+            # peak; it measured 3 MB more peak RSS
             fields = np.stack([lg_amplitude(r, theta, LGMode(l, waist)) for l in alphabet])
             fields.setflags(write=False)
             _held_stack = _HeldStack(key, fields)
@@ -193,9 +197,14 @@ def render_from_density(rho_oam: np.ndarray, alphabet, grid, waist: float) -> np
             keep = block in held.seen and len(held.kept) < MAX_KEPT_RENDERS
             if not keep and len(held.seen) < MAX_KEPT_RENDERS:
                 held.seen.add(block)
-    intensity = np.einsum("ab,aij,bij->ij", rho, fields, fields.conj())
-    # a kept intensity must not pin the complex buffer behind np.real's view
-    out = intensity.real.copy() if keep else np.real(intensity)
+    # sum_ab rho_ab f_a conj(f_b): row b of mixed is sum_a rho_ab f_a, and
+    # Re(mixed_b conj(f_b)) is the dot product of their (real, imag) pairs
+    flat = fields.reshape(k, -1)
+    mixed = rho.T @ flat
+    out = np.einsum(
+        "bpc,bpc->p", flat.view(float).reshape(k, -1, 2), mixed.view(float).reshape(k, -1, 2)
+    ).reshape(n, n)
+    del mixed  # before the clip's mask, so the peak stays within pipelines' budget
     out[out < 0] = 0.0  # rounding dust from the complex cross terms
     if keep:
         out.setflags(write=False)
@@ -437,10 +446,22 @@ def write_pgm(img: FieldImage, path) -> None:
     px = img.pixels
     peak = px.max()
     scale = PGM_MAXVAL / peak if peak > 0 else 0.0
-    quant = np.rint(px * scale).astype(int)
-    header = f"P2\n{img.n} {img.n}\n{PGM_MAXVAL}"
-    with open(path, "w") as fh:
-        np.savetxt(fh, quant, fmt="%d", delimiter=" ", header=header, comments="")
+    quant = np.rint(px * scale).astype(np.uint32)
+    n = img.n
+    # each pixel as five right-aligned digits (PGM_MAXVAL has five) and a
+    # separator; dropping the leading zeros leaves "%d"-formatted values
+    text = np.empty((n, n, 6), dtype=np.uint8)
+    keep = np.ones((n, n, 6), dtype=bool)
+    for j in range(5):
+        power = 10 ** (4 - j)
+        text[..., j] = quant // power % 10 + ord("0")
+        if j < 4:
+            keep[..., j] = quant >= power
+    text[..., 5] = ord(" ")
+    text[:, -1, 5] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P2\n{n} {n}\n{PGM_MAXVAL}\n".encode("ascii"))
+        fh.write(text[keep].tobytes())
 
 
 def write_angle_csv(header: str, angles, values, path) -> None:

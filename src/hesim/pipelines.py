@@ -80,12 +80,12 @@ def _check_stack_memory(cfg: RunConfig, l: int) -> None:
     """Refuse a grid whose renders would hold more than MODE_STACK_BUDGET.
 
     A render holds the mode stack (one complex n x n field per mode of the
-    source alphabet), the conjugate copy of it that its einsum makes, the
-    einsum's complex n x n result, and up to lgmodes.MAX_KEPT_RENDERS kept
+    source alphabet), the stack mixed by the density block (as many complex
+    fields), its real n x n result, and up to lgmodes.MAX_KEPT_RENDERS kept
     real n x n intensities.
     """
     modes = len(_alphabet(l))
-    per_pixel = 2 * modes * 16 + 16 + lgmodes.MAX_KEPT_RENDERS * 8
+    per_pixel = 2 * modes * 16 + 8 + lgmodes.MAX_KEPT_RENDERS * 8
     need = per_pixel * cfg.grid.n**2
     if need > MODE_STACK_BUDGET:
         raise ConfigError(

@@ -226,12 +226,12 @@ def needed_bytes(error: ConfigError) -> int:
 
 
 def test_render_memory_budget_boundary():
-    # l=3: the 7-mode stack, its conjugate and the complex result at 16 B, plus
-    # 8 kept intensities at 8 B: 304 B per pixel, so 2 GiB allows n = 2657
-    _check_stack_memory(RunConfig.from_dict({"grid": {"n": 2657}}), 3)
+    # l=3: the 7-mode stack and its mixed copy at 16 B, the real result and 8
+    # kept intensities at 8 B: 296 B per pixel, so 2 GiB allows n = 2693
+    _check_stack_memory(RunConfig.from_dict({"grid": {"n": 2693}}), 3)
     with pytest.raises(ConfigError) as exc:
-        _check_stack_memory(RunConfig.from_dict({"grid": {"n": 2658}}), 3)
-    assert needed_bytes(exc.value) == 304 * 2658**2
+        _check_stack_memory(RunConfig.from_dict({"grid": {"n": 2694}}), 3)
+    assert needed_bytes(exc.value) == 296 * 2694**2
 
 
 def test_render_peak_within_memory_budget(monkeypatch):

@@ -2,12 +2,17 @@
 
 import gc
 import math
+import os
+import subprocess
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hesim import lgmodes
 from hesim.errors import NumericalError
@@ -266,6 +271,45 @@ def test_pgm_round_trip(tmp_path):
     assert np.array_equal(data, expected)
 
 
+def savetxt_pgm(img, path):
+    """write_pgm's former np.savetxt writer, kept as its byte oracle."""
+    px = img.pixels
+    peak = px.max()
+    scale = 65535 / peak if peak > 0 else 0.0
+    quant = np.rint(px * scale).astype(int)
+    header = f"P2\n{img.n} {img.n}\n65535"
+    with open(path, "w") as fh:
+        np.savetxt(fh, quant, fmt="%d", delimiter=" ", header=header, comments="")
+
+
+def digit_edges_image():
+    # every digit count and its edges, at row starts, inside rows and at row ends
+    values = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 65535]
+    return FieldImage(np.resize(np.array(values, dtype=float), (16, 16)), 4.0)
+
+
+def gallery_image():
+    pump = pump_state(6, alphabet=tuple(range(-6, 7)))
+    return render_projection(pump, pol_ket("D"), (512, default_extent(1.0, 6)), 1.0)
+
+
+@pytest.mark.parametrize(
+    "make_image",
+    [
+        digit_edges_image,
+        lambda: FieldImage(np.zeros((16, 16)), 4.0),
+        lambda: FieldImage(np.random.default_rng(19).random((16, 16)), 4.0),
+        gallery_image,
+    ],
+    ids=["digit-edges", "all-zero", "random-16", "gallery-l6-512"],
+)
+def test_pgm_bytes_match_savetxt(tmp_path, make_image):
+    img = make_image()
+    write_pgm(img, tmp_path / "new.pgm")
+    savetxt_pgm(img, tmp_path / "oracle.pgm")
+    assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "oracle.pgm").read_bytes()
+
+
 def test_pgm_header_format(tmp_path):
     img = FieldImage(np.ones((16, 16)), 4.0)
     path = tmp_path / "flat.pgm"
@@ -327,6 +371,19 @@ def direct_stack(alphabet, n, extent, waist):
 
 
 def direct_render(rho, key):
+    """A fresh render, by the contraction render_from_density runs."""
+    fields = direct_stack(*key)
+    k, n = fields.shape[0], key[1]
+    flat = fields.reshape(k, -1)
+    mixed = rho.T @ flat
+    pairs = [z.view(float).reshape(k, -1, 2) for z in (flat, mixed)]
+    out = np.einsum("bpc,bpc->p", *pairs).reshape(n, n)
+    out[out < 0] = 0.0
+    return out
+
+
+def einsum_render(rho, key):
+    """The textbook sum_ab rho_ab f_a conj(f_b), as one three-operand einsum."""
     fields = direct_stack(*key)
     out = np.real(np.einsum("ab,aij,bij->ij", rho, fields, fields.conj())).copy()
     out[out < 0] = 0.0
@@ -431,6 +488,58 @@ def test_concurrent_renders_match_direct():
     finally:
         sys.setswitchinterval(interval)
     assert all(same_bits(a, b) for a, b in zip(got, expected))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    l=st.integers(1, 6),
+    rank_one=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_render_matches_einsum_oracle(l, rank_one, seed, scale):
+    key = (tuple(range(-l, l + 1)), 48, default_extent(1.0, l), 1.0)
+    rng = np.random.default_rng(seed)
+    if rank_one:
+        a = rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1)
+        rho = np.outer(a, a.conj())
+    else:
+        rho = random_block(rng, 2 * l + 1)
+    out = render(rho, key)
+    expected = einsum_render(rho, key)
+    peak = expected.max()
+    # the two sum in different orders; both are exact to a few ulps of the peak
+    assert np.abs(out - expected).max() <= 1e-13 * peak
+    assert out.min() >= 0.0
+    assert np.abs(render(scale * rho, key) - scale * out).max() <= 1e-13 * scale * peak
+
+
+RENDER_HASHES = """
+import hashlib
+import numpy as np
+from hesim import lgmodes
+for l in (1, 3, 6):
+    k = 2 * l + 1
+    m = np.random.default_rng(l).normal(size=(k, k, 2)) @ [1, 1j]
+    grid = (256, lgmodes.default_extent(1.0, l))
+    out = lgmodes.render_from_density(m @ m.conj().T, range(-l, l + 1), grid, 1.0)
+    print(l, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_blas_thread_count_does_not_move_a_render():
+    src = str(Path(lgmodes.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", RENDER_HASHES],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        hashes.append(run.stdout.split())
+    assert len(hashes[0]) == 6
+    assert hashes[0] == hashes[1]
 
 
 def direct_profile(pixels, extent, nbins, annulus):
