@@ -9,10 +9,8 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from hesim import lgmodes
 from hesim.errors import NumericalError
@@ -382,14 +380,6 @@ def direct_render(rho, key):
     return out
 
 
-def einsum_render(rho, key):
-    """The textbook sum_ab rho_ab f_a conj(f_b), as one three-operand einsum."""
-    fields = direct_stack(*key)
-    out = np.real(np.einsum("ab,aij,bij->ij", rho, fields, fields.conj())).copy()
-    out[out < 0] = 0.0
-    return out
-
-
 def random_block(rng, k=3):
     m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     return m @ m.conj().T
@@ -488,30 +478,6 @@ def test_concurrent_renders_match_direct():
     finally:
         sys.setswitchinterval(interval)
     assert all(same_bits(a, b) for a, b in zip(got, expected))
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(
-    l=st.integers(1, 6),
-    rank_one=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.floats(1e-3, 1e3),
-)
-def test_render_matches_einsum_oracle(l, rank_one, seed, scale):
-    key = (tuple(range(-l, l + 1)), 48, default_extent(1.0, l), 1.0)
-    rng = np.random.default_rng(seed)
-    if rank_one:
-        a = rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1)
-        rho = np.outer(a, a.conj())
-    else:
-        rho = random_block(rng, 2 * l + 1)
-    out = render(rho, key)
-    expected = einsum_render(rho, key)
-    peak = expected.max()
-    # the two sum in different orders; both are exact to a few ulps of the peak
-    assert np.abs(out - expected).max() <= 1e-13 * peak
-    assert out.min() >= 0.0
-    assert np.abs(render(scale * rho, key) - scale * out).max() <= 1e-13 * scale * peak
 
 
 RENDER_HASHES = """
