@@ -13,7 +13,7 @@ shot-noise effects this package exists to expose.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import detection, lgmodes
 from .detection import (
     DetectorModel,
     SETTINGS,
-    coincidence_prob,
+    coincidence_row,
     conditional_oam,
     derived_seed,
     linear_analyzer_ket,
@@ -95,11 +95,17 @@ def fit_visibility(series) -> VisibilityResult:
     return VisibilityResult(float(v), theta0, stderr, tuple(flags))
 
 
-def _counts(prob: float, det: DetectorModel, l: int, sampled: bool, tag) -> float:
-    """Coincidence counts for one setting: a Poisson draw or its expected mean."""
-    if sampled:
+def _counts(prob: float, det: DetectorModel, l: int, tag) -> float:
+    """Coincidence counts for one setting: a Poisson draw if det.sampled, else its mean."""
+    if det.sampled:
         return float(sample_counts(prob, det, l, tag=tag))
     return det.mean_counts(prob, l)
+
+
+def sweep_dial(step_deg: float = 10.0) -> list:
+    """(dial angle in radians, signal analyzer ket) at each step of a full turn."""
+    angles = (math.radians(float(deg)) for deg in np.arange(0.0, 360.0, step_deg))
+    return [(ang, linear_analyzer_ket(ang, "signal")) for ang in angles]
 
 
 def sweep_series(
@@ -107,19 +113,21 @@ def sweep_series(
     idler,
     det: DetectorModel,
     l: int = 0,
-    angles_deg=None,
-    sampled: bool = True,
+    dial=None,
     tag: str = "sweep",
 ):
-    """Coincidence counts against the signal-arm analyzer dial angle."""
-    if angles_deg is None:
-        angles_deg = np.arange(0.0, 360.0, 10.0)
-    out = []
-    for k, deg in enumerate(angles_deg):
-        ang = math.radians(float(deg))
-        prob = coincidence_prob(state, idler, linear_analyzer_ket(ang, "signal"))
-        out.append((ang, _counts(prob, det, l, sampled, (tag, k))))
-    return out
+    """Coincidence counts against the signal-arm analyzer dial angle.
+
+    ``dial`` is a sweep_dial list (default: 10 degree steps); sweeps that
+    share their dial angles share one list, so its kets are built once.
+    """
+    if dial is None:
+        dial = sweep_dial()
+    probs = coincidence_row(state, idler, [ket for _, ket in dial])
+    return [
+        (ang, _counts(prob, det, l, (tag, k)))
+        for k, ((ang, _), prob) in enumerate(zip(dial, probs))
+    ]
 
 
 # -- CHSH ---------------------------------------------------------------------
@@ -130,24 +138,26 @@ def chsh_table(
     det: DetectorModel,
     settings_deg=CHSH_SETTINGS_DEG,
     l: int = 0,
-    sampled: bool = True,
     tag: str = "chsh",
+    sampled: bool | None = None,
 ) -> np.ndarray:
     """4x4 coincidence-count table at the standard CHSH analyzer settings.
 
     Rows are the idler dial at (a, a+90, a', a'+90); columns the signal dial
-    at (b, b+90, b', b'+90), each in its own arm frame.
+    at (b, b+90, b', b'+90), each in its own arm frame. ``sampled``
+    overrides det.sampled when given.
     """
+    if sampled is not None:
+        det = replace(det, sampled=sampled)
     a, ap, b, bp = (math.radians(float(x)) for x in settings_deg)
     idler_angles = (a, a + np.pi / 2, ap, ap + np.pi / 2)
     signal_angles = (b, b + np.pi / 2, bp, bp + np.pi / 2)
+    signals = [linear_analyzer_ket(sa, "signal") for sa in signal_angles]
     table = np.zeros((4, 4))
     for i, ia in enumerate(idler_angles):
-        ket_i = linear_analyzer_ket(ia, "idler")
-        for j, sa in enumerate(signal_angles):
-            ket_s = linear_analyzer_ket(sa, "signal")
-            prob = coincidence_prob(state, ket_i, ket_s)
-            table[i, j] = _counts(prob, det, l, sampled, (tag, i, j))
+        row = coincidence_row(state, linear_analyzer_ket(ia, "idler"), signals)
+        for j, prob in enumerate(row):
+            table[i, j] = _counts(prob, det, l, (tag, i, j))
     return table
 
 
@@ -205,14 +215,18 @@ def _tomo_design() -> np.ndarray:
 _TOMO_A = _tomo_design()
 
 
-def tomography_counts(
-    state, det: DetectorModel, l: int = 0, sampled: bool = True, tag: str = "tomo"
-) -> np.ndarray:
-    """Coincidence counts for the 16 canonical projection pairs."""
+def tomography_counts(state, det: DetectorModel, l: int = 0, tag: str = "tomo") -> np.ndarray:
+    """Coincidence counts for the 16 canonical projection pairs.
+
+    The pairs are measured one idler setting (one row) at a time; count k
+    keeps the tag (tag, k) of its place in TOMO_SETTINGS.
+    """
     counts = np.zeros(16)
-    for k, (li, ls) in enumerate(TOMO_SETTINGS):
-        prob = coincidence_prob(state, SETTINGS[li], SETTINGS[ls])
-        counts[k] = _counts(prob, det, l, sampled, (tag, k))
+    for li in dict.fromkeys(li for li, _ in TOMO_SETTINGS):
+        cells = [(k, ls) for k, (i, ls) in enumerate(TOMO_SETTINGS) if i == li]
+        row = coincidence_row(state, SETTINGS[li], [SETTINGS[ls] for _, ls in cells])
+        for (k, _), prob in zip(cells, row):
+            counts[k] = _counts(prob, det, l, (tag, k))
     return counts
 
 
@@ -314,7 +328,6 @@ def angular_basis_scan(
     waist: float,
     annulus=None,
     nbins: int = 72,
-    sampled: bool = True,
     tag: str = "scan",
 ) -> AngularScan:
     """Heralded image -> angular profile -> petal fit, per idler basis.
@@ -333,7 +346,6 @@ def angular_basis_scan(
             waist,
             det,
             l,
-            sampled=sampled,
             tag=(tag, basis),
         )
         hist = lgmodes.angular_profile(img, nbins, annulus)

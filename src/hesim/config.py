@@ -6,6 +6,7 @@ typo in a run file fails loudly instead of silently running defaults.
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .analysis import CHSH_SETTINGS_DEG
@@ -83,6 +84,9 @@ class GridConfig:
             raise ConfigError("grid.waist must be positive")
 
 
+MAX_SWEEP_POINTS = 36_000  # per fringe sweep, so a 0.01 degree step at the finest
+
+
 @dataclass
 class AnalysisConfig:
     nbins: int = 72
@@ -106,9 +110,16 @@ class AnalysisConfig:
         self.n_bootstrap = int(self.n_bootstrap)
         if self.n_bootstrap < 1:
             raise ConfigError("analysis.n_bootstrap must be at least 1")
-        # at least 8 sweep points; the value is kept as given, the report echoes it
-        if not 0.0 < float(self.sweep_step_deg) < 360.0 / 7:
-            raise ConfigError("analysis.sweep_step_deg must lie in (0, 360/7)")
+        # 8 to MAX_SWEEP_POINTS sweep points; the value is kept as given, the
+        # report echoes it
+        step = self.sweep_step_deg
+        if isinstance(step, bool) or not isinstance(step, numbers.Real) or not (
+            360.0 / MAX_SWEEP_POINTS <= step < 360.0 / 7
+        ):
+            raise ConfigError(
+                f"analysis.sweep_step_deg must be a number in "
+                f"[360/{MAX_SWEEP_POINTS}, 360/7), got {step!r}"
+            )
 
 
 @dataclass

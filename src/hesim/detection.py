@@ -17,9 +17,10 @@ All sampling is routed through counter-based Philox streams keyed by
 never depend on call order. The keys are the determinism contract; changing
 one moves every draw made from it:
 
-* sample_counts keys on (seed, "counts", l, float(mean), tag), so any
-  change to the Born-probability or mean arithmetic moves every sweep,
-  CHSH and tomography count;
+* sample_counts keys on (seed, "counts", l, float(mean), tag), where the
+  mean comes from the Born probability coincidence_row computes, so any
+  change to coincidence_row's arithmetic (or the mean's) moves every
+  sweep, CHSH and tomography count;
 * heralded_image keys on (seed, "heralded_image", l, str(tag)), so the tag
   7 and the tag "7" draw the same image.
 
@@ -43,9 +44,9 @@ import numpy as np
 from . import jones, lgmodes
 from .errors import ConfigError, NumericalError
 from .quantum import (
+    NULL_TOL,
     Ket,
     Subsystem,
-    joint_probability,
     pol_ket,
     pol_subsystem,
     project,
@@ -104,8 +105,8 @@ class DetectorModel:
 
     The per-l rate scale stands in for the l-dependent generation and
     coupling efficiency; the values are synthetic knobs, not measurements.
-    ``sampled`` tells the benches to record Poisson draws (True) or the
-    expected means themselves (False).
+    ``sampled`` makes count tables and heralded images record Poisson
+    draws (True) or the expected means themselves (False).
     """
 
     pair_rate: float = 1.0e4
@@ -186,17 +187,32 @@ def _as_proj_ket(setting, name):
     raise ConfigError(f"cannot interpret analyzer setting {setting!r}")
 
 
-def coincidence_prob(state, idler, signal) -> float:
-    """Joint Born probability for idler and signal analyzer projections.
+def coincidence_row(state, idler, signals) -> list:
+    """Joint Born probabilities of one idler setting with each signal setting.
 
     The signal OAM register is traced out. Settings may be AnalyzerSetting
-    values or bare polarization kets; look basis labels up in SETTINGS.
+    values or bare polarization kets; look basis labels up in SETTINGS. A
+    mixed state has its idler projected once, and each cell is the idler
+    probability times the signal probability of the residual. A pure
+    state contracts each cell on its own, signal axis first: those are the
+    bits its counts key on.
     """
-    projections = {
-        IDLER: _as_proj_ket(idler, IDLER),
-        SIGNAL_POL: _as_proj_ket(signal, SIGNAL_POL),
-    }
-    return joint_probability(state, projections)
+    idler = _as_proj_ket(idler, IDLER)
+    signals = [_as_proj_ket(s, SIGNAL_POL) for s in signals]
+    if isinstance(state, Ket):
+        axes = (state.axis(SIGNAL_POL), state.axis(IDLER))
+        t = np.moveaxis(state.amplitudes.reshape(state.dims), axes, (0, 1))
+        v_i = idler.amplitudes.conj()
+        probs = []
+        for ket in signals:
+            t_i = np.tensordot(ket.amplitudes.conj(), t, axes=1)
+            probs.append(float(np.sum(np.abs(np.tensordot(v_i, t_i, axes=1)) ** 2)))
+        return probs
+    residual, p1 = project(state, idler, subsystem=IDLER)
+    if p1 < NULL_TOL:
+        return [0.0] * len(signals)
+    p2s = (project(residual, ket, subsystem=SIGNAL_POL)[1] for ket in signals)
+    return [p1 * p2 if p2 >= NULL_TOL else 0.0 for p2 in p2s]
 
 
 def conditional_oam(state, idler, signal_pol):
@@ -238,14 +254,13 @@ def heralded_image(
     waist: float,
     det: DetectorModel,
     l: int,
-    sampled: bool = True,
     tag="image",
 ) -> lgmodes.FieldImage:
     """Coincidence image of the signal arm conditioned on the idler.
 
     Pixel means follow the detector model: the joint-projection event rate
     is spread over the pixels in proportion to the rendered intensity, and
-    the accidental rate is spread flat. With sampled=True each pixel is an
+    the accidental rate is spread flat. With det.sampled each pixel is an
     independent Poisson draw from a stream keyed by (seed, tag); otherwise
     the expected means themselves are returned.
     """
@@ -266,7 +281,7 @@ def heralded_image(
         lam += expected_pairs * intensity / total
     meta["expected_counts"] = float(lam.sum())
 
-    if not sampled:
+    if not det.sampled:
         return lgmodes.FieldImage(lam, extent, meta=meta)
     if lam.max(initial=0.0) > MEAN_OVERFLOW:
         raise NumericalError("per-pixel mean overflows the counter model")

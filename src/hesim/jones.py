@@ -15,12 +15,7 @@ element as its oracle.
 import numpy as np
 
 from .errors import ConfigError
-from .quantum import (
-    DEFAULT_OAM_ALPHABET,
-    Ket,
-    oam_subsystem,
-    pol_subsystem,
-)
+from .quantum import Ket, oam_subsystem, pol_subsystem
 
 TWO_PI = 2.0 * np.pi
 
@@ -43,15 +38,13 @@ def quarter_wave(theta: float) -> np.ndarray:
 
 
 def pump_state(
-    l: int,
-    phi: float = 0.0,
-    alpha: float = 1.0 / np.sqrt(2.0),
-    alphabet=DEFAULT_OAM_ALPHABET,
+    l: int, phi: float = 0.0, alpha: float = 1.0 / np.sqrt(2.0), *, alphabet
 ) -> Ket:
     """Closed-form pump ket alpha |H,+l> + beta exp(-i*phi) |V,-l>.
 
     beta = sqrt(1 - alpha^2). alpha = 1/sqrt(2) is the balanced Sagnac;
-    other values model unbalanced splitting.
+    other values model unbalanced splitting. ``alphabet`` lists the OAM
+    charges of the register in ascending order and must hold +l and -l.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha={alpha} must sit inside [0, 1]")

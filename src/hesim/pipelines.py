@@ -27,6 +27,7 @@ from .analysis import (
     chsh,
     chsh_table,
     fit_visibility,
+    sweep_dial,
     sweep_series,
     tomography_counts,
     tomography_linear,
@@ -70,7 +71,7 @@ def _alphabet(l: int) -> tuple:
 
 
 def _pump(cfg: RunConfig, l: int):
-    return pump_state(l, cfg.pump.phi, cfg.pump.alpha, _alphabet(l))
+    return pump_state(l, cfg.pump.phi, cfg.pump.alpha, alphabet=_alphabet(l))
 
 
 MODE_STACK_BUDGET = 2 * 1024**3  # bytes one render may hold
@@ -198,14 +199,12 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg, l=0)
     det = cfg.detector
-    sampled = det.sampled
 
-    angles_deg = np.arange(0.0, 360.0, cfg.analysis.sweep_step_deg)
+    dial = sweep_dial(cfg.analysis.sweep_step_deg)
     visibilities = {}
     for basis in ("H", "D"):
         series = sweep_series(
-            state, SETTINGS[basis], det, l=0,
-            angles_deg=angles_deg, sampled=sampled, tag=f"sweep_{basis}",
+            state, SETTINGS[basis], det, l=0, dial=dial, tag=f"sweep_{basis}"
         )
         if "csv" in fmt:
             lgmodes.write_angle_csv(
@@ -213,20 +212,18 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
             )
         visibilities[basis] = fit_visibility(series)
 
-    table = chsh_table(
-        state, det, cfg.analysis.chsh_settings, l=0, sampled=sampled, tag="chsh"
-    )
+    table = chsh_table(state, det, cfg.analysis.chsh_settings, l=0, tag="chsh")
     if "csv" in fmt:
         np.savetxt(
             os.path.join(outdir, "chsh_counts.csv"), table, fmt="%.12g", delimiter=","
         )
     s_val, s_sigma = chsh(table)
 
-    counts = tomography_counts(state, det, l=0, sampled=sampled, tag="tomo")
+    counts = tomography_counts(state, det, l=0, tag="tomo")
     rho = tomography_linear(counts)
     # noiseless reference: same source, OAM register projected off (it is
     # trivially |0> here, so this is exact, not a post-selection)
-    ideal_full = down_convert(pump_state(0, cfg.pump.phi, cfg.pump.alpha, (0,)))
+    ideal_full = down_convert(pump_state(0, cfg.pump.phi, cfg.pump.alpha, alphabet=(0,)))
     oam0 = Ket.basis_state((oam_subsystem((0,), name="signal_oam"),), 0)
     ideal, _ = project(ideal_full, oam0, subsystem="signal_oam")
     # linear inversion of noiseless counts is often slightly non-physical;
@@ -267,17 +264,15 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg)
     det = cfg.detector
-    sampled = det.sampled
     grid = _grid(cfg, l)
     waist = cfg.grid.waist
 
     scan = angular_basis_scan(
         state, l, det, grid, waist,
-        annulus=annulus, nbins=cfg.analysis.nbins, sampled=sampled, tag="scan",
+        annulus=annulus, nbins=cfg.analysis.nbins, tag="scan",
     )
     img_none = detection.heralded_image(
-        state, None, SETTINGS["D"], grid, waist, det, l,
-        sampled=sampled, tag=("scan", "none"),
+        state, None, SETTINGS["D"], grid, waist, det, l, tag=("scan", "none")
     )
     if "pgm" in fmt:
         for basis, img in {**scan.images, "none": img_none}.items():
@@ -292,13 +287,13 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
 
     w_sigma = None
     boot = None
-    if sampled and cfg.analysis.n_bootstrap >= 2:
+    if det.sampled and cfg.analysis.n_bootstrap >= 2:
 
         def one(seed: int) -> dict:
             det_i = dataclasses.replace(det, seed=seed)
             sc = angular_basis_scan(
                 state, l, det_i, grid, waist,
-                annulus=annulus, nbins=cfg.analysis.nbins, sampled=True, tag="scan",
+                annulus=annulus, nbins=cfg.analysis.nbins, tag="scan",
             )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 

@@ -23,7 +23,6 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-9
 NULL_TOL = 1e-15
 
-DEFAULT_OAM_ALPHABET = tuple(range(-3, 4))
 POL_LABELS = ("H", "V")
 
 
@@ -59,7 +58,7 @@ def pol_subsystem(name: str = "pol") -> Subsystem:
     return Subsystem(name, POL_LABELS)
 
 
-def oam_subsystem(alphabet=DEFAULT_OAM_ALPHABET, name: str = "oam") -> Subsystem:
+def oam_subsystem(alphabet, name: str = "oam") -> Subsystem:
     alphabet = tuple(int(l) for l in alphabet)
     if tuple(sorted(alphabet)) != alphabet:
         raise ValueError("OAM alphabet must be ascending")
@@ -253,18 +252,6 @@ class DensityMatrix(_State):
 # -- measurement -----------------------------------------------------------
 
 
-def _single_subsystem_proj(proj: Ket, target: Subsystem):
-    if len(proj.subsystems) != 1:
-        raise InvalidCompositionError("projection ket must live on a single subsystem")
-    ps = proj.subsystems[0]
-    if ps.labels != target.labels:
-        raise InvalidCompositionError(
-            f"projection alphabet {ps.labels} does not match subsystem "
-            f"{target.name!r} with {target.labels}"
-        )
-    return proj.amplitudes
-
-
 def project(state, proj: Ket, subsystem: str | None = None):
     """Project one named subsystem onto ``proj``.
 
@@ -278,7 +265,15 @@ def project(state, proj: Ket, subsystem: str | None = None):
     if not isinstance(state, _State):
         raise TypeError(f"cannot project a {type(state).__name__}")
     ax = state.axis(subsystem)
-    v = _single_subsystem_proj(proj, state.subsystems[ax])
+    target = state.subsystems[ax]
+    if len(proj.subsystems) != 1:
+        raise InvalidCompositionError("projection ket must live on a single subsystem")
+    if proj.subsystems[0].labels != target.labels:
+        raise InvalidCompositionError(
+            f"projection alphabet {proj.subsystems[0].labels} does not match subsystem "
+            f"{target.name!r} with {target.labels}"
+        )
+    v = proj.amplitudes
     remaining = state.subsystems[:ax] + state.subsystems[ax + 1 :]
     if isinstance(state, Ket):
         t = state.amplitudes.reshape(state.dims)
@@ -300,33 +295,6 @@ def project(state, proj: Ket, subsystem: str | None = None):
     mat = mat / p
     mat = 0.5 * (mat + mat.conj().T)
     return DensityMatrix(remaining, mat), p
-
-
-def joint_probability(state, projections: dict) -> float:
-    """Born probability for simultaneous projections {subsystem: ket}."""
-    if not projections:
-        raise ValueError("need at least one projection")
-    if isinstance(state, Ket):
-        t = state.amplitudes.reshape(state.dims)
-        # contract from the highest axis down so earlier indices stay valid
-        order = sorted(((state.axis(n), n) for n in projections), reverse=True)
-        for ax, name in order:
-            v = _single_subsystem_proj(projections[name], state.subsystems[ax])
-            t = np.tensordot(v.conj(), np.moveaxis(t, ax, 0), axes=([0], [0]))
-        return float(np.sum(np.abs(t) ** 2))
-    if isinstance(state, DensityMatrix):
-        p_total = 1.0
-        current = state
-        for name in list(projections):
-            if current is None:
-                return 0.0
-            residual, p = project(current, projections[name], subsystem=name)
-            p_total *= p
-            if p < NULL_TOL:
-                return 0.0
-            current = residual
-        return p_total
-    raise TypeError(f"cannot measure a {type(state).__name__}")
 
 
 def partial_trace(state, keep) -> DensityMatrix:

@@ -9,6 +9,7 @@ base and double as determinism pins.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 def bell_state(l=0):
     if l == 0:
         return down_convert(pump_state(0, alphabet=(0,)))
-    return down_convert(pump_state(l))
+    return down_convert(pump_state(l, alphabet=tuple(range(-3, 4))))
 
 
 def expectation_detector():
@@ -68,10 +69,10 @@ def test_criterion_1_ideal_state_suite():
     det = expectation_detector()
 
     pol = bell_state(0)
-    s_val, _ = chsh(chsh_table(pol, det, sampled=False))
+    s_val, _ = chsh(chsh_table(pol, replace(det, sampled=False)))
     assert s_val == pytest.approx(TSIRELSON, abs=1e-9)
 
-    rho = tomography_linear(tomography_counts(pol, det, sampled=False))
+    rho = tomography_linear(tomography_counts(pol, replace(det, sampled=False)))
     psi3 = Ket(TWO_QUBIT_SUBS, np.array([1, 0, 0, -1.0]) / math.sqrt(2))
     assert fidelity(rho, psi3) == pytest.approx(1.0, abs=1e-9)
 
@@ -88,13 +89,13 @@ def test_criterion_2_werner_calibration():
     det = expectation_detector()
 
     rho = apply_noise(bell_state(0), 0.0347)
-    s_val, _ = chsh(chsh_table(rho, det, sampled=False))
+    s_val, _ = chsh(chsh_table(rho, replace(det, sampled=False)))
     assert s_val == pytest.approx(TSIRELSON * (1.0 - 0.0347), abs=1e-12)
     assert s_val == pytest.approx(2.730, abs=1e-3)
 
     for p, basis, target in ((0.003, "H", 0.997), (0.031, "D", 0.969)):
         noisy = apply_noise(bell_state(0), p)
-        series = sweep_series(noisy, SETTINGS[basis], det, l=0, sampled=False)
+        series = sweep_series(noisy, SETTINGS[basis], replace(det, sampled=False), l=0)
         fit = fit_visibility(series)
         assert fit.V == pytest.approx(target, abs=1e-6)
 
@@ -108,8 +109,8 @@ def test_criterion_3_petal_geometry():
     half_bin = 0.5 * 360.0 / 72
     for l in (1, 2, 3):
         scan = angular_basis_scan(
-            bell_state(l), l, det, (256, default_extent(1.0, l)), 1.0,
-            nbins=72, sampled=False,
+            bell_state(l), l, replace(det, sampled=False), (256, default_extent(1.0, l)), 1.0,
+            nbins=72,
         )
         period = 180.0 / l
         spacing = 360.0 / (2 * l)
@@ -198,10 +199,10 @@ def test_criterion_5_tomography_round_trip():
         full = DensityMatrix(TWO_QUBIT_SUBS + OAM0, mat)
         target = DensityMatrix(TWO_QUBIT_SUBS, mat)
 
-        exact = tomography_linear(tomography_counts(full, det_exp, sampled=False))
+        exact = tomography_linear(tomography_counts(full, replace(det_exp, sampled=False)))
         assert state_fidelity(exact, target) >= 1.0 - 1e-9
 
-        counts = tomography_counts(full, det_smp, sampled=True, tag=("tomo200", k))
+        counts = tomography_counts(full, det_smp, tag=("tomo200", k))
         noisy = tomography_linear(counts).clip_to_physical()
         fidelities.append(state_fidelity(noisy, target))
     mean_f = float(np.mean(fidelities))
@@ -226,7 +227,7 @@ def test_criterion_6_separable_state_guards():
         sig_pol = rng.normal(size=2) + 1j * rng.normal(size=2)
         product = Ket(chsh_subs, np.kron(idler, np.kron(sig_pol, [1.0])))
         s_val, s_sigma = chsh(
-            chsh_table(product, det, sampled=True, tag=("sep", k))
+            chsh_table(product, det, tag=("sep", k))
         )
         if s_val > 2.0 + 3.0 * s_sigma:
             violations.append(("chsh", k, s_val, s_sigma))

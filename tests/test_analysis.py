@@ -36,13 +36,13 @@ TWO_QUBIT_SUBS = (pol_subsystem("idler"), pol_subsystem("signal_pol"))
 def bell_state(l=0):
     if l == 0:
         return down_convert(pump_state(0, alphabet=(0,)))
-    return down_convert(pump_state(l))
+    return down_convert(pump_state(l, alphabet=tuple(range(-3, 4))))
 
 
 def expectation_detector():
     return DetectorModel(
         pair_rate=1e4, accidental_rate=0.0, integration_time=10.0,
-        rate_scale_per_l={0: 1.0, 1: 0.5, 2: 0.25, 3: 0.12}, seed=0,
+        rate_scale_per_l={0: 1.0, 1: 0.5, 2: 0.25, 3: 0.12}, seed=0, sampled=False,
     )
 
 
@@ -50,7 +50,7 @@ def expectation_detector():
 
 
 def test_ideal_sweep_fits_unit_visibility():
-    series = sweep_series(bell_state(), SETTINGS["H"], expectation_detector(), sampled=False)
+    series = sweep_series(bell_state(), SETTINGS["H"], expectation_detector())
     fit = fit_visibility(series)
     assert fit.V == pytest.approx(1.0, abs=1e-9)
     assert not fit.flags
@@ -58,7 +58,7 @@ def test_ideal_sweep_fits_unit_visibility():
 
 def test_werner_sweep_visibility_matches_noise():
     rho = apply_noise(bell_state(3), 0.003)
-    series = sweep_series(rho, SETTINGS["H"], expectation_detector(), l=3, sampled=False)
+    series = sweep_series(rho, SETTINGS["H"], expectation_detector(), l=3)
     fit = fit_visibility(series)
     assert fit.V == pytest.approx(0.997, abs=1e-6)
 
@@ -95,9 +95,17 @@ def test_overshooting_fringe_is_clipped_and_flagged():
 
 
 def test_ideal_chsh_reaches_tsirelson():
-    table = chsh_table(bell_state(), expectation_detector(), sampled=False)
+    table = chsh_table(bell_state(), expectation_detector())
     s, sigma = chsh(table)
     assert s == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
+
+
+def test_chsh_sampled_override_matches_the_detector_switch():
+    det = expectation_detector()
+    sampled = dataclasses.replace(det, sampled=True)
+    means = chsh_table(bell_state(), det)
+    assert np.array_equal(chsh_table(bell_state(), sampled, sampled=False), means)
+    assert not np.array_equal(chsh_table(bell_state(), sampled), means)
 
 
 def test_werner_chsh_closed_form():
@@ -105,17 +113,17 @@ def test_werner_chsh_closed_form():
     # OAM register from which-path marking the polarization branches
     for p in (0.0, 0.0347, 0.1, 0.3):
         rho = apply_noise(bell_state(), p)
-        table = chsh_table(rho, expectation_detector(), sampled=False)
+        table = chsh_table(rho, expectation_detector())
         s, _ = chsh(table)
         assert s == pytest.approx(2.0 * math.sqrt(2.0) * (1.0 - p), abs=1e-9)
     rho = apply_noise(bell_state(), 0.0347)
-    s, _ = chsh(chsh_table(rho, expectation_detector(), sampled=False))
+    s, _ = chsh(chsh_table(rho, expectation_detector()))
     assert s == pytest.approx(2.7302807035174976, abs=1e-12)
 
 
 def test_oam_which_path_marking_kills_polarization_chsh():
     # with the plate in (l = 3) the same analyzer chain sees only sqrt(2)
-    s, _ = chsh(chsh_table(bell_state(3), expectation_detector(), l=3, sampled=False))
+    s, _ = chsh(chsh_table(bell_state(3), expectation_detector(), l=3))
     assert s == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
@@ -124,7 +132,7 @@ def test_product_state_chsh_is_sqrt_two():
         TWO_QUBIT_SUBS + (oam_subsystem((0,), name="signal_oam"),),
         np.array([1.0, 0, 0, 0]),
     )
-    table = chsh_table(hh, expectation_detector(), sampled=False)
+    table = chsh_table(hh, expectation_detector())
     s, _ = chsh(table)
     # E = cos(2a) cos(2b) for |HH>: only the a=0 terms survive
     expected = abs(
@@ -151,7 +159,7 @@ def test_tomography_canonical_order():
 
 
 def test_ideal_tomography_recovers_bell_state():
-    counts = tomography_counts(bell_state(), expectation_detector(), sampled=False)
+    counts = tomography_counts(bell_state(), expectation_detector())
     rho = tomography_linear(counts)
     bell = Ket(TWO_QUBIT_SUBS, np.array([1, 0, 0, -1.0]) / math.sqrt(2), fix_phase=False)
     assert fidelity(rho, bell) == pytest.approx(1.0, abs=1e-9)
@@ -161,7 +169,7 @@ def test_ideal_tomography_recovers_bell_state():
 def test_tomography_recovers_werner_coherence():
     p = 0.12
     rho_in = apply_noise(bell_state(), p)
-    counts = tomography_counts(rho_in, expectation_detector(), sampled=False)
+    counts = tomography_counts(rho_in, expectation_detector())
     rho = tomography_linear(counts)
     assert rho.matrix[0, 3] == pytest.approx(-(1 - p) / 2.0, abs=1e-9)
     assert rho.matrix[0, 0] == pytest.approx((1 - p) / 2.0 + p / 4.0, abs=1e-9)
@@ -177,7 +185,7 @@ def test_random_density_matrices_round_trip():
         full = DensityMatrix(
             TWO_QUBIT_SUBS + (oam_subsystem((0,), name="signal_oam"),), mat
         )
-        counts = tomography_counts(full, det, sampled=False)
+        counts = tomography_counts(full, det)
         rho = tomography_linear(counts)
         target = DensityMatrix(TWO_QUBIT_SUBS, mat)
         assert state_fidelity(rho, target) >= 1.0 - 1e-9
@@ -189,7 +197,7 @@ def test_sampled_tomography_fidelity_window():
         pair_rate=1e4, accidental_rate=0.0, integration_time=1.0,
         rate_scale_per_l={0: 1.0}, seed=42,
     )
-    counts = tomography_counts(rho_in, det, sampled=True)
+    counts = tomography_counts(rho_in, det)
     rho = tomography_linear(counts).clip_to_physical()
     pol = np.zeros((4, 4), dtype=complex)
     bell = np.array([1, 0, 0, -1.0]) / math.sqrt(2)
@@ -287,7 +295,7 @@ def test_scan_petal_shifts_follow_quarter_and_half_periods():
     det = expectation_detector()
     for l in (1, 2, 3):
         scan = angular_basis_scan(
-            bell_state(l), l, det, (256, default_extent(1.0, l)), 1.0, sampled=False
+            bell_state(l), l, det, (256, default_extent(1.0, l)), 1.0
         )
         t0 = {b: math.degrees(f.theta0) for b, f in scan.fits.items()}
         period = 180.0 / l
@@ -310,7 +318,7 @@ def test_image_route_bound_over_random_product_states():
             idler = rng.normal(size=2) + 1j * rng.normal(size=2)
             sig = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = Ket(subs, np.kron(idler, sig))
-            scan = angular_basis_scan(state, l, det, grid, 1.0, sampled=False)
+            scan = angular_basis_scan(state, l, det, grid, 1.0)
             assert scan.W <= 1.0, l
 
 
@@ -318,7 +326,7 @@ def test_sampled_image_route_bound_over_random_product_states():
     # on Poisson-sampled images a separable state may pass W = 1 by shot
     # noise only, so its W stays within 3 bootstrap sigma of the bound
     rng = np.random.default_rng(45)
-    det = expectation_detector()
+    det = dataclasses.replace(expectation_detector())
     for l in (1, 2, 3):
         subs = TWO_QUBIT_SUBS + (oam_subsystem((-l, l), name="signal_oam"),)
         grid = (128, default_extent(1.0, l))
@@ -329,7 +337,7 @@ def test_sampled_image_route_bound_over_random_product_states():
 
             def witness(seed):
                 det_i = dataclasses.replace(det, seed=seed)
-                return {"W": angular_basis_scan(state, l, det_i, grid, 1.0, sampled=True).W}
+                return {"W": angular_basis_scan(state, l, det_i, grid, 1.0).W}
 
             w = witness(det.seed)["W"]
             sigma = bootstrap_errors(witness, n_iter=20, seed=det.seed).sigma("W")
@@ -347,7 +355,7 @@ def chsh_pipeline(pair_rate):
             pair_rate=pair_rate, accidental_rate=0.0, integration_time=10.0,
             rate_scale_per_l={0: 1.0}, seed=seed,
         )
-        s, _ = chsh(chsh_table(state, det, sampled=True))
+        s, _ = chsh(chsh_table(state, det))
         return {"S": s}
 
     return run

@@ -10,7 +10,7 @@ import pytest
 
 from hesim import lgmodes, pipelines
 from hesim.cli import main
-from hesim.config import RunConfig
+from hesim.config import MAX_SWEEP_POINTS, RunConfig
 from hesim.errors import ConfigError
 from hesim.pipelines import _check_stack_memory
 
@@ -65,11 +65,22 @@ def test_unknown_keys_rejected_at_both_levels():
         {"analysis": {"sweep_step_deg": 0}},
         {"analysis": {"sweep_step_deg": -5}},
         {"analysis": {"sweep_step_deg": 60}},
+        {"analysis": {"sweep_step_deg": "10"}},
+        {"analysis": {"sweep_step_deg": True}},
+        # a sweep of 360/step points, refused before anything is allocated
+        {"analysis": {"sweep_step_deg": 0.999 * 360.0 / MAX_SWEEP_POINTS}},
+        {"analysis": {"sweep_step_deg": 5e-324}},
     ],
 )
 def test_bad_values_rejected(patch):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(patch)
+
+
+def test_sweep_step_echoed_as_given():
+    for step in (10, 2.5, 360.0 / MAX_SWEEP_POINTS):
+        echoed = RunConfig.from_dict({"analysis": {"sweep_step_deg": step}}).to_dict()
+        assert repr(echoed["analysis"]["sweep_step_deg"]) == repr(step)
 
 
 def test_rate_scale_keys_coerced_from_json_strings():
@@ -204,6 +215,11 @@ def test_cli_bad_config_exits_2(tmp_path):
         ),
         pytest.param(
             {"analysis": {"sweep_step_deg": 60}}, ["polarization-bell"], id="step-bell"
+        ),
+        pytest.param(
+            {"analysis": {"sweep_step_deg": "10"}},
+            ["polarization-bell", "--noise", "0.1"],
+            id="step-string-bell",
         ),
         # 7 modes at 20000^2 px: 304 B x 20000^2 = 113 GiB for a gallery render
         pytest.param({"grid": {"n": 20000}}, ["pump-gallery"], id="memory-gallery"),

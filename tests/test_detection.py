@@ -7,7 +7,7 @@ from hesim.detection import (
     SETTINGS,
     DetectorModel,
     analyzer_state,
-    coincidence_prob,
+    coincidence_row,
     conditional_oam,
     derived_seed,
     heralded_image,
@@ -20,6 +20,8 @@ from hesim.jones import pump_state
 from hesim.lgmodes import angular_maxima, angular_profile, default_annulus, default_extent, petal_fit
 from hesim.quantum import pol_ket
 from hesim.spdc import apply_noise, down_convert
+
+OAM3 = tuple(range(-3, 4))
 
 POL = {
     "H": np.array([1.0, 0.0]),
@@ -76,40 +78,43 @@ def test_coincidence_table_against_kron_oracle():
     bell = np.zeros(4, dtype=complex)
     bell[0], bell[3] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     for a, va in POL.items():
-        for b, vb in POL.items():
+        row = coincidence_row(state, SETTINGS[a], [SETTINGS[b] for b in POL])
+        for (b, vb), got in zip(POL.items(), row):
             expected = abs(np.vdot(np.kron(va, vb), bell)) ** 2
-            got = coincidence_prob(state, SETTINGS[a], SETTINGS[b])
             assert got == pytest.approx(expected, abs=1e-10), (a, b)
 
 
 def test_coincidence_spot_values():
     state = bell_state()
-    assert coincidence_prob(state, SETTINGS["H"], SETTINGS["H"]) == pytest.approx(0.5, abs=1e-12)
-    assert coincidence_prob(state, SETTINGS["D"], SETTINGS["D"]) == pytest.approx(0.0, abs=1e-12)
-    assert coincidence_prob(state, SETTINGS["D"], SETTINGS["A"]) == pytest.approx(0.5, abs=1e-12)
+    assert coincidence_row(state, SETTINGS["H"], [SETTINGS["H"]]) == [pytest.approx(0.5, abs=1e-12)]
+    assert coincidence_row(state, SETTINGS["D"], [SETTINGS["D"], SETTINGS["A"]]) == [
+        pytest.approx(0.0, abs=1e-12),
+        pytest.approx(0.5, abs=1e-12),
+    ]
+    assert coincidence_row(state, SETTINGS["H"], []) == []
     with pytest.raises(ConfigError):  # labels are looked up in SETTINGS by the caller
-        coincidence_prob(state, "H", "H")
+        coincidence_row(state, "H", ["H"])
 
 
 def test_werner_correlation_visibility_is_one_minus_p():
     for p in (0.0, 0.1, 0.31):
-        rho = apply_noise(down_convert(pump_state(3)), p)
+        rho = apply_noise(down_convert(pump_state(3, alphabet=OAM3)), p)
         idler = pol_ket("V", name="idler")
-        probs = [
-            coincidence_prob(rho, idler, linear_analyzer_ket(np.radians(x), "signal"))
-            for x in np.arange(0, 180, 7.5)
-        ]
+        probs = coincidence_row(
+            rho, idler, [linear_analyzer_ket(np.radians(x), "signal") for x in np.arange(0, 180, 7.5)]
+        )
         vis = (max(probs) - min(probs)) / (max(probs) + min(probs))
         assert vis == pytest.approx(1.0 - p, abs=1e-10)
 
 
 def test_no_signaling_idler_marginal():
-    rho = apply_noise(down_convert(pump_state(2)), 0.2)
+    rho = apply_noise(down_convert(pump_state(2, alphabet=OAM3)), 0.2)
     base = None
     for chi in np.radians(np.arange(0, 180, 12.5)):
         total = sum(
-            coincidence_prob(rho, SETTINGS["D"], linear_analyzer_ket(c, "signal"))
-            for c in (chi, chi + np.pi / 2)
+            coincidence_row(
+                rho, SETTINGS["D"], [linear_analyzer_ket(c, "signal") for c in (chi, chi + np.pi / 2)]
+            )
         )
         base = total if base is None else base
         assert total == pytest.approx(base, abs=1e-10)
@@ -204,14 +209,14 @@ def test_derived_seed_flattens_nested_tags():
 
 
 def test_conditional_oam_weight_equals_trace():
-    state = down_convert(pump_state(3))
+    state = down_convert(pump_state(3, alphabet=OAM3))
     block, weight = conditional_oam(state, SETTINGS["A"], SETTINGS["D"])
     assert weight == pytest.approx(np.trace(block).real, abs=1e-12)
     assert weight == pytest.approx(0.25, abs=1e-12)
 
 
 def test_conditional_oam_without_idler_sums_basis():
-    state = down_convert(pump_state(1))
+    state = down_convert(pump_state(1, alphabet=OAM3))
     none_block, none_w = conditional_oam(state, None, SETTINGS["D"])
     h_block, h_w = conditional_oam(state, pol_ket("H"), SETTINGS["D"])
     v_block, v_w = conditional_oam(state, pol_ket("V"), SETTINGS["D"])
@@ -222,25 +227,25 @@ def test_conditional_oam_without_idler_sums_basis():
 
 
 def test_conditional_oam_null_projection_is_zero():
-    state = down_convert(pump_state(1, alpha=1.0))  # idler is purely V
+    state = down_convert(pump_state(1, alpha=1.0, alphabet=OAM3))  # idler is purely V
     block, weight = conditional_oam(state, pol_ket("H"), SETTINGS["D"])
     assert weight == 0.0
     assert not block.any()
 
 
-def make_detector(seed=0):
+def make_detector(seed=0, sampled=True):
     return DetectorModel(
         pair_rate=1e4, accidental_rate=0.0, integration_time=10.0,
-        rate_scale_per_l={0: 1.0, 1: 0.5, 2: 0.25, 3: 0.12}, seed=seed,
+        rate_scale_per_l={0: 1.0, 1: 0.5, 2: 0.25, 3: 0.12}, seed=seed, sampled=sampled,
     )
 
 
 def heralded(l, idler, sampled=False, seed=0, tag="t"):
-    state = down_convert(pump_state(l))
+    state = down_convert(pump_state(l, alphabet=OAM3))
     grid = (256, default_extent(1.0, l))
     setting = None if idler is None else SETTINGS[idler]
     return heralded_image(
-        state, setting, SETTINGS["D"], grid, 1.0, make_detector(seed), l, sampled=sampled, tag=tag
+        state, setting, SETTINGS["D"], grid, 1.0, make_detector(seed, sampled), l, tag=tag
     )
 
 
@@ -259,9 +264,9 @@ def test_heralded_none_image_is_uniform():
         pair_rate=1e6, accidental_rate=0.0, integration_time=10.0,
         rate_scale_per_l={1: 0.5}, seed=0,
     )
-    state = down_convert(pump_state(1))
+    state = down_convert(pump_state(1, alphabet=OAM3))
     grid = (256, default_extent(1.0, 1))
-    img_s = heralded_image(state, None, SETTINGS["D"], grid, 1.0, det, 1, sampled=True)
+    img_s = heralded_image(state, None, SETTINGS["D"], grid, 1.0, det, 1)
     fit_s = petal_fit(angular_profile(img_s, 72, default_annulus(1.0, 1)), 1)
     assert fit_s.visibility < 0.02
 
@@ -281,10 +286,10 @@ def test_heralded_r_and_a_differ_by_quarter_period():
 
 
 def test_heralded_empty_image_flag():
-    state = down_convert(pump_state(1, alpha=1.0))
+    state = down_convert(pump_state(1, alpha=1.0, alphabet=OAM3))
     grid = (256, default_extent(1.0, 1))
     img = heralded_image(
-        state, SETTINGS["H"], SETTINGS["D"], grid, 1.0, make_detector(), 1, sampled=False
+        state, SETTINGS["H"], SETTINGS["D"], grid, 1.0, make_detector(sampled=False), 1
     )
     assert img.empty
     assert not img.pixels.any()

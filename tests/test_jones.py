@@ -8,7 +8,6 @@ import pytest
 from hesim.errors import ConfigError
 from hesim.jones import half_wave, pump_state, quarter_wave, rotation
 from hesim.quantum import (
-    DEFAULT_OAM_ALPHABET,
     Ket,
     oam_subsystem,
     partial_trace,
@@ -18,6 +17,7 @@ from hesim.quantum import (
 )
 
 TWO_PI = 2.0 * np.pi
+OAM3 = tuple(range(-3, 4))
 H = np.array([1.0, 0.0], dtype=complex)
 
 
@@ -70,7 +70,7 @@ class SagnacConfig:
         )
 
 
-def prepare_pump(cfg: SagnacConfig, alphabet=DEFAULT_OAM_ALPHABET) -> Ket:
+def prepare_pump(cfg: SagnacConfig, alphabet=OAM3) -> Ket:
     """Trace the diagonal pump through the Sagnac element by element.
 
     A diagonally polarized Gaussian enters the loop; the PBS sends H around
@@ -193,7 +193,7 @@ def test_prepare_pump_matches_closed_form_grid():
     for l in (0, 1, 2, 3):
         for phi in (0.0, np.pi / 4, np.pi / 2, np.pi):
             built = prepare_pump(SagnacConfig(spp_order=l, asymmetry_phase=phi))
-            closed = pump_state(l, phi if l else 0.0)
+            closed = pump_state(l, phi if l else 0.0, alphabet=OAM3)
             assert np.allclose(built.amplitudes, closed.amplitudes, atol=1e-12)
 
 
@@ -204,12 +204,12 @@ def test_prepare_pump_rejects_charge_outside_alphabet():
 
 def test_pump_reduced_polarization_maximally_mixed():
     for l in (1, 2, 3):
-        red = partial_trace(pump_state(l), "pol")
+        red = partial_trace(pump_state(l, alphabet=OAM3), "pol")
         assert np.trace(red.matrix @ red.matrix).real == pytest.approx(0.5, abs=1e-10)
 
 
 def test_pump_projections_are_pure_vortices():
-    k = pump_state(2)
+    k = pump_state(2, alphabet=OAM3)
     res_h, p_h = project(k, pol_ket("H"), subsystem="pol")
     res_v, p_v = project(k, pol_ket("V"), subsystem="pol")
     assert p_h == pytest.approx(0.5, abs=1e-12)
@@ -219,11 +219,11 @@ def test_pump_projections_are_pure_vortices():
 
 
 def test_pump_state_unbalanced_alpha():
-    k = pump_state(1, alpha=0.6)
+    k = pump_state(1, alpha=0.6, alphabet=OAM3)
     assert abs(amplitude(k, "H", 1)) == pytest.approx(0.6, abs=1e-12)
     assert abs(amplitude(k, "V", -1)) == pytest.approx(0.8, abs=1e-12)
     with pytest.raises(ConfigError):
-        pump_state(1, alpha=1.2)
+        pump_state(1, alpha=1.2, alphabet=OAM3)
 
 
 def test_sagnac_config_wraps_phase():

@@ -36,6 +36,7 @@ from hesim.lgmodes import (
 )
 from hesim.quantum import pol_ket
 
+OAM3 = tuple(range(-3, 4))
 GRID = (256, default_extent(1.0, 3))
 
 
@@ -113,7 +114,7 @@ def test_pixel_polar_orientation():
 
 
 def test_project_h_gives_uniform_vortex_ring():
-    img = render_projection(pump_state(1), pol_ket("H"), GRID, 1.0)
+    img = render_projection(pump_state(1, alphabet=OAM3), pol_ket("H"), GRID, 1.0)
     # a single vortex is azimuthally uniform: no petal modulation survives the
     # fit, and the image inherits the full symmetry of the grid
     fit = petal_fit(angular_profile(img, 72, default_annulus(1.0, 1)), 1)
@@ -129,7 +130,7 @@ def test_project_h_gives_uniform_vortex_ring():
 
 
 def test_project_d_gives_six_petals_at_l3():
-    img = render_projection(pump_state(3), pol_ket("D"), GRID, 1.0)
+    img = render_projection(pump_state(3, alphabet=OAM3), pol_ket("D"), GRID, 1.0)
     hist = angular_profile(img, 72, default_annulus(1.0, 3))
     maxima = angular_maxima(hist)
     assert len(maxima) == 6
@@ -139,13 +140,13 @@ def test_project_d_gives_six_petals_at_l3():
 
 def test_zero_probability_projection_flagged_empty():
     # pump with alpha=1 has no V component at all
-    img = render_projection(pump_state(1, alpha=1.0), pol_ket("V"), GRID, 1.0)
+    img = render_projection(pump_state(1, alpha=1.0, alphabet=OAM3), pol_ket("V"), GRID, 1.0)
     assert img.empty
     assert not img.pixels.any()
 
 
 def test_unprojected_pump_is_uniform_ring():
-    img = render_unprojected(pump_state(1), GRID, 1.0)
+    img = render_unprojected(pump_state(1, alphabet=OAM3), GRID, 1.0)
     hist = angular_profile(img, 72, default_annulus(1.0, 1))
     fit = petal_fit(hist, 1)
     assert fit.visibility < 1e-6
@@ -167,7 +168,7 @@ def test_uniform_ring_bins_equal_within_pixelization():
 
 def test_two_petal_profile_has_two_maxima():
     grid = (256, default_extent(1.0, 1))
-    img = render_projection(pump_state(1), pol_ket("D"), grid, 1.0)
+    img = render_projection(pump_state(1, alphabet=OAM3), pol_ket("D"), grid, 1.0)
     hist = angular_profile(img, 72, default_annulus(1.0, 1))
     maxima = angular_maxima(hist)
     assert len(maxima) == 2
@@ -176,7 +177,7 @@ def test_two_petal_profile_has_two_maxima():
 
 
 def test_empty_annulus_raises():
-    img = render_projection(pump_state(1), pol_ket("H"), GRID, 1.0)
+    img = render_projection(pump_state(1, alphabet=OAM3), pol_ket("H"), GRID, 1.0)
     with pytest.raises(ValueError):
         angular_profile(img, 72, (0.0001, 0.0002))
 
@@ -245,10 +246,10 @@ def test_rotation_law_phase_to_angle():
     # adding phase phi on the -l amplitude rotates petals by phi / (2l)
     bin_width = 2 * np.pi / 72
     for l in (1, 2, 3):
-        base = render_projection(pump_state(l, 0.0), pol_ket("D"), GRID, 1.0)
+        base = render_projection(pump_state(l, 0.0, alphabet=OAM3), pol_ket("D"), GRID, 1.0)
         t0 = petal_fit(angular_profile(base, 72, default_annulus(1.0, l)), l).theta0
         for phi in (np.pi / 4, np.pi / 2, np.pi):
-            img = render_projection(pump_state(l, phi), pol_ket("D"), GRID, 1.0)
+            img = render_projection(pump_state(l, phi, alphabet=OAM3), pol_ket("D"), GRID, 1.0)
             fit = petal_fit(angular_profile(img, 72, default_annulus(1.0, l)), l)
             shift = circular_distance(fit.theta0, t0, np.pi / l)
             expected = phi / (2 * l)
@@ -260,7 +261,7 @@ def test_rotation_law_phase_to_angle():
 
 
 def test_pgm_round_trip(tmp_path):
-    img = render_projection(pump_state(1), pol_ket("D"), (64, 8.0), 1.0)
+    img = render_projection(pump_state(1, alphabet=OAM3), pol_ket("D"), (64, 8.0), 1.0)
     path = tmp_path / "petals.pgm"
     write_pgm(img, path)
     data = read_pgm(path)
@@ -328,8 +329,8 @@ def test_histogram_csv_format(tmp_path):
 
 
 def test_render_determinism():
-    a = render_projection(pump_state(2), pol_ket("L"), (128, 10.0), 1.0)
-    b = render_projection(pump_state(2), pol_ket("L"), (128, 10.0), 1.0)
+    a = render_projection(pump_state(2, alphabet=OAM3), pol_ket("L"), (128, 10.0), 1.0)
+    b = render_projection(pump_state(2, alphabet=OAM3), pol_ket("L"), (128, 10.0), 1.0)
     assert np.array_equal(a.pixels, b.pixels)
 
 

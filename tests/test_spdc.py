@@ -18,6 +18,7 @@ from hesim.quantum import (
 )
 from hesim.spdc import apply_noise, down_convert
 
+OAM3 = tuple(range(-3, 4))
 H = np.array([1.0, 0.0])
 V = np.array([0.0, 1.0])
 
@@ -45,7 +46,7 @@ def test_gaussian_pump_gives_singlet_like_bell_pair():
 def test_oam_pump_amplitude_table():
     # (|H,+3> + e^{-i phi} |V,-3>)/sqrt(2) -> (-|V V,+3> + e^{-i phi} |H H,-3>)/sqrt(2)
     phi = 0.7
-    full = down_convert(pump_state(3, phi))
+    full = down_convert(pump_state(3, phi, alphabet=OAM3))
     amps = full.amplitudes.reshape(2, 2, 7)
     # labels -3..3: index 0 is -3, index 6 is +3
     assert amps[1, 1, 6] == pytest.approx(-1 / np.sqrt(2), abs=1e-12)
@@ -72,9 +73,10 @@ def test_custom_crystal_sign():
     # pump phase shifted by chi, up to the global phase exp(i chi)
     for chi in (0.4, 1.3, np.pi, 5.0):
         for phi in (0.0, 0.7):
-            amps = down_convert(pump_state(2, phi)).amplitudes.reshape(2, 2, -1).copy()
+            pump = pump_state(2, phi, alphabet=OAM3)
+            amps = down_convert(pump).amplitudes.reshape(2, 2, -1).copy()
             amps[1, 1, :] *= np.exp(1j * chi)  # the H -> VV branch carries s
-            shifted = down_convert(pump_state(2, phi + chi)).amplitudes
+            shifted = down_convert(pump_state(2, phi + chi, alphabet=OAM3)).amplitudes
             assert np.allclose(amps.reshape(-1), np.exp(1j * chi) * shifted, atol=1e-12)
 
 
@@ -118,7 +120,7 @@ def test_down_convert_is_an_isometry():
 
 
 def test_herald_on_v_selects_the_plus_l_branch():
-    full = down_convert(pump_state(3))
+    full = down_convert(pump_state(3, alphabet=OAM3))
     signal, p = project(full, pol_ket("V"), subsystem="idler")
     assert p == pytest.approx(0.5, abs=1e-12)
     oracle = np.zeros(14)
@@ -152,14 +154,14 @@ def test_r_and_l_heralds_are_orthogonal_petal_patterns():
 
 
 def test_herald_completeness_over_bases():
-    full = down_convert(pump_state(2, 0.3))
+    full = down_convert(pump_state(2, 0.3, alphabet=OAM3))
     for pair in (("H", "V"), ("D", "A"), ("R", "L")):
         total = sum(project(full, pol_ket(n), subsystem="idler")[1] for n in pair)
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_herald_requires_single_qubit_projection():
-    full = down_convert(pump_state(1))
+    full = down_convert(pump_state(1, alphabet=OAM3))
     two = Ket((pol_subsystem("a"), pol_subsystem("b")), np.array([1, 0, 0, 0.0]))
     with pytest.raises(InvalidCompositionError):
         project(full, two, subsystem="idler")
@@ -169,7 +171,7 @@ def test_herald_requires_single_qubit_projection():
 
 
 def test_noise_zero_is_identity():
-    full = down_convert(pump_state(1))
+    full = down_convert(pump_state(1, alphabet=OAM3))
     assert apply_noise(full, 0.0) is full
 
 
@@ -194,16 +196,13 @@ def test_gaussian_pump_noise_is_exact_werner():
 
 def test_noise_strength_sets_sweep_visibility():
     # idler fixed at H, signal polarizer rotated: contrast is exactly 1 - p
-    from hesim.detection import coincidence_prob, linear_analyzer_ket
+    from hesim.detection import coincidence_row, linear_analyzer_ket
 
     p = 0.031
-    rho = apply_noise(down_convert(pump_state(3)), p)
+    rho = apply_noise(down_convert(pump_state(3, alphabet=OAM3)), p)
     idler = pol_ket("V", name="idler")
     angles = np.radians(np.arange(0, 360, 15.0))
-    probs = [
-        coincidence_prob(rho, idler, linear_analyzer_ket(a, "signal"))
-        for a in angles
-    ]
+    probs = coincidence_row(rho, idler, [linear_analyzer_ket(a, "signal") for a in angles])
     vis = (max(probs) - min(probs)) / (max(probs) + min(probs))
     assert vis == pytest.approx(1.0 - p, abs=1e-10)
 
@@ -223,7 +222,7 @@ def test_polarization_space_noise_keeps_oam_marginal():
 
 
 def test_noise_validation():
-    full = down_convert(pump_state(1))
+    full = down_convert(pump_state(1, alphabet=OAM3))
     with pytest.raises(ConfigError):
         apply_noise(full, -0.1)
     with pytest.raises(ConfigError):
@@ -235,7 +234,7 @@ def test_noise_validation():
 
 
 def test_noise_preserves_trace_and_hermiticity():
-    full = down_convert(pump_state(2, 0.9))
+    full = down_convert(pump_state(2, 0.9, alphabet=OAM3))
     for p in (0.05, 0.5, 0.95):
         rho = apply_noise(full, p)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
