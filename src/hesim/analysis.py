@@ -145,7 +145,8 @@ def chsh_table(
 
     Rows are the idler dial at (a, a+90, a', a'+90); columns the signal dial
     at (b, b+90, b', b'+90), each in its own arm frame. ``sampled``
-    overrides det.sampled when given.
+    overrides det.sampled when given; it remains only for the benchmark's
+    Bell check and goes once that check passes an unsampled detector.
     """
     if sampled is not None:
         det = replace(det, sampled=sampled)

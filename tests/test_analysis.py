@@ -100,14 +100,6 @@ def test_ideal_chsh_reaches_tsirelson():
     assert s == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
 
 
-def test_chsh_sampled_override_matches_the_detector_switch():
-    det = expectation_detector()
-    sampled = dataclasses.replace(det, sampled=True)
-    means = chsh_table(bell_state(), det)
-    assert np.array_equal(chsh_table(bell_state(), sampled, sampled=False), means)
-    assert not np.array_equal(chsh_table(bell_state(), sampled), means)
-
-
 def test_werner_chsh_closed_form():
     # polarization test runs with the vortex plate removed: l = 0 keeps the
     # OAM register from which-path marking the polarization branches
@@ -326,7 +318,7 @@ def test_sampled_image_route_bound_over_random_product_states():
     # on Poisson-sampled images a separable state may pass W = 1 by shot
     # noise only, so its W stays within 3 bootstrap sigma of the bound
     rng = np.random.default_rng(45)
-    det = dataclasses.replace(expectation_detector())
+    det = dataclasses.replace(expectation_detector(), sampled=True)
     for l in (1, 2, 3):
         subs = TWO_QUBIT_SUBS + (oam_subsystem((-l, l), name="signal_oam"),)
         grid = (128, default_extent(1.0, l))
