@@ -66,8 +66,13 @@ def _annulus(cfg: RunConfig, l: int) -> tuple:
 
 
 def _alphabet(l: int) -> tuple:
-    m = max(abs(int(l)), 1)
-    return tuple(range(-m, m + 1))
+    """Signal OAM charges of the source: the +l and -l that the pump fills.
+
+    l = 0 keeps (-1, 0, 1): polarization-bell counts key on float(mean), and
+    a smaller register would move the last bits of every mean.
+    """
+    m = abs(int(l))
+    return (-m, m) if m else (-1, 0, 1)
 
 
 def _pump(cfg: RunConfig, l: int):
@@ -83,7 +88,9 @@ def _check_stack_memory(cfg: RunConfig, l: int) -> None:
     A render holds the mode stack (one complex n x n field per mode of the
     source alphabet), the stack mixed by the density block (as many complex
     fields), its real n x n result, and up to lgmodes.MAX_KEPT_RENDERS kept
-    real n x n intensities.
+    real n x n intensities: (32 m + 72) bytes per pixel for m modes. That is
+    136 B at m = 2 (l != 0), so n <= 3,973, and 168 B at m = 3 (l = 0), so
+    n <= 3,575.
     """
     modes = len(_alphabet(l))
     per_pixel = 2 * modes * 16 + 8 + lgmodes.MAX_KEPT_RENDERS * 8

@@ -65,8 +65,7 @@ def apply_noise(state: Ket, p: float, space: str = "postselected"):
     """Mix a two-photon ket with white noise of weight p.
 
     space = "postselected": identity over idler x signal_pol x the occupied
-    OAM pair (the subspace the experiment actually post-selects), embedded
-    in the declared alphabet.
+    OAM charges (the subspace the experiment actually post-selects).
     space = "polarization": noise acts on the two polarization qubits only;
     the OAM register keeps its reduced state.
     p = 0 returns the input ket unchanged; any other p a DensityMatrix.

@@ -221,9 +221,9 @@ def test_cli_bad_config_exits_2(tmp_path):
             ["polarization-bell", "--noise", "0.1"],
             id="step-string-bell",
         ),
-        # 7 modes at 20000^2 px: 304 B x 20000^2 = 113 GiB for a gallery render
+        # 2 modes at 20000^2 px: 136 B x 20000^2 = 50.7 GiB for a gallery render
         pytest.param({"grid": {"n": 20000}}, ["pump-gallery"], id="memory-gallery"),
-        # 7 modes at 4096^2 px: 304 B x 4096^2 = 4.75 GiB for a witness render
+        # 2 modes at 4096^2 px: 136 B x 4096^2 = 2.13 GiB for a witness render
         pytest.param(
             {"grid": {"n": 4096}}, ["hybrid-witness", "--l", "3"], id="memory-witness"
         ),
@@ -242,12 +242,15 @@ def needed_bytes(error: ConfigError) -> int:
 
 
 def test_render_memory_budget_boundary():
-    # l=3: the 7-mode stack and its mixed copy at 16 B, the real result and 8
-    # kept intensities at 8 B: 296 B per pixel, so 2 GiB allows n = 2693
-    _check_stack_memory(RunConfig.from_dict({"grid": {"n": 2693}}), 3)
+    # l=3: the mode stack and its mixed copy at 16 B a mode, the real result
+    # and the kept intensities at 8 B: 136 B per pixel on the two charges
+    # the source fills, so 2 GiB allows n = 3973
+    per_pixel = 32 * len(pipelines._alphabet(3)) + 8 + 8 * lgmodes.MAX_KEPT_RENDERS
+    assert per_pixel == 136
+    _check_stack_memory(RunConfig.from_dict({"grid": {"n": 3973}}), 3)
     with pytest.raises(ConfigError) as exc:
-        _check_stack_memory(RunConfig.from_dict({"grid": {"n": 2694}}), 3)
-    assert needed_bytes(exc.value) == 296 * 2694**2
+        _check_stack_memory(RunConfig.from_dict({"grid": {"n": 3974}}), 3)
+    assert needed_bytes(exc.value) == per_pixel * 3974**2
 
 
 def test_render_peak_within_memory_budget(monkeypatch):
@@ -256,7 +259,7 @@ def test_render_peak_within_memory_budget(monkeypatch):
     with pytest.raises(ConfigError) as exc:
         _check_stack_memory(RunConfig.from_dict({"grid": {"n": n}}), l)
     budget = needed_bytes(exc.value)
-    alphabet = tuple(range(-l, l + 1))
+    alphabet = pipelines._alphabet(l)
     grid = (n, lgmodes.default_extent(1.0, l))
     rng = np.random.default_rng(17)
     blocks = []
