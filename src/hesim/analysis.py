@@ -21,6 +21,7 @@ from . import detection, lgmodes
 from .detection import (
     DetectorModel,
     SETTINGS,
+    analyzer_state,
     coincidence_row,
     conditional_oam,
     derived_seed,
@@ -219,13 +220,15 @@ _TOMO_A = _tomo_design()
 def tomography_counts(state, det: DetectorModel, l: int = 0, tag: str = "tomo") -> np.ndarray:
     """Coincidence counts for the 16 canonical projection pairs.
 
-    The pairs are measured one idler setting (one row) at a time; count k
-    keeps the tag (tag, k) of its place in TOMO_SETTINGS.
+    Each setting is converted to its ket once per table, and the pairs are
+    measured one idler setting (one row) at a time; count k keeps the tag
+    (tag, k) of its place in TOMO_SETTINGS.
     """
+    kets = {label: analyzer_state(setting) for label, setting in SETTINGS.items()}
     counts = np.zeros(16)
     for li in dict.fromkeys(li for li, _ in TOMO_SETTINGS):
         cells = [(k, ls) for k, (i, ls) in enumerate(TOMO_SETTINGS) if i == li]
-        row = coincidence_row(state, SETTINGS[li], [SETTINGS[ls] for _, ls in cells])
+        row = coincidence_row(state, kets[li], [kets[ls] for _, ls in cells])
         for (k, _), prob in zip(cells, row):
             counts[k] = _counts(prob, det, l, (tag, k))
     return counts

@@ -18,9 +18,12 @@ never depend on call order. The keys are the determinism contract; changing
 one moves every draw made from it:
 
 * sample_counts keys on (seed, "counts", l, float(mean), tag), where the
-  mean comes from the Born probability coincidence_row computes, so any
-  change to coincidence_row's arithmetic (or the mean's) moves every
-  sweep, CHSH and tomography count;
+  mean comes from the Born probability coincidence_row computes in one
+  stacked row contraction (its docstring names the products). So any
+  change to that arithmetic, to the mean's, or to the bits of an arm ket
+  moves every sweep, CHSH and tomography count; np.einsum is not an
+  equivalent. A cell's mean does not depend on how many settings share
+  its row, nor on the BLAS thread count (both are tested);
 * heralded_image keys on (seed, "heralded_image", l, str(tag)), so the tag
   7 and the tag "7" draw the same image.
 
@@ -45,8 +48,8 @@ from . import jones, lgmodes
 from .errors import ConfigError, NumericalError
 from .quantum import (
     NULL_TOL,
+    POL_LABELS,
     Ket,
-    Subsystem,
     pol_ket,
     pol_subsystem,
     project,
@@ -86,12 +89,16 @@ def linear_analyzer_ket(angle: float, arm: str) -> Ket:
     """Transmitted state of a bare linear analyzer at a local dial angle.
 
     The dial is a half-wave plate at half the angle; the signal arm turns it
-    the other way, because the two arms face opposite directions.
+    the other way, because the two arms face opposite directions. The ket
+    lives on its arm's subsystem and is normalised there a second time:
+    every dial count keys on those bits.
     """
-    signs = {"idler": 1.0, "signal": -1.0}
-    if arm not in signs:
+    arms = {"idler": (1.0, IDLER), "signal": (-1.0, SIGNAL_POL)}
+    if arm not in arms:
         raise ConfigError(f"unknown arm {arm!r}")
-    return analyzer_state(AnalyzerSetting(None, signs[arm] * angle / 2.0))
+    sign, name = arms[arm]
+    ket = analyzer_state(AnalyzerSetting(None, sign * angle / 2.0))
+    return Ket((pol_subsystem(name),), ket.amplitudes, fix_phase=False)
 
 
 @dataclass(frozen=True)
@@ -179,11 +186,12 @@ def sample_counts(prob: float, det: DetectorModel, l: int, tag=0) -> int:
     return int(gen.poisson(mean))
 
 
-def _as_proj_ket(setting, name):
-    if isinstance(setting, Ket):
-        return Ket((Subsystem(name, ("H", "V")),), setting.amplitudes, fix_phase=False)
+def _arm_ket(setting) -> Ket:
+    """An analyzer setting as the ket it transmits; a polarization ket is used as given."""
     if isinstance(setting, AnalyzerSetting):
-        return analyzer_state(setting, name=name)
+        return analyzer_state(setting)
+    if isinstance(setting, Ket) and [s.labels for s in setting.subsystems] == [POL_LABELS]:
+        return setting
     raise ConfigError(f"cannot interpret analyzer setting {setting!r}")
 
 
@@ -191,28 +199,48 @@ def coincidence_row(state, idler, signals) -> list:
     """Joint Born probabilities of one idler setting with each signal setting.
 
     The signal OAM register is traced out. Settings may be AnalyzerSetting
-    values or bare polarization kets; look basis labels up in SETTINGS. A
-    mixed state has its idler projected once, and each cell is the idler
-    probability times the signal probability of the residual. A pure
-    state contracts each cell on its own, signal axis first: those are the
-    bits its counts key on.
+    values or polarization kets, which are used as given (not normalised
+    again); look basis labels up in SETTINGS. The whole row is one stacked
+    contraction over the signal amplitudes S (N x 2), and that arithmetic
+    is what its counts key on:
+
+    * a mixed state has its idler projected once. Each cell's bra <s| meets
+      the residual rho in np.matmul(S.conj()[:, None, :], rho), the
+      (1 x 2) @ (2 x ...) product a single cell makes; one np.matmul with S
+      closes the cell, its trace over the OAM register is the signal
+      probability, and the idler probability scales it;
+    * a pure state meets its signal axis the same way, then the conjugate
+      idler ket in np.matmul, and sums |amplitude|^2.
+
+    Each cell equals the per-cell projection chain bit for bit, and does
+    not depend on how many settings share its row; both are tested. Other
+    forms of the same sums are not equivalent: np.dot(S.conj(), rho) takes
+    another BLAS kernel for a stacked S, and np.einsum moves cells by an
+    ulp.
     """
-    idler = _as_proj_ket(idler, IDLER)
-    signals = [_as_proj_ket(s, SIGNAL_POL) for s in signals]
+    idler = _arm_ket(idler)
+    S = np.array([_arm_ket(s).amplitudes for s in signals], dtype=complex).reshape(-1, 2)
+    n = len(S)
+    # one (1 x 2) @ (2 x ...) product per cell, as the per-cell chain makes it
+    bras = S.conj()[:, None, :]
     if isinstance(state, Ket):
         axes = (state.axis(SIGNAL_POL), state.axis(IDLER))
         t = np.moveaxis(state.amplitudes.reshape(state.dims), axes, (0, 1))
-        v_i = idler.amplitudes.conj()
-        probs = []
-        for ket in signals:
-            t_i = np.tensordot(ket.amplitudes.conj(), t, axes=1)
-            probs.append(float(np.sum(np.abs(np.tensordot(v_i, t_i, axes=1)) ** 2)))
-        return probs
+        row = np.matmul(bras, t.reshape(2, -1)).reshape(n, 2, t[0, 0].size)
+        amps = np.matmul(idler.amplitudes.conj(), row)
+        return [float(p) for p in np.sum(np.abs(amps) ** 2, axis=1)]
     residual, p1 = project(state, idler, subsystem=IDLER)
     if p1 < NULL_TOL:
-        return [0.0] * len(signals)
-    p2s = (project(residual, ket, subsystem=SIGNAL_POL)[1] for ket in signals)
-    return [p1 * p2 if p2 >= NULL_TOL else 0.0 for p2 in p2s]
+        return [0.0] * n
+    k = len(residual.dims)
+    ax = residual.axis(SIGNAL_POL)
+    rho = np.moveaxis(residual.matrix.reshape(residual.dims * 2), (ax, k + ax), (0, k))
+    r = residual.dim // 2
+    # <s| rho, laid out (cell, oam ket, oam bra, signal bra) for the |s> product
+    bra = np.matmul(bras, rho.reshape(2, -1)).reshape(n, r, 2, r).transpose(0, 1, 3, 2)
+    cells = np.matmul(bra.reshape(n, r * r, 2), S[:, :, None]).reshape(n, r, r)
+    p2s = np.trace(cells, axis1=1, axis2=2).real
+    return [p1 * float(p2) if p2 >= NULL_TOL else 0.0 for p2 in p2s]
 
 
 def conditional_oam(state, idler, signal_pol):
@@ -232,9 +260,9 @@ def conditional_oam(state, idler, signal_pol):
             weight += w
         return total, weight
 
-    st, p1 = project(state, _as_proj_ket(idler, IDLER), subsystem=IDLER)
+    st, p1 = project(state, _arm_ket(idler), subsystem=IDLER)
     if st is not None:
-        st, p2 = project(st, _as_proj_ket(signal_pol, SIGNAL_POL), subsystem=SIGNAL_POL)
+        st, p2 = project(st, _arm_ket(signal_pol), subsystem=SIGNAL_POL)
     if st is None:
         n = state.dims[state.axis(SIGNAL_OAM)]
         return np.zeros((n, n), dtype=complex), 0.0
