@@ -2,34 +2,31 @@
 
 Configs load from JSON. Unknown keys are rejected rather than ignored so a
 typo in a run file fails loudly instead of silently running defaults.
+Each numeric setting states only its bounds to errors.number, which takes a
+finite real number, never a bool or a string, and a whole one for pump.l,
+grid.n, analysis.nbins and n_bootstrap, and detector.seed. Each comes back as
+an int or a float, except analysis.sweep_step_deg, which is kept as given.
 """
 
 import dataclasses
 import json
-import numbers
 from dataclasses import dataclass, field
 
 from .analysis import CHSH_SETTINGS_DEG
 from .detection import DetectorModel
-from .errors import ConfigError
+from .errors import ConfigError, number
 
 
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        val = data[f.name]
-        if dataclasses.is_dataclass(f.type) and isinstance(f.type, type):
-            kwargs[f.name] = _build(f.type, val, f"{path}.{f.name}")
-        else:
-            kwargs[f.name] = val
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    if unknown := set(data) - set(types):
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)}")
+    kwargs = dict(data)
+    for name, typ in types.items():
+        if name in data and dataclasses.is_dataclass(typ):
+            kwargs[name] = _build(typ, data[name], f"{path}.{name}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -43,13 +40,9 @@ class PumpConfig:
     alpha: float = 0.7071067811865476  # balanced superposition
 
     def __post_init__(self):
-        self.l = int(self.l)
-        if self.l < 0:
-            raise ConfigError("pump.l must be non-negative")
-        self.phi = float(self.phi)
-        self.alpha = float(self.alpha)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("pump.alpha must lie in [0, 1]")
+        self.l = number(self.l, "pump.l", 0, integer=True)
+        self.phi = number(self.phi, "pump.phi")
+        self.alpha = number(self.alpha, "pump.alpha", 0.0, 1.0)
 
 
 @dataclass
@@ -58,9 +51,7 @@ class NoiseConfig:
     space: str = "postselected"
 
     def __post_init__(self):
-        self.p_white = float(self.p_white)
-        if not 0.0 <= self.p_white <= 1.0:
-            raise ConfigError("noise.p_white must lie in [0, 1]")
+        self.p_white = number(self.p_white, "noise.p_white", 0.0, 1.0)
         if self.space not in ("postselected", "polarization"):
             raise ConfigError(f"unknown noise space {self.space!r}")
 
@@ -72,16 +63,10 @@ class GridConfig:
     waist: float = 1.0
 
     def __post_init__(self):
-        self.n = int(self.n)
-        if self.n < 16:
-            raise ConfigError("grid.n must be at least 16")
+        self.n = number(self.n, "grid.n", 16, integer=True)
         if self.extent is not None:
-            self.extent = float(self.extent)
-            if self.extent <= 0:
-                raise ConfigError("grid.extent must be positive")
-        self.waist = float(self.waist)
-        if self.waist <= 0:
-            raise ConfigError("grid.waist must be positive")
+            self.extent = number(self.extent, "grid.extent", 0.0, open_lo=True)
+        self.waist = number(self.waist, "grid.waist", 0.0, open_lo=True)
 
 
 MAX_SWEEP_POINTS = 36_000  # per fringe sweep, so a 0.01 degree step at the finest
@@ -96,30 +81,18 @@ class AnalysisConfig:
     sweep_step_deg: float = 10.0
 
     def __post_init__(self):
-        self.nbins = int(self.nbins)
-        if self.nbins < 8:
-            raise ConfigError("analysis.nbins must be at least 8")
+        self.nbins = number(self.nbins, "analysis.nbins", 8, integer=True)
         if self.annulus is not None:
-            lo, hi = (float(x) for x in self.annulus)
-            if not 0 <= lo < hi:
-                raise ConfigError("analysis.annulus must satisfy 0 <= lo < hi")
-            self.annulus = (lo, hi)
-        self.chsh_settings = tuple(float(x) for x in self.chsh_settings)
+            lo, hi = self.annulus
+            lo = number(lo, "analysis.annulus inner radius", 0.0)
+            self.annulus = (lo, number(hi, "analysis.annulus outer radius", lo, open_lo=True))
+        self.chsh_settings = tuple(number(x, "analysis.chsh_settings") for x in self.chsh_settings)
         if len(self.chsh_settings) != 4:
             raise ConfigError("analysis.chsh_settings needs exactly 4 angles")
-        self.n_bootstrap = int(self.n_bootstrap)
-        if self.n_bootstrap < 1:
-            raise ConfigError("analysis.n_bootstrap must be at least 1")
-        # 8 to MAX_SWEEP_POINTS sweep points; the value is kept as given, the
-        # report echoes it
-        step = self.sweep_step_deg
-        if isinstance(step, bool) or not isinstance(step, numbers.Real) or not (
-            360.0 / MAX_SWEEP_POINTS <= step < 360.0 / 7
-        ):
-            raise ConfigError(
-                f"analysis.sweep_step_deg must be a number in "
-                f"[360/{MAX_SWEEP_POINTS}, 360/7), got {step!r}"
-            )
+        self.n_bootstrap = number(self.n_bootstrap, "analysis.n_bootstrap", 1, integer=True)
+        # 8 to MAX_SWEEP_POINTS sweep points; kept as given, the report echoes it
+        finest, coarsest = 360.0 / MAX_SWEEP_POINTS, 360.0 / 7
+        number(self.sweep_step_deg, "analysis.sweep_step_deg", finest, coarsest, open_hi=True)
 
 
 @dataclass
@@ -141,13 +114,11 @@ class RunConfig:
                 data = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSON syntax error or bytes that are not UTF-8
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
-        doc["analysis"]["annulus"] = (
-            list(self.analysis.annulus) if self.analysis.annulus else None
-        )
+        doc["analysis"]["annulus"] = list(self.analysis.annulus) if self.analysis.annulus else None
         return doc

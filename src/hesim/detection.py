@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jones, lgmodes
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, number
 from .quantum import (
     NULL_TOL,
     POL_LABELS,
@@ -126,17 +126,21 @@ class DetectorModel:
     sampled: bool = True
 
     def __post_init__(self):
-        if self.pair_rate < 0 or self.accidental_rate < 0:
-            raise ConfigError("rates must be non-negative")
-        if self.integration_time <= 0:
-            raise ConfigError("integration time must be positive")
-        # JSON object keys arrive as strings
-        scales = {int(k): float(v) for k, v in dict(self.rate_scale_per_l).items()}
-        for l, scale in scales.items():
-            if not 0.0 < scale <= 1.0:
-                raise ConfigError(f"rate scale for l={l} must sit in (0, 1], got {scale}")
+        def check(name, *b, **kw):
+            object.__setattr__(self, name, number(getattr(self, name), f"detector.{name}", *b, **kw))
+
+        check("pair_rate", 0.0)
+        check("accidental_rate", 0.0)
+        check("integration_time", 0.0, open_lo=True)
+        check("seed", integer=True)
+        if type(self.sampled) is not bool:
+            raise ConfigError(f"detector.sampled must be true or false, got {self.sampled!r}")
+        scales = {}
+        key = "detector.rate_scale_per_l key"
+        for k, v in dict(self.rate_scale_per_l).items():  # JSON object keys arrive as strings
+            l = number(int(k) if isinstance(k, str) and k.isdecimal() else k, key, 0, integer=True)
+            scales[l] = number(v, f"detector.rate_scale_per_l[{l}]", 0.0, 1.0, open_lo=True)
         object.__setattr__(self, "rate_scale_per_l", scales)
-        object.__setattr__(self, "seed", int(self.seed))
 
     def scale(self, l: int) -> float:
         try:

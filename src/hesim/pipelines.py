@@ -80,10 +80,12 @@ def _pump(cfg: RunConfig, l: int):
 
 
 MODE_STACK_BUDGET = 2 * 1024**3  # bytes one render may hold
+# the largest |l| whose LG normalisation sqrt(2 / (pi |l|!)) a float holds
+MAX_CHARGE = next(l for l in range(1 << 16) if math.factorial(l + 1) > math.nextafter(math.inf, 0))
 
 
 def _check_stack_memory(cfg: RunConfig, l: int) -> None:
-    """Refuse a grid whose renders would hold more than MODE_STACK_BUDGET.
+    """Refuse a charge over MAX_CHARGE, or a render over MODE_STACK_BUDGET.
 
     A render holds the mode stack (one complex n x n field per mode of the
     source alphabet), the stack mixed by the density block (as many complex
@@ -92,6 +94,8 @@ def _check_stack_memory(cfg: RunConfig, l: int) -> None:
     136 B at m = 2 (l != 0), so n <= 3,973, and 168 B at m = 3 (l = 0), so
     n <= 3,575.
     """
+    if abs(l) > MAX_CHARGE:
+        raise ConfigError(f"pump.l={l} is over {MAX_CHARGE}: its LG normalisation overflows a float")
     modes = len(_alphabet(l))
     per_pixel = 2 * modes * 16 + 8 + lgmodes.MAX_KEPT_RENDERS * 8
     need = per_pixel * cfg.grid.n**2

@@ -70,6 +70,23 @@ def test_unknown_keys_rejected_at_both_levels():
         # a sweep of 360/step points, refused before anything is allocated
         {"analysis": {"sweep_step_deg": 0.999 * 360.0 / MAX_SWEEP_POINTS}},
         {"analysis": {"sweep_step_deg": 5e-324}},
+        # not finite, not a number, or not a whole number where one is counted
+        {"pump": {"phi": 1e999, "l": 1}},
+        {"pump": {"phi": math.nan}},
+        {"detector": {"pair_rate": math.nan}},
+        {"pump": {"l": 2.7}},
+        {"pump": {"l": True}},
+        {"pump": {"l": "3"}},
+        {"detector": {"sampled": "false"}},
+        {"grid": {"n": 64.9}},
+        {"grid": {"waist": math.nan}},
+        {"grid": {"waist": math.inf}},
+        {"analysis": {"annulus": [0.5, math.inf]}},
+        {"analysis": {"annulus": [math.nan, 1.0]}},
+        {"analysis": {"chsh_settings": [0.0, 45.0, 22.5, math.nan]}},
+        {"analysis": {"chsh_settings": [0.0, 45.0, -math.inf, 67.5]}},
+        {"detector": {"rate_scale_per_l": {"3": "0.12"}}},
+        {"detector": {"rate_scale_per_l": {"-1": 0.5}}},
     ],
 )
 def test_bad_values_rejected(patch):
@@ -85,7 +102,7 @@ def test_sweep_step_echoed_as_given():
 
 def test_rate_scale_keys_coerced_from_json_strings():
     cfg = RunConfig.from_dict(
-        {"detector": {"rate_scale_per_l": {"0": 1.0, "3": "0.12"}}}
+        {"detector": {"rate_scale_per_l": {"0": 1.0, "3": 0.12}}}
     )
     assert cfg.detector.rate_scale_per_l == {0: 1.0, 3: 0.12}
 
@@ -103,6 +120,22 @@ def test_from_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         RunConfig.from_file(bad)
+
+
+def test_from_file_refuses_bytes_that_are_not_utf8(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"noise": {"space": "café"}}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        RunConfig.from_file(bad)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("section, key", [("pump", "phi"), ("detector", "pair_rate")])
+def test_from_file_refuses_non_finite_literals(tmp_path, literal, section, key):
+    path = tmp_path / "run.json"
+    path.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
+    with pytest.raises(ConfigError, match="finite number"):
+        RunConfig.from_file(path)
 
 
 def test_to_dict_round_trip():
@@ -227,6 +260,23 @@ def test_cli_bad_config_exits_2(tmp_path):
         pytest.param(
             {"grid": {"n": 4096}}, ["hybrid-witness", "--l", "3"], id="memory-witness"
         ),
+        # a non-finite phase once ran to W = 0 on all-zero images
+        pytest.param(
+            {"pump": {"phi": 1e999, "l": 1}}, ["hybrid-witness"], id="phi-inf-witness"
+        ),
+        # a quoted false once ran sampled
+        pytest.param(
+            {"detector": {"sampled": "false"}}, ["polarization-bell"], id="sampled-string-bell"
+        ),
+        # 171! overflows a float in the LG normalisation
+        pytest.param(
+            {"analysis": {"nbins": 1000}}, ["pump-gallery", "--l", "171"], id="charge-gallery"
+        ),
+        pytest.param(
+            {"analysis": {"nbins": 1000}, "detector": {"rate_scale_per_l": {"171": 0.1}}},
+            ["hybrid-witness", "--l", "171", "--expected"],
+            id="charge-witness",
+        ),
     ],
 )
 def test_cli_rejects_before_writing(tmp_path, config, argv):
@@ -251,6 +301,17 @@ def test_render_memory_budget_boundary():
     with pytest.raises(ConfigError) as exc:
         _check_stack_memory(RunConfig.from_dict({"grid": {"n": 3974}}), 3)
     assert needed_bytes(exc.value) == per_pixel * 3974**2
+
+
+def test_charge_bound_is_where_the_lg_normalisation_overflows():
+    top = pipelines.MAX_CHARGE
+    assert np.isfinite(lgmodes.lg_amplitude(1.0, 0.0, lgmodes.LGMode(top)))
+    with pytest.raises(OverflowError):
+        lgmodes.lg_amplitude(1.0, 0.0, lgmodes.LGMode(top + 1))
+    cfg = RunConfig.from_dict({})
+    _check_stack_memory(cfg, top)
+    with pytest.raises(ConfigError, match="normalisation"):
+        _check_stack_memory(cfg, top + 1)
 
 
 def test_render_peak_within_memory_budget(monkeypatch):
