@@ -11,7 +11,6 @@ and the two-basis witness, with deterministic Poisson statistics on top.
 
 from .analysis import (
     AnalysisReport,
-    VisibilityResult,
     chsh,
     chsh_table,
     fit_visibility,
@@ -23,7 +22,7 @@ from .config import RunConfig
 from .detection import SETTINGS, AnalyzerSetting, DetectorModel, analyzer_state
 from .errors import ConfigError, NumericalError
 from .jones import pump_state
-from .lgmodes import FieldImage, LGMode, lg_amplitude, peak_radius, petal_fit
+from .lgmodes import FieldImage, Fringe, LGMode, lg_amplitude, peak_radius, petal_fit
 from .pipelines import run_hybrid_witness, run_polarization_bell, run_pump_gallery
 from .quantum import (
     DensityMatrix,
@@ -49,6 +48,7 @@ __all__ = [
     "DensityMatrix",
     "DetectorModel",
     "FieldImage",
+    "Fringe",
     "InvalidCompositionError",
     "Ket",
     "LGMode",
@@ -56,7 +56,6 @@ __all__ = [
     "RunConfig",
     "SETTINGS",
     "Subsystem",
-    "VisibilityResult",
     "analyzer_state",
     "apply_noise",
     "chsh",

@@ -1,4 +1,4 @@
-"""Fringe fits, CHSH, linear tomography, entanglement witness, bootstrap.
+"""Fringe sweeps, CHSH, linear tomography, entanglement witness, bootstrap.
 
 The two entanglement figures of merit each exist along two routes that are
 kept deliberately separate:
@@ -29,7 +29,7 @@ from .detection import (
     sample_counts,
 )
 from .errors import NumericalError
-from .lgmodes import cosine_fit, petal_fit
+from .lgmodes import Fringe, fringe_fit, petal_fit
 from .quantum import DensityMatrix, pol_ket, pol_subsystem
 from .spdc import SIGNAL_OAM
 
@@ -37,26 +37,14 @@ CHSH_SETTINGS_DEG = (0.0, 45.0, 22.5, 67.5)
 BELL_VISIBILITY_BOUND = 1.0 / math.sqrt(2.0)
 
 
-# -- sinusoidal visibility fits ----------------------------------------------
+# -- fringe sweeps --------------------------------------------------------------
 
 
-@dataclass
-class VisibilityResult:
-    """Fringe visibility with its fitted phase and a fit-derived stderr."""
-
-    V: float
-    theta0: float
-    stderr: float
-    flags: tuple = ()
-
-
-def fit_visibility(series) -> VisibilityResult:
-    """Fit C(theta) = B (1 + V cos(2(theta - theta0))) / 2 to a sweep.
+def fit_visibility(series) -> Fringe:
+    """Fit the fringe C(theta) = base (1 + V cos(2(theta - theta0))) to a sweep.
 
     ``series`` is a sequence of (angle_rad, counts) pairs covering at least
-    half a turn with 8 or more points. V is reported in [0, 1]; a value that
-    had to be clipped, or a fringe too weak to orient, is flagged rather
-    than silently repaired.
+    half a turn with 8 or more points; lgmodes.fringe_fit does the fit.
     """
     pts = [(float(a), float(v)) for a, v in series]
     if len(pts) < 8:
@@ -65,35 +53,7 @@ def fit_visibility(series) -> VisibilityResult:
     values = np.array([p[1] for p in pts])
     if angles.max() - angles.min() < np.pi - 1e-9:
         raise ValueError("sweep must span at least 180 degrees")
-
-    coef, _, cov = cosine_fit(angles, values, 2)
-    m, a, b = coef
-    amp = math.hypot(a, b)
-    flags = []
-    if m <= 0:
-        return VisibilityResult(0.0, float("nan"), float("nan"), ("degenerate",))
-    v_raw = amp / m
-    if amp / m < 1e-12:
-        theta0 = float("nan")
-        flags.append("degenerate")
-    else:
-        theta0 = (math.atan2(b, a) / 2.0) % np.pi
-
-    # delta method for V = sqrt(a^2 + b^2) / m
-    if amp > 0:
-        grad = np.array([-amp / m**2, a / (amp * m), b / (amp * m)])
-    else:
-        grad = np.array([0.0, 1.0 / m, 1.0 / m])
-    stderr = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
-
-    v = v_raw
-    if v > 1.0:
-        v = 1.0
-        if v_raw > 1.0 + 1e-9:  # genuine overshoot, not roundoff
-            flags.append("clipped")
-    if v - stderr < 0.0:
-        flags.append("v_minus_sigma_subzero")
-    return VisibilityResult(float(v), theta0, stderr, tuple(flags))
+    return fringe_fit(angles, values, 2)
 
 
 def _counts(prob: float, det: DetectorModel, l: int, tag) -> float:
@@ -264,8 +224,8 @@ def tomography_linear(counts16) -> DensityMatrix:
 _BASIS_OFFSETS = {"A": 0.0, "D": 0.5, "R": 0.25, "L": 0.75}
 
 
-def _contrast(curve_x, curve_y, anchor: float, l: int) -> float:
-    """Correlation contrast of two conjugate petal curves (callables of theta).
+def _contrast(x: Fringe, y: Fringe, anchor: float, l: int) -> float:
+    """Correlation contrast of two conjugate petal fringes.
 
     Both curves are read at the anchor orientation and a quarter petal
     period away; the four values form a normalised difference. For a hybrid
@@ -275,41 +235,30 @@ def _contrast(curve_x, curve_y, anchor: float, l: int) -> float:
     """
     t1 = float(anchor)
     t2 = t1 + np.pi / (2 * l)
-    cx1, cx2 = float(curve_x(t1)), float(curve_x(t2))
-    cy1, cy2 = float(curve_y(t1)), float(curve_y(t2))
+    cx1, cx2 = float(x.curve(t1)), float(x.curve(t2))
+    cy1, cy2 = float(y.curve(t1)), float(y.curve(t2))
     denom = cx1 + cx2 + cy1 + cy2
     if denom <= 1e-30:
         return 0.0
     return abs(cx1 + cy2 - cx2 - cy1) / denom
 
 
-def _reference(theta0: dict, l: int) -> float:
-    """Orientation of the A-basis maximum, shared by both witness pairs.
-
-    Recovered from the first basis with a finite petal orientation, by
-    backing out that basis's known offset. Keeping one reference is what
-    makes the witness a fixed observable; how the reference noise enters
-    cancels to first order because every read-out sits at a stationary
-    point of its curve.
-    """
-    for basis in ("A", "D", "R", "L"):
-        t0 = theta0.get(basis, float("nan"))
-        if math.isfinite(t0):
-            return t0 - _BASIS_OFFSETS[basis] * (np.pi / l)
-    return 0.0
-
-
-def _witness_pairs(curves: dict, theta0: dict, l: int) -> dict:
-    """V_DA and V_RL from the curves and orientations of the four idler bases.
+def _witness_pairs(fringes: dict, l: int) -> dict:
+    """V_DA and V_RL from the petal fringes of the four idler bases.
 
     Both pairs are read at anchors a rigid 45/l degrees apart, tied to one
-    reference: if each pair re-centred on its own best orientation, a
-    separable state with a petal-shaped signal marginal could push W above 1.
+    reference: the A-basis maximum, backed out of the first basis with a
+    finite orientation by its known offset. If each pair re-centred on its
+    own best orientation, a separable state with a petal-shaped signal
+    marginal could push W above 1. How the reference noise enters cancels
+    to first order, because every read-out sits at a stationary point of
+    its curve.
     """
-    ref = _reference(theta0, l)
+    first = next((b for b in ("A", "D", "R", "L") if math.isfinite(fringes[b].theta0)), None)
+    ref = 0.0 if first is None else fringes[first].theta0 - _BASIS_OFFSETS[first] * (np.pi / l)
     return {
-        "DA": _contrast(curves["A"], curves["D"], ref, l),
-        "RL": _contrast(curves["R"], curves["L"], ref + np.pi / (4 * l), l),
+        "DA": _contrast(fringes["A"], fringes["D"], ref, l),
+        "RL": _contrast(fringes["R"], fringes["L"], ref + np.pi / (4 * l), l),
     }
 
 
@@ -356,18 +305,16 @@ def angular_basis_scan(
         fits[basis] = petal_fit(hist, l)
         hists[basis] = hist
         images[basis] = img
-    pair_vis = _witness_pairs(
-        {b: f.curve for b, f in fits.items()}, {b: f.theta0 for b, f in fits.items()}, l
-    )
+    pair_vis = _witness_pairs(fits, l)
     return AngularScan(fits, hists, images, pair_vis, pair_vis["DA"] + pair_vis["RL"])
 
 
-def _oam_curve_params(block: np.ndarray, alphabet, l: int):
-    """(baseline, amplitude, theta0) of the exact angular density.
+def _oam_fringe(block: np.ndarray, alphabet, l: int) -> Fringe:
+    """The exact petal fringe of a heralded OAM block.
 
     Valid when the only coherence in the block links -l and +l; any other
-    off-diagonal weight would add angular frequencies the two-point readout
-    below does not model, so it is rejected.
+    off-diagonal weight would add angular frequencies the fringe does not
+    model, so it is rejected. A block with no such coherence is degenerate.
     """
     alphabet = list(alphabet)
     ip, im = alphabet.index(+l), alphabet.index(-l)
@@ -379,8 +326,10 @@ def _oam_curve_params(block: np.ndarray, alphabet, l: int):
     base = float(np.real(np.trace(block)))
     coh = complex(block[ip, im])  # <+l| rho |-l>, multiplies exp(+2 i l theta)
     amp = 2.0 * abs(coh)
-    theta0 = (-np.angle(coh) / (2.0 * l)) % (np.pi / l) if amp > 0 else float("nan")
-    return base, amp, theta0
+    if amp == 0:
+        return Fringe(2 * l, 0.0, math.nan, base, flags=("degenerate",))
+    theta0 = (-np.angle(coh) / (2.0 * l)) % (np.pi / l)
+    return Fringe(2 * l, amp / base, theta0, base)
 
 
 def witness_expectation(state, l: int) -> dict:
@@ -392,24 +341,17 @@ def witness_expectation(state, l: int) -> dict:
     if l < 1:
         raise ValueError("hybrid witness needs l >= 1")
     alphabet = state.subsystems[state.axis(SIGNAL_OAM)].labels
-    params = {}
+    fringes = {}
     for basis in ("A", "D", "R", "L"):
         block, _ = conditional_oam(state, SETTINGS[basis], SETTINGS["D"])
-        params[basis] = _oam_curve_params(block, alphabet, l)
-
-    def curve(b, a, t0):
-        if not math.isfinite(t0):
-            return lambda t: b
-        return lambda t: b + a * math.cos(2 * l * (t - t0))
-
-    theta0 = {basis: p[2] for basis, p in params.items()}
-    pairs = _witness_pairs({basis: curve(*p) for basis, p in params.items()}, theta0, l)
+        fringes[basis] = _oam_fringe(block, alphabet, l)
+    pairs = _witness_pairs(fringes, l)
     return {
         "V_DA": pairs["DA"],
         "V_RL": pairs["RL"],
         "W": pairs["DA"] + pairs["RL"],
-        "theta0": theta0,
-        "baseline": {basis: p[0] for basis, p in params.items()},
+        "theta0": {basis: f.theta0 for basis, f in fringes.items()},
+        "baseline": {basis: f.base for basis, f in fringes.items()},
     }
 
 

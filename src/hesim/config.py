@@ -69,7 +69,7 @@ class GridConfig:
         self.waist = number(self.waist, "grid.waist", 0.0, open_lo=True)
 
 
-MAX_SWEEP_POINTS = 36_000  # per fringe sweep, so a 0.01 degree step at the finest
+MAX_SWEEP_POINTS = 36_000  # per fringe sweep or angular histogram: 0.01 degree at the finest
 
 
 @dataclass
@@ -81,7 +81,7 @@ class AnalysisConfig:
     sweep_step_deg: float = 10.0
 
     def __post_init__(self):
-        self.nbins = number(self.nbins, "analysis.nbins", 8, integer=True)
+        self.nbins = number(self.nbins, "analysis.nbins", 8, MAX_SWEEP_POINTS, integer=True)
         if self.annulus is not None:
             lo, hi = self.annulus
             lo = number(lo, "analysis.annulus inner radius", 0.0)

@@ -1,4 +1,8 @@
-"""Laguerre-Gauss p=0 modes, projection images, and petal-pattern analysis.
+"""Laguerre-Gauss p=0 modes, projection images, and the fringe fit.
+
+One fringe model, base * (1 + V cos(freq (theta - theta0))), serves both
+readouts: fringe_fit fits it to a polarization sweep (freq 2) and, through
+petal_fit, to the angular profile of a 2l-petal image (freq 2l).
 
 Geometry conventions (fixed, also used by the angular histogram):
 
@@ -130,6 +134,14 @@ def annulus_on_grid(n: int, extent: float, annulus) -> bool:
     """Whether angular_profile finds a pixel center of an n x n image in the annulus."""
     r = np.hypot(*_pixel_xy(n, extent))
     return bool(((r >= annulus[0]) & (r <= annulus[1])).any())
+
+
+def finite_on_grid(l: int, n: int, extent: float, waist: float) -> bool:
+    """Whether the charge-l amplitude is finite at every pixel center of an n x n image:
+    its radial power (sqrt(2) r / w)^|l| overflows first at the corner pixel centers."""
+    x, y = _pixel_xy(n, extent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(lg_amplitude(np.hypot(x[0, 0], y[0, 0]), 0.0, LGMode(l, waist))))
 
 
 MAX_KEPT_RENDERS = 8  # per held stack: kept intensities, and blocks tracked as rendered once
@@ -353,10 +365,10 @@ def angular_maxima(hist: AngularHistogram) -> np.ndarray:
                 lowest = min(lowest, sm[j])
             side_minima.append(lowest)
         if h - max(side_minima) >= MIN_PROMINENCE * rng:
-            keep.append((s, run, idx))
+            keep.append((idx, s, run))
     width = TWO_PI / n
     angles = []
-    for s, run, idx in sorted(keep, key=lambda t: t[2]):
+    for idx, s, run in sorted(keep):  # each candidate has its own idx
         if run > 1:
             # exact ties straddle the true peak; take the plateau midpoint
             frac = s + run / 2.0 - 0.5
@@ -370,70 +382,79 @@ def angular_maxima(hist: AngularHistogram) -> np.ndarray:
     return np.array(angles)
 
 
-@dataclass
-class PetalFit:
-    """Least-squares fit of B * (1 + V cos(2 l (theta - theta0))) / 2."""
+@dataclass(frozen=True)
+class Fringe:
+    """A fitted fringe, base * (1 + V cos(freq (theta - theta0))), base its mean level.
 
-    l: int
+    freq is 2 for a polarization sweep and 2l for a 2l-petal pattern. theta0
+    is folded into [0, 2 pi / freq] (a phase a rounding below 0 folds onto
+    the period). flags may hold "degenerate" (nothing to orient: V = 0,
+    theta0 = nan), "clipped" (a V over 1, reported as 1) and
+    "v_minus_sigma_subzero" (V less than one stderr above zero).
+    """
+
+    freq: int
+    V: float
     theta0: float
-    visibility: float
     base: float
-    residual: float
-    degenerate: bool = False
+    stderr: float = 0.0
+    flags: tuple = ()
+
+    @property
+    def degenerate(self) -> bool:
+        return "degenerate" in self.flags
 
     def curve(self, theta) -> np.ndarray:
-        if self.degenerate:  # flat at B / 2; its theta0 is nan
-            return np.full(np.shape(theta), self.base / 2.0)
-        return (
-            self.base
-            * (1.0 + self.visibility * np.cos(2 * self.l * (np.asarray(theta) - self.theta0)))
-            / 2.0
-        )
+        if self.degenerate:  # flat at base; its theta0 is nan
+            return np.full(np.shape(theta), self.base)
+        return self.base * (1.0 + self.V * np.cos(self.freq * (np.asarray(theta) - self.theta0)))
 
 
-def cosine_fit(angles: np.ndarray, values: np.ndarray, freq: int):
-    """Least-squares fit of m + a cos(f t) + b sin(f t).
+def fringe_fit(angles, values, freq: int) -> Fringe:
+    """Least-squares fringe m + a cos(freq t) + b sin(freq t), read as a Fringe.
 
-    Returns the coefficients (m, a, b), the residuals, and the parameter
-    covariance scaled by the residual variance. An angle set that cannot
-    separate the three terms raises NumericalError.
+    base = m and V = hypot(a, b) / m, with a delta-method stderr from the
+    residual variance; V is clipped to 1. One rule marks a fringe
+    degenerate, for sweeps and petals alike: m <= 0 or V < 1e-12. An angle
+    set that cannot separate the three terms raises NumericalError.
     """
-    design = np.column_stack(
-        [np.ones_like(angles), np.cos(freq * angles), np.sin(freq * angles)]
-    )
+    angles = np.asarray(angles, dtype=float)
+    values = np.asarray(values, dtype=float)
+    design = np.column_stack([np.ones_like(angles), np.cos(freq * angles), np.sin(freq * angles)])
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     if rank < 3:
         raise NumericalError("angle set cannot resolve a fringe (rank-deficient fit)")
+    m, a, b = coef
+    if m <= 0:
+        return Fringe(freq, 0.0, math.nan, 0.0, math.nan, ("degenerate",))
     resid = values - design @ coef
-    dof = max(len(values) - 3, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    return coef, resid, cov
+    cov = float(resid @ resid) / max(len(values) - 3, 1) * np.linalg.inv(design.T @ design)
+    amp = math.hypot(a, b)
+    # delta method for V = sqrt(a^2 + b^2) / m
+    if amp > 0:
+        grad = np.array([-amp / m**2, a / (amp * m), b / (amp * m)])
+    else:
+        grad = np.array([0.0, 1.0 / m, 1.0 / m])
+    stderr = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+    if amp / m < 1e-12:
+        return Fringe(freq, 0.0, math.nan, float(m), stderr, ("degenerate",))
+    v = min(amp / m, 1.0)
+    flags = ("clipped",) if amp / m > 1.0 + 1e-9 else ()  # genuine overshoot, not roundoff
+    if v - stderr < 0.0:
+        flags += ("v_minus_sigma_subzero",)
+    theta0 = (math.atan2(b, a) / freq) % (TWO_PI / freq)
+    return Fringe(freq, float(v), theta0, float(m), stderr, flags)
 
 
-def petal_fit(hist: AngularHistogram, l: int) -> PetalFit:
-    """Fit the 2l-petal model to an angular histogram.
-
-    theta0 is folded into [0, pi/l); visibility is clipped to [0, 1]. A flat
-    histogram (no modulation to lock onto) comes back flagged degenerate
-    with theta0 = nan.
-    """
+def petal_fit(hist: AngularHistogram, l: int) -> Fringe:
+    """Fit the 2l-petal fringe to an angular histogram (see fringe_fit)."""
     l = int(l)
     if l < 1:
         raise ValueError("petal fit needs l >= 1")
     if hist.nbins <= 4 * l:
         # at 4l bins cos(2l theta) vanishes at every bin center
         raise ValueError(f"need more than {4 * l} bins to resolve 2l={2 * l} petals")
-    coef, resid, _ = cosine_fit(hist.bin_centers, hist.bins, 2 * l)
-    m, a, b = (float(c) for c in coef)
-    amp, phase = float(np.hypot(a, b)), float(np.arctan2(b, a))
-    rms = float(np.sqrt(np.mean(resid**2)))
-    period = np.pi / l
-    if m <= 0 or amp / max(abs(m), 1e-300) < 1e-12:
-        return PetalFit(l, float("nan"), 0.0, max(m, 0.0), rms, degenerate=True)
-    theta0 = (phase / (2.0 * l)) % period
-    vis = min(amp / m, 1.0)
-    return PetalFit(l, float(theta0), float(vis), float(m), rms)
+    return fringe_fit(hist.bin_centers, hist.bins, 2 * l)
 
 
 # -- serialization -----------------------------------------------------------

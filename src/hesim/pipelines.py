@@ -42,13 +42,16 @@ from .spdc import apply_noise, down_convert
 
 
 def _grid(cfg: RunConfig, l: int):
-    extent = cfg.grid.extent
+    """(n, extent) of the render grid; refuses a charge whose LG field overflows on it."""
+    n, extent = cfg.grid.n, cfg.grid.extent
     if extent is None:
         extent = lgmodes.default_extent(cfg.grid.waist, max(abs(l), 1))
-    return (cfg.grid.n, extent)
+    if not lgmodes.finite_on_grid(l, n, extent, cfg.grid.waist):
+        raise ConfigError(f"pump.l={l} overflows the LG amplitude at the corners of the {n}x{n} grid")
+    return (n, extent)
 
 
-def _annulus(cfg: RunConfig, l: int) -> tuple:
+def _annulus(cfg: RunConfig, l: int, grid) -> tuple:
     """Petal-analysis annulus for charge l, checked against the bins and the grid."""
     if cfg.analysis.nbins <= 4 * l:
         raise ConfigError(
@@ -56,7 +59,7 @@ def _annulus(cfg: RunConfig, l: int) -> tuple:
             f"to resolve {2 * l} petals"
         )
     annulus = cfg.analysis.annulus or lgmodes.default_annulus(cfg.grid.waist, l)
-    n, extent = _grid(cfg, l)
+    n, extent = grid
     if not lgmodes.annulus_on_grid(n, extent, annulus):
         raise ConfigError(
             f"analysis annulus {annulus} holds no pixel center of the "
@@ -128,7 +131,7 @@ def _formats(formats) -> frozenset:
 def _petal_summary(fit, hist) -> dict:
     return {
         "theta0_deg": None if fit.degenerate else math.degrees(fit.theta0),
-        "visibility": fit.visibility,
+        "visibility": fit.V,
         "n_maxima": int(len(lgmodes.angular_maxima(hist))),
         "degenerate": fit.degenerate,
     }
@@ -156,10 +159,10 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     fmt = _formats(formats)
     l = cfg.pump.l
     _check_stack_memory(cfg, l)
-    annulus = _annulus(cfg, l) if l >= 1 else None
+    grid = _grid(cfg, l)
+    annulus = _annulus(cfg, l, grid) if l >= 1 else None
     os.makedirs(outdir, exist_ok=True)
     pump = _pump(cfg, l)
-    grid = _grid(cfg, l)
     waist = cfg.grid.waist
 
     manifest = {
@@ -270,12 +273,12 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
     if l < 1:
         raise ConfigError("hybrid witness needs a pump charge l >= 1")
     _check_stack_memory(cfg, l)
-    annulus = _annulus(cfg, l)
+    grid = _grid(cfg, l)
+    annulus = _annulus(cfg, l, grid)
     cfg.detector.scale(l)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg)
     det = cfg.detector
-    grid = _grid(cfg, l)
     waist = cfg.grid.waist
 
     scan = angular_basis_scan(

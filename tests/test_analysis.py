@@ -9,7 +9,6 @@ import pytest
 
 from hesim.analysis import (
     AnalysisReport,
-    VisibilityResult,
     TOMO_SETTINGS,
     _witness_pairs,
     angular_basis_scan,
@@ -25,7 +24,7 @@ from hesim.analysis import (
 from hesim.detection import SETTINGS, DetectorModel
 from hesim.errors import NumericalError
 from hesim.jones import pump_state
-from hesim.lgmodes import AngularHistogram, default_extent, petal_fit
+from hesim.lgmodes import AngularHistogram, Fringe, default_extent, petal_fit
 from hesim.pipelines import _write_json
 from hesim.quantum import DensityMatrix, Ket, fidelity, oam_subsystem, pol_subsystem, state_fidelity
 from hesim.spdc import apply_noise, down_convert
@@ -226,9 +225,7 @@ def test_pair_visibility_of_complementary_petals():
         "R": synthetic_fit(3, np.pi / 12, 1.0),
         "L": synthetic_fit(3, np.pi / 4, 1.0),
     }
-    pairs = _witness_pairs(
-        {b: f.curve for b, f in fits.items()}, {b: f.theta0 for b, f in fits.items()}, 3
-    )
+    pairs = _witness_pairs(fits, 3)
     assert pairs == {
         "DA": pytest.approx(1.0, abs=1e-9),
         "RL": pytest.approx(1.0, abs=1e-9),
@@ -387,8 +384,8 @@ def test_report_recomputes_violation_sigmas():
 
 
 def test_report_bell_bound_flag():
-    good = VisibilityResult(0.99, 0.0, 0.001, ())
-    bad = VisibilityResult(0.6, 0.0, 0.001, ())
+    good = Fringe(freq=2, V=0.99, theta0=0.0, base=1.0, stderr=0.001)
+    bad = Fringe(freq=2, V=0.6, theta0=0.0, base=1.0, stderr=0.001)
     assert AnalysisReport(kind="t", visibilities={"H": good, "D": good}).bell_bound_flag()
     assert not AnalysisReport(kind="t", visibilities={"H": good, "D": bad}).bell_bound_flag()
     assert AnalysisReport(kind="t").bell_bound_flag() is None

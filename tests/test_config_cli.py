@@ -87,6 +87,9 @@ def test_unknown_keys_rejected_at_both_levels():
         {"analysis": {"chsh_settings": [0.0, 45.0, -math.inf, 67.5]}},
         {"detector": {"rate_scale_per_l": {"3": "0.12"}}},
         {"detector": {"rate_scale_per_l": {"-1": 0.5}}},
+        # angular bins past the finest sweep resolution; 10**10 would ask for 80 GB
+        {"analysis": {"nbins": MAX_SWEEP_POINTS + 1}},
+        {"analysis": {"nbins": 10**10}},
     ],
 )
 def test_bad_values_rejected(patch):
@@ -277,6 +280,17 @@ def test_cli_bad_config_exits_2(tmp_path):
             ["hybrid-witness", "--l", "171", "--expected"],
             id="charge-witness",
         ),
+        # (sqrt(2) r / w)^166 overflows at the frame's corner pixels
+        pytest.param(
+            {"analysis": {"nbins": 1000}, "grid": {"n": 64}},
+            ["pump-gallery", "--l", "166"],
+            id="corner-gallery",
+        ),
+        pytest.param(
+            {"analysis": {"nbins": 1000}, "detector": {"rate_scale_per_l": {"166": 0.1}}},
+            ["hybrid-witness", "--l", "166", "--expected"],
+            id="corner-witness",
+        ),
     ],
 )
 def test_cli_rejects_before_writing(tmp_path, config, argv):
@@ -312,6 +326,18 @@ def test_charge_bound_is_where_the_lg_normalisation_overflows():
     _check_stack_memory(cfg, top)
     with pytest.raises(ConfigError, match="normalisation"):
         _check_stack_memory(cfg, top + 1)
+
+
+def test_charge_bound_at_the_frame_corner():
+    for n in (64, 256):
+        cfg = RunConfig.from_dict({"grid": {"n": n}})
+        assert pipelines._grid(cfg, 165)[0] == n
+        for l in range(166, pipelines.MAX_CHARGE + 1):
+            with pytest.raises(ConfigError, match="corners"):
+                pipelines._grid(cfg, l)
+    # a frame whose corners sit closer in holds the highest charge
+    small = RunConfig.from_dict({"grid": {"n": 64, "extent": 20.0}})
+    assert pipelines._grid(small, pipelines.MAX_CHARGE) == (64, 20.0)
 
 
 def test_render_peak_within_memory_budget(monkeypatch):

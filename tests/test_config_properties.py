@@ -55,7 +55,7 @@ SLOTS = {
     "grid.n": (setting("grid", "n"), (True, 16, INF, False, False)),
     "grid.extent": (setting("grid", "extent"), (False, 0, INF, True, False)),
     "grid.waist": (setting("grid", "waist"), (False, 0, INF, True, False)),
-    "analysis.nbins": (setting("analysis", "nbins"), (True, 8, INF, False, False)),
+    "analysis.nbins": (setting("analysis", "nbins"), (True, 8, MAX_SWEEP_POINTS, False, False)),
     "analysis.n_bootstrap": (setting("analysis", "n_bootstrap"), (True, 1, INF, False, False)),
     "analysis.annulus inner": (
         (

@@ -258,7 +258,7 @@ def test_heralded_a_image_shows_six_petals():
 def test_heralded_none_image_is_uniform():
     img = heralded(3, None)
     fit = petal_fit(angular_profile(img, 72, default_annulus(1.0, 3)), 3)
-    assert fit.visibility < 1e-9
+    assert fit.V < 1e-9
     # sampled at bright-beam count scales the fitted modulation stays small
     det = DetectorModel(
         pair_rate=1e6, accidental_rate=0.0, integration_time=10.0,
@@ -268,7 +268,7 @@ def test_heralded_none_image_is_uniform():
     grid = (256, default_extent(1.0, 1))
     img_s = heralded_image(state, None, SETTINGS["D"], grid, 1.0, det, 1)
     fit_s = petal_fit(angular_profile(img_s, 72, default_annulus(1.0, 1)), 1)
-    assert fit_s.visibility < 0.02
+    assert fit_s.V < 0.02
 
 
 def test_heralded_r_and_a_differ_by_quarter_period():

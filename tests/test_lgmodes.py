@@ -118,7 +118,7 @@ def test_project_h_gives_uniform_vortex_ring():
     # a single vortex is azimuthally uniform: no petal modulation survives the
     # fit, and the image inherits the full symmetry of the grid
     fit = petal_fit(angular_profile(img, 72, default_annulus(1.0, 1)), 1)
-    assert fit.visibility < 1e-6
+    assert fit.V < 1e-6
     assert np.allclose(img.pixels, img.pixels.T, atol=1e-12)
     assert np.allclose(img.pixels, img.pixels[::-1, :], atol=1e-12)
     # the field's own angular profile at the peak radius is flat
@@ -149,7 +149,7 @@ def test_unprojected_pump_is_uniform_ring():
     img = render_unprojected(pump_state(1, alphabet=OAM3), GRID, 1.0)
     hist = angular_profile(img, 72, default_annulus(1.0, 1))
     fit = petal_fit(hist, 1)
-    assert fit.visibility < 1e-6
+    assert fit.V < 1e-6
 
 
 # -- angular profiles -------------------------------------------------------------
@@ -198,7 +198,7 @@ def synthetic_hist(l, theta0=0.0, background=0.0, nbins=72):
 
 def test_petal_fit_self_consistency():
     fit = petal_fit(synthetic_hist(3), 3)
-    assert fit.visibility == pytest.approx(1.0, abs=1e-6)
+    assert fit.V == pytest.approx(1.0, abs=1e-6)
     assert min(fit.theta0, np.pi / 3 - fit.theta0) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -210,7 +210,7 @@ def test_petal_fit_recovers_rotation():
 def test_petal_fit_background_visibility():
     # cos^2 + 0.1 : (max - min)/(max + min) = 1/1.2 wait: max 1.1, min 0.1 -> 10/12
     fit = petal_fit(synthetic_hist(2, background=0.1), 2)
-    assert fit.visibility == pytest.approx(1.0 / 1.2, abs=1e-9)
+    assert fit.V == pytest.approx(1.0 / 1.2, abs=1e-9)
 
 
 def test_petal_fit_mixture_background_visibility():
@@ -219,16 +219,16 @@ def test_petal_fit_mixture_background_visibility():
     centers = (np.arange(nbins) + 0.5) * 2 * np.pi / nbins
     vals = 0.9 * np.cos(3 * centers) ** 2 + 0.1
     fit = petal_fit(AngularHistogram(vals), 3)
-    assert fit.visibility == pytest.approx(9.0 / 11.0, abs=1e-9)
+    assert fit.V == pytest.approx(9.0 / 11.0, abs=1e-9)
 
 
 def test_petal_fit_flat_flags_degenerate():
     fit = petal_fit(AngularHistogram(np.full(72, 2.5)), 3)
     assert fit.degenerate
-    assert fit.visibility == 0.0
+    assert fit.V == 0.0
     assert math.isnan(fit.theta0)
-    # flat at B / 2, not nan: an empty sampled image must not make W nan
-    assert fit.curve(np.array([0.0, 1.0])) == pytest.approx([1.25, 1.25])
+    # flat at its own level, not nan: an empty sampled image must not make W nan
+    assert fit.curve(np.array([0.0, 1.0])) == pytest.approx([2.5, 2.5])
     empty = petal_fit(AngularHistogram(np.zeros(72)), 3)
     assert empty.degenerate and float(empty.curve(0.3)) == 0.0
 
