@@ -29,7 +29,7 @@ from .detection import (
     sample_counts,
 )
 from .errors import NumericalError
-from .lgmodes import Fringe, fringe_fit, petal_fit
+from .lgmodes import Fringe, fold_phase, fringe_fit, petal_fit
 from .quantum import DensityMatrix, pol_ket, pol_subsystem
 from .spdc import SIGNAL_OAM
 
@@ -328,7 +328,7 @@ def _oam_fringe(block: np.ndarray, alphabet, l: int) -> Fringe:
     amp = 2.0 * abs(coh)
     if amp == 0:
         return Fringe(2 * l, 0.0, math.nan, base, flags=("degenerate",))
-    theta0 = (-np.angle(coh) / (2.0 * l)) % (np.pi / l)
+    theta0 = fold_phase(-np.angle(coh) / (2.0 * l), np.pi / l)
     return Fringe(2 * l, amp / base, theta0, base)
 
 

@@ -52,6 +52,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hesim",
+        allow_abbrev=False,  # "--n 1" must not run as "--noise 1"
         description=(
             "Simulate transferring a structured classical pump into a hybrid "
             "entangled photon pair and run the measurement chain on it."
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in COMMANDS:
-        _add_common(sub.add_parser(name, help=text))
+        _add_common(sub.add_parser(name, help=text, allow_abbrev=False))
     return parser
 
 

@@ -1,4 +1,7 @@
-"""Analyzer settings, coincidence probabilities, and Poisson counting.
+"""Analyzer settings, the OAM blocks they select, coincidence probabilities,
+and Poisson counting. oam_block is the one polarization-to-OAM-block step
+of both image benches: the pump gallery renders its block, and heralded
+images render conditional_oam's, the block scaled by its weight.
 
 Each arm carries a removable quarter-wave plate, a half-wave plate and a
 polarizing beam splitter; a setting (q, h) transmits the polarization state
@@ -247,6 +250,22 @@ def coincidence_row(state, idler, signals) -> list:
     return [p1 * float(p2) if p2 >= NULL_TOL else 0.0 for p2 in p2s]
 
 
+def oam_block(state, analyzers: dict):
+    """(block, weight) left by polarization analyzers: block is the normalised
+    OAM density matrix (None on a null outcome), weight the product of the
+    projection probabilities. analyzers maps subsystem names to settings or
+    kets, read as coincidence_row reads them, and projects them in order."""
+    weight = 1.0
+    for name, setting in analyzers.items():
+        state, p = project(state, _arm_ket(setting), subsystem=name)
+        weight *= p
+        if state is None:
+            return None, weight
+    if isinstance(state, Ket):
+        return np.outer(state.amplitudes, state.amplitudes.conj()), weight
+    return state.matrix, weight
+
+
 def conditional_oam(state, idler, signal_pol):
     """Unnormalised signal-OAM block after the polarization projections.
 
@@ -264,17 +283,10 @@ def conditional_oam(state, idler, signal_pol):
             weight += w
         return total, weight
 
-    st, p1 = project(state, _arm_ket(idler), subsystem=IDLER)
-    if st is not None:
-        st, p2 = project(st, _arm_ket(signal_pol), subsystem=SIGNAL_POL)
-    if st is None:
+    block, weight = oam_block(state, {IDLER: idler, SIGNAL_POL: signal_pol})
+    if block is None:
         n = state.dims[state.axis(SIGNAL_OAM)]
         return np.zeros((n, n), dtype=complex), 0.0
-    weight = p1 * p2
-    if isinstance(st, Ket):
-        block = np.outer(st.amplitudes, st.amplitudes.conj())
-    else:
-        block = st.matrix
     return block * weight, weight
 
 
@@ -303,7 +315,7 @@ def heralded_image(
 
     acc_per_px = det.accidental_rate * det.integration_time / (n * n)
     if weight <= 1e-15 and acc_per_px == 0.0:
-        return lgmodes.FieldImage(np.zeros((n, n)), extent, meta=meta, empty=True)
+        return lgmodes.FieldImage(np.zeros((n, n)), extent, meta=meta)
 
     intensity = lgmodes.render_from_density(block, alphabet, grid, waist)
     total = intensity.sum()

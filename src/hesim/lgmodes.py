@@ -1,8 +1,10 @@
-"""Laguerre-Gauss p=0 modes, projection images, and the fringe fit.
+"""Laguerre-Gauss p=0 modes, their rendered images, and the fringe fit.
 
 One fringe model, base * (1 + V cos(freq (theta - theta0))), serves both
 readouts: fringe_fit fits it to a polarization sweep (freq 2) and, through
-petal_fit, to the angular profile of a 2l-petal image (freq 2l).
+petal_fit, to the angular profile of a 2l-petal image (freq 2l). Images
+are rendered from OAM density blocks, never from states: the module has no
+quantum layer, and detection.oam_block takes the polarization step.
 
 Geometry conventions (fixed, also used by the angular histogram):
 
@@ -96,7 +98,6 @@ class FieldImage:
     pixels: np.ndarray
     extent: float
     meta: dict = field(default_factory=dict)
-    empty: bool = False
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=float)
@@ -226,45 +227,6 @@ def render_from_density(rho_oam: np.ndarray, alphabet, grid, waist: float) -> np
     return out
 
 
-def render_projection(state, pol, grid, waist: float) -> FieldImage:
-    """Project a pol x OAM ket onto a polarization ket and image the rest.
-
-    Zero-probability projections return an all-zero image flagged ``empty``
-    instead of a normalised artifact. Pixels are max-normalised for display,
-    matching how camera frames are usually shown.
-    """
-    from .quantum import project  # local import keeps module load order simple
-
-    residual, prob = project(state, pol)
-    meta = {"projection_probability": prob}
-    if residual is None:
-        n = int(grid[0])
-        return FieldImage(np.zeros((n, n)), float(grid[1]), meta=meta, empty=True)
-    amp = residual.amplitudes
-    rho = np.outer(amp, amp.conj())
-    return _peak_normalised(rho, residual.subsystems[0].labels, grid, waist, meta)
-
-
-def render_unprojected(state, grid, waist: float) -> FieldImage:
-    """Incoherent sum over an orthonormal polarization basis (no analyzer)."""
-    from .quantum import partial_trace
-
-    names = [s.name for s in state.subsystems]
-    oam_name = names[-1]
-    rho = partial_trace(state, keep=oam_name)
-    alphabet = rho.subsystems[0].labels
-    return _peak_normalised(rho.matrix, alphabet, grid, waist, {"projection": None})
-
-
-def _peak_normalised(rho_oam, alphabet, grid, waist: float, meta: dict) -> FieldImage:
-    """Render an OAM density block and scale the brightest pixel to one."""
-    intensity = render_from_density(rho_oam, alphabet, grid, waist)
-    peak = intensity.max()
-    if peak > 0:
-        intensity = intensity / peak
-    return FieldImage(intensity, float(grid[1]), meta=meta)
-
-
 # -- angular analysis --------------------------------------------------------
 
 MIN_PROMINENCE = 0.1  # of the smoothed histogram range, for angular_maxima
@@ -387,10 +349,10 @@ class Fringe:
     """A fitted fringe, base * (1 + V cos(freq (theta - theta0))), base its mean level.
 
     freq is 2 for a polarization sweep and 2l for a 2l-petal pattern. theta0
-    is folded into [0, 2 pi / freq] (a phase a rounding below 0 folds onto
-    the period). flags may hold "degenerate" (nothing to orient: V = 0,
-    theta0 = nan), "clipped" (a V over 1, reported as 1) and
-    "v_minus_sigma_subzero" (V less than one stderr above zero).
+    is folded into [0, 2 pi / freq) by fold_phase. flags may hold
+    "degenerate" (nothing to orient: V = 0, theta0 = nan), "clipped" (a V
+    over 1, reported as 1) and "v_minus_sigma_subzero" (V less than one
+    stderr above zero).
     """
 
     freq: int
@@ -408,6 +370,12 @@ class Fringe:
         if self.degenerate:  # flat at base; its theta0 is nan
             return np.full(np.shape(theta), self.base)
         return self.base * (1.0 + self.V * np.cos(self.freq * (np.asarray(theta) - self.theta0)))
+
+
+def fold_phase(theta: float, period: float) -> float:
+    """theta modulo period, in [0, period): a rounding below 0 folds to 0, not to period."""
+    folded = theta % period
+    return 0.0 if folded == period else folded
 
 
 def fringe_fit(angles, values, freq: int) -> Fringe:
@@ -442,7 +410,7 @@ def fringe_fit(angles, values, freq: int) -> Fringe:
     flags = ("clipped",) if amp / m > 1.0 + 1e-9 else ()  # genuine overshoot, not roundoff
     if v - stderr < 0.0:
         flags += ("v_minus_sigma_subzero",)
-    theta0 = (math.atan2(b, a) / freq) % (TWO_PI / freq)
+    theta0 = fold_phase(math.atan2(b, a) / freq, TWO_PI / freq)
     return Fringe(freq, float(v), theta0, float(m), stderr, flags)
 
 

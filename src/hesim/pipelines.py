@@ -34,10 +34,10 @@ from .analysis import (
     witness_expectation,
 )
 from .config import RunConfig
-from .detection import SETTINGS
+from .detection import SETTINGS, oam_block
 from .errors import ConfigError
 from .jones import pump_state
-from .quantum import Ket, fidelity, oam_subsystem, pol_ket, project
+from .quantum import Ket, fidelity, oam_subsystem, partial_trace, pol_ket, project
 from .spdc import apply_noise, down_convert
 
 
@@ -151,10 +151,11 @@ GALLERY_BASES = ("H", "A", "R", "V", "D", "L")
 def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     """Image the pump behind each analyzer setting and with none at all.
 
-    Writes one PGM per projection plus a manifest with the projection
-    probabilities and, for l >= 1, the fitted petal orientation of each
-    structured image. ``formats`` filters which artifact kinds are written
-    (any of "pgm", "csv", "json"; default all).
+    Writes one PGM per projection, peak-normalised as camera frames are
+    shown (all zero for a null projection), plus a manifest with the
+    projection probabilities and, for l >= 1, the fitted petal orientation
+    of each structured image. ``formats`` filters which artifact kinds are
+    written (any of "pgm", "csv", "json"; default all).
     """
     fmt = _formats(formats)
     l = cfg.pump.l
@@ -171,25 +172,31 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
         "grid": {"n": grid[0], "extent": grid[1], "waist": waist},
         "images": {},
     }
+    n, extent = grid
+
+    def peak_normalised(block):
+        if block is None:
+            return lgmodes.FieldImage(np.zeros((n, n)), extent)
+        intensity = lgmodes.render_from_density(block, _alphabet(l), grid, waist)
+        peak = intensity.max()
+        return lgmodes.FieldImage(intensity / peak if peak > 0 else intensity, extent)
+
     for label in GALLERY_BASES:
-        img = lgmodes.render_projection(pump, pol_ket(label), grid, waist)
+        block, weight = oam_block(pump, {"pol": pol_ket(label)})
+        img = peak_normalised(block)
         fname = f"pump_{label}.pgm"
         if "pgm" in fmt:
             lgmodes.write_pgm(img, os.path.join(outdir, fname))
-        entry = {
-            "file": fname,
-            "projection_probability": img.meta.get("projection_probability"),
-            "empty": img.empty,
-        }
-        if l >= 1 and not img.empty:
+        entry = {"file": fname, "projection_probability": weight, "empty": block is None}
+        if l >= 1 and block is not None:
             hist = lgmodes.angular_profile(img, cfg.analysis.nbins, annulus)
             entry["petals"] = _petal_summary(lgmodes.petal_fit(hist, l), hist)
         manifest["images"][label] = entry
 
-    img = lgmodes.render_unprojected(pump, grid, waist)
+    img = peak_normalised(partial_trace(pump, keep="oam").matrix)
     if "pgm" in fmt:
         lgmodes.write_pgm(img, os.path.join(outdir, "pump_none.pgm"))
-    manifest["images"]["none"] = {"file": "pump_none.pgm", "empty": img.empty}
+    manifest["images"]["none"] = {"file": "pump_none.pgm", "empty": False}
 
     if "json" in fmt:
         _write_json(

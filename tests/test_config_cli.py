@@ -301,6 +301,16 @@ def test_cli_rejects_before_writing(tmp_path, config, argv):
     assert not out.exists()
 
 
+# argparse's prefix matching once ran "--n 1" as "--noise 1", to W = 0
+@pytest.mark.parametrize("argv", [["--n", "1"], ["--exp"], ["--noi", "0.1"]])
+def test_cli_rejects_abbreviated_options(tmp_path, argv):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        main(["hybrid-witness", *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def needed_bytes(error: ConfigError) -> int:
     return int(re.search(r"needs ([\d,]+) bytes", str(error)).group(1).replace(",", ""))
 

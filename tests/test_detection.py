@@ -1,7 +1,9 @@
 """Analyzer settings, coincidence probabilities, and the counting model."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hesim.detection import (
     SETTINGS,
@@ -291,7 +293,7 @@ def test_heralded_empty_image_flag():
     img = heralded_image(
         state, SETTINGS["H"], SETTINGS["D"], grid, 1.0, make_detector(sampled=False), 1
     )
-    assert img.empty
+    assert img.meta["joint_probability"] == 0.0
     assert not img.pixels.any()
 
 
@@ -326,3 +328,36 @@ def test_random_streams_follow_the_determinism_contract():
     for tag in (7, "7"):
         img = heralded(2, "R", sampled=True, seed=9, tag=tag)
         assert img.pixels.tobytes() == drawn.tobytes()
+
+
+PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    l=st.integers(1, 3),
+    phi=st.floats(0.0, 2 * np.pi),
+    alpha=st.floats(0.0, 1.0),
+    p_white=st.floats(0.0, 1.0),
+    space=st.sampled_from(("postselected", "polarization")),
+)
+def test_heralded_images_do_not_signal(l, phi, alpha, p_white, space):
+    # summing an analyzer pair on one arm leaves the other arm's image free
+    # of that pair's basis: an idler pair gives the unanalyzed idler's image
+    state = apply_noise(down_convert(pump_state(l, phi, alpha, alphabet=(-l, l))), p_white, space)
+    det = make_detector(sampled=False)
+    grid = (64, default_extent(1.0, l))
+
+    def image(idler, signal):
+        idler = None if idler is None else SETTINGS[idler]
+        return heralded_image(state, idler, SETTINGS[signal], grid, 1.0, det, l).pixels
+
+    def assert_same(images, reference):
+        for img in images:
+            assert np.max(np.abs(img - reference)) <= 1e-12 * reference.max()
+
+    for signal in SETTINGS:
+        assert_same([image(a, signal) + image(b, signal) for a, b in PAIRS], image(None, signal))
+    for idler in (*SETTINGS, None):
+        sums = [image(idler, a) + image(idler, b) for a, b in PAIRS]
+        assert_same(sums[1:], sums[0])

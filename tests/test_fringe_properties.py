@@ -54,7 +54,7 @@ def test_fringe_fit_recovers_visibility_and_phase(freq, n, v, phase, base):
     assert fit.freq == freq
     assert fit.V == close(v)
     assert fit.base == close(base)
-    assert 0.0 <= fit.theta0 <= period  # a phase just below 0 folds onto the period
+    assert 0.0 <= fit.theta0 < period
     assert phase_gap(fit.theta0, phase * period, period) < 1e-9
     assert np.allclose(fit.curve(angles), fringe_values(angles, freq, v, phase * period, base))
 

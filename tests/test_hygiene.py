@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import, public top-level name and public
-member in src/hesim is used, and no module reads the process environment."""
+member in src/hesim is used, every import sits at module level, lgmodes
+imports nothing from quantum, and no module reads the process environment."""
 
 import ast
 import pathlib
@@ -40,6 +41,43 @@ def test_no_unused_imports_in_package():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def nested_imports(source: str) -> list:
+    """Lines of import statements below module level."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    )
+
+
+def test_nested_imports_detected():
+    src = "import os\n\ndef f():\n    import sys\n    if sys:\n        from math import pi\n"
+    assert nested_imports(src) == [4, 6]
+
+
+def test_no_nested_imports_in_package():
+    found = {path.name: nested_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def imported_modules(source: str) -> set:
+    """Every module name an import statement names, with the names it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+            names.add(getattr(node, "module", None) or "")
+    return {part for name in names for part in name.split(".")}
+
+
+def test_lgmodes_has_no_quantum_layer():
+    # images render from OAM blocks; detection.oam_block takes the polarization step
+    assert "quantum" not in imported_modules((SRC / "lgmodes.py").read_text())
+    assert "quantum" in imported_modules("from . import quantum\n")
+    assert "quantum" in imported_modules("from .quantum import project\n")
 
 
 # public names nothing in src/hesim calls, each with the reason it stays

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from hesim import lgmodes
+from hesim.config import RunConfig
+from hesim.detection import oam_block
 from hesim.errors import NumericalError
 from hesim.jones import pump_state
 from hesim.lgmodes import (
@@ -29,15 +31,25 @@ from hesim.lgmodes import (
     petal_fit,
     pixel_polar,
     render_from_density,
-    render_projection,
-    render_unprojected,
     write_histogram_csv,
     write_pgm,
 )
-from hesim.quantum import pol_ket
+from hesim.pipelines import run_pump_gallery
+from hesim.quantum import partial_trace, pol_ket
 
 OAM3 = tuple(range(-3, 4))
 GRID = (256, default_extent(1.0, 3))
+
+
+def pump_image(pump, label, grid=GRID) -> FieldImage:
+    """The gallery's peak-normalised image of a pump behind analyzer ``label``
+    (None: no analyzer), at waist 1."""
+    if label is None:
+        block = partial_trace(pump, keep="oam").matrix
+    else:
+        block, _ = oam_block(pump, {"pol": pol_ket(label)})
+    intensity = render_from_density(block, pump.subsystems[1].labels, grid, 1.0)
+    return FieldImage(intensity / intensity.max(), grid[1])
 
 
 def circular_distance(a: float, b: float, period: float) -> float:
@@ -114,7 +126,7 @@ def test_pixel_polar_orientation():
 
 
 def test_project_h_gives_uniform_vortex_ring():
-    img = render_projection(pump_state(1, alphabet=OAM3), pol_ket("H"), GRID, 1.0)
+    img = pump_image(pump_state(1, alphabet=OAM3), "H")
     # a single vortex is azimuthally uniform: no petal modulation survives the
     # fit, and the image inherits the full symmetry of the grid
     fit = petal_fit(angular_profile(img, 72, default_annulus(1.0, 1)), 1)
@@ -130,7 +142,7 @@ def test_project_h_gives_uniform_vortex_ring():
 
 
 def test_project_d_gives_six_petals_at_l3():
-    img = render_projection(pump_state(3, alphabet=OAM3), pol_ket("D"), GRID, 1.0)
+    img = pump_image(pump_state(3, alphabet=OAM3), "D")
     hist = angular_profile(img, 72, default_annulus(1.0, 3))
     maxima = angular_maxima(hist)
     assert len(maxima) == 6
@@ -138,15 +150,18 @@ def test_project_d_gives_six_petals_at_l3():
     assert np.allclose(spacing, math.radians(60.0), atol=2 * 2 * np.pi / 72)
 
 
-def test_zero_probability_projection_flagged_empty():
+def test_zero_probability_projection_flagged_empty(tmp_path):
     # pump with alpha=1 has no V component at all
-    img = render_projection(pump_state(1, alpha=1.0, alphabet=OAM3), pol_ket("V"), GRID, 1.0)
-    assert img.empty
-    assert not img.pixels.any()
+    block, weight = oam_block(pump_state(1, alpha=1.0, alphabet=OAM3), {"pol": pol_ket("V")})
+    assert block is None and weight < 1e-15
+    cfg = RunConfig.from_dict({"pump": {"l": 1, "alpha": 1.0}, "grid": {"n": 64}})
+    manifest = run_pump_gallery(cfg, str(tmp_path))
+    assert manifest["images"]["V"]["empty"]
+    assert not read_pgm(tmp_path / "pump_V.pgm").any()
 
 
 def test_unprojected_pump_is_uniform_ring():
-    img = render_unprojected(pump_state(1, alphabet=OAM3), GRID, 1.0)
+    img = pump_image(pump_state(1, alphabet=OAM3), None)
     hist = angular_profile(img, 72, default_annulus(1.0, 1))
     fit = petal_fit(hist, 1)
     assert fit.V < 1e-6
@@ -168,7 +183,7 @@ def test_uniform_ring_bins_equal_within_pixelization():
 
 def test_two_petal_profile_has_two_maxima():
     grid = (256, default_extent(1.0, 1))
-    img = render_projection(pump_state(1, alphabet=OAM3), pol_ket("D"), grid, 1.0)
+    img = pump_image(pump_state(1, alphabet=OAM3), "D", grid)
     hist = angular_profile(img, 72, default_annulus(1.0, 1))
     maxima = angular_maxima(hist)
     assert len(maxima) == 2
@@ -177,7 +192,7 @@ def test_two_petal_profile_has_two_maxima():
 
 
 def test_empty_annulus_raises():
-    img = render_projection(pump_state(1, alphabet=OAM3), pol_ket("H"), GRID, 1.0)
+    img = pump_image(pump_state(1, alphabet=OAM3), "H")
     with pytest.raises(ValueError):
         angular_profile(img, 72, (0.0001, 0.0002))
 
@@ -246,10 +261,10 @@ def test_rotation_law_phase_to_angle():
     # adding phase phi on the -l amplitude rotates petals by phi / (2l)
     bin_width = 2 * np.pi / 72
     for l in (1, 2, 3):
-        base = render_projection(pump_state(l, 0.0, alphabet=OAM3), pol_ket("D"), GRID, 1.0)
+        base = pump_image(pump_state(l, 0.0, alphabet=OAM3), "D")
         t0 = petal_fit(angular_profile(base, 72, default_annulus(1.0, l)), l).theta0
         for phi in (np.pi / 4, np.pi / 2, np.pi):
-            img = render_projection(pump_state(l, phi, alphabet=OAM3), pol_ket("D"), GRID, 1.0)
+            img = pump_image(pump_state(l, phi, alphabet=OAM3), "D")
             fit = petal_fit(angular_profile(img, 72, default_annulus(1.0, l)), l)
             shift = circular_distance(fit.theta0, t0, np.pi / l)
             expected = phi / (2 * l)
@@ -261,7 +276,7 @@ def test_rotation_law_phase_to_angle():
 
 
 def test_pgm_round_trip(tmp_path):
-    img = render_projection(pump_state(1, alphabet=OAM3), pol_ket("D"), (64, 8.0), 1.0)
+    img = pump_image(pump_state(1, alphabet=OAM3), "D", (64, 8.0))
     path = tmp_path / "petals.pgm"
     write_pgm(img, path)
     data = read_pgm(path)
@@ -289,7 +304,7 @@ def digit_edges_image():
 
 def gallery_image():
     pump = pump_state(6, alphabet=tuple(range(-6, 7)))
-    return render_projection(pump, pol_ket("D"), (512, default_extent(1.0, 6)), 1.0)
+    return pump_image(pump, "D", (512, default_extent(1.0, 6)))
 
 
 @pytest.mark.parametrize(
@@ -329,8 +344,8 @@ def test_histogram_csv_format(tmp_path):
 
 
 def test_render_determinism():
-    a = render_projection(pump_state(2, alphabet=OAM3), pol_ket("L"), (128, 10.0), 1.0)
-    b = render_projection(pump_state(2, alphabet=OAM3), pol_ket("L"), (128, 10.0), 1.0)
+    a = pump_image(pump_state(2, alphabet=OAM3), "L", (128, 10.0))
+    b = pump_image(pump_state(2, alphabet=OAM3), "L", (128, 10.0))
     assert np.array_equal(a.pixels, b.pixels)
 
 
@@ -485,6 +500,8 @@ RENDER_HASHES = """
 import hashlib
 import numpy as np
 from hesim import lgmodes
+from hesim.config import RunConfig
+from hesim.detection import oam_block
 for l in (1, 3, 6):
     k = 2 * l + 1
     m = np.random.default_rng(l).normal(size=(k, k, 2)) @ [1, 1j]
