@@ -20,8 +20,8 @@ import numpy as np
 from . import detection, lgmodes
 from .detection import (
     DetectorModel,
+    SETTING_KETS,
     SETTINGS,
-    analyzer_state,
     coincidence_row,
     conditional_oam,
     derived_seed,
@@ -180,15 +180,15 @@ _TOMO_A = _tomo_design()
 def tomography_counts(state, det: DetectorModel, l: int = 0, tag: str = "tomo") -> np.ndarray:
     """Coincidence counts for the 16 canonical projection pairs.
 
-    Each setting is converted to its ket once per table, and the pairs are
-    measured one idler setting (one row) at a time; count k keeps the tag
-    (tag, k) of its place in TOMO_SETTINGS.
+    Each setting's ket comes from SETTING_KETS, and the pairs are measured
+    one idler setting (one row) at a time; count k keeps the tag (tag, k) of
+    its place in TOMO_SETTINGS.
     """
-    kets = {label: analyzer_state(setting) for label, setting in SETTINGS.items()}
     counts = np.zeros(16)
     for li in dict.fromkeys(li for li, _ in TOMO_SETTINGS):
         cells = [(k, ls) for k, (i, ls) in enumerate(TOMO_SETTINGS) if i == li]
-        row = coincidence_row(state, kets[li], [kets[ls] for _, ls in cells])
+        signals = [SETTING_KETS[SETTINGS[ls]] for _, ls in cells]
+        row = coincidence_row(state, SETTING_KETS[SETTINGS[li]], signals)
         for (k, _), prob in zip(cells, row):
             counts[k] = _counts(prob, det, l, (tag, k))
     return counts

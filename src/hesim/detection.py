@@ -193,10 +193,18 @@ def sample_counts(prob: float, det: DetectorModel, l: int, tag=0) -> int:
     return int(gen.poisson(mean))
 
 
+# the ket each named setting transmits, built once: every heralded image
+# and count-table row asks for them again. An equal setting gets the same
+# ket; the one equal setting with other bits, a -0.0 plate angle for 0.0,
+# transmits the same bits (tested)
+SETTING_KETS = {setting: analyzer_state(setting) for setting in SETTINGS.values()}
+
+
 def _arm_ket(setting) -> Ket:
     """An analyzer setting as the ket it transmits; a polarization ket is used as given."""
     if isinstance(setting, AnalyzerSetting):
-        return analyzer_state(setting)
+        ket = SETTING_KETS.get(setting)
+        return analyzer_state(setting) if ket is None else ket
     if isinstance(setting, Ket) and [s.labels for s in setting.subsystems] == [POL_LABELS]:
         return setting
     raise ConfigError(f"cannot interpret analyzer setting {setting!r}")
@@ -320,9 +328,13 @@ def heralded_image(
     intensity = lgmodes.render_from_density(block, alphabet, grid, waist)
     total = intensity.sum()
     expected_pairs = det.pair_rate * det.scale(l) * det.integration_time * weight
-    lam = np.full((n, n), acc_per_px)
     if total > 0:
-        lam += expected_pairs * intensity / total
+        # acc + expected * intensity / total, with the same roundings, in place
+        lam = np.multiply(intensity, expected_pairs)
+        lam /= total
+        lam += acc_per_px
+    else:
+        lam = np.full((n, n), acc_per_px)
     meta["expected_counts"] = float(lam.sum())
 
     if not det.sampled:

@@ -22,7 +22,11 @@ element: one BLAS matrix product mixes the mode stack by the density block,
 and one real reduction pairs the result with the stack. Identical inputs
 give bit-identical images on one numpy/OpenBLAS build and CPU family.
 OpenBLAS picks its kernel for the CPU at run time, so another CPU family
-may move the last bits; the BLAS thread count does not.
+may move the last bits; the BLAS thread count does not. A mode stack
+evaluates each charge pair +-l once: the phase factor of -l is the bitwise
+conjugate of that of +l, as long as the host's complex exponential is
+conjugate-symmetric (tested), so the stack holds the bits of a direct
+evaluation of every mode.
 
 Renders repeat: every bootstrap draw of a witness row renders the same four
 density blocks on one mode stack. So the module holds the last mode stack,
@@ -34,6 +38,7 @@ caller that renders from several threads; the product and its reduction
 run outside it, so such threads share one stack without queueing on it.
 """
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -64,13 +69,21 @@ def lg_amplitude(r, theta, mode: LGMode) -> np.ndarray:
     with C = sqrt(2 / (pi |l|!)) / w so that the squared modulus integrates
     to one over the plane.
     """
+    radial, phase = _lg_factors(r, theta, mode)
+    return radial * phase
+
+
+def _lg_factors(r, theta, mode: LGMode):
+    """The real radial envelope and the unit phase factor whose product is
+    lg_amplitude. The envelope depends on |l| only, and the phase argument
+    of -l is the exact conjugate of that of +l."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     w = mode.waist
     al = abs(int(mode.l))
     c = math.sqrt(2.0 / (math.pi * math.factorial(al))) / w
     radial = c * (np.sqrt(2.0) * r / w) ** al * np.exp(-(r * r) / (w * w))
-    return radial * np.exp(1j * mode.l * theta)
+    return radial, np.exp(1j * mode.l * theta)
 
 
 def peak_radius(mode: LGMode) -> float:
@@ -166,6 +179,14 @@ _held_bins = None  # ((n, extent, r_min, r_max, nbins), mask, bin index)
 def mode_stack(alphabet, n: int, extent: float, waist: float) -> np.ndarray:
     """Complex field of every mode in the OAM alphabet, shape (len, n, n).
 
+    Each field has the bits lg_amplitude gives, but a charge pair +-l takes
+    one evaluation: the second charge of the pair reuses the radial envelope
+    and multiplies it by the conjugated phase factor, which is the other
+    charge's phase factor bit for bit (signed zeros included) while the
+    host's complex exponential is conjugate-symmetric. Conjugating the
+    finished field instead would flip the sign of zeros on the theta = 0 ray
+    and where the envelope underflows.
+
     The last stack is held and returned read-only. A new key drops it before
     building the next, so the module never holds two.
     """
@@ -176,11 +197,19 @@ def mode_stack(alphabet, n: int, extent: float, waist: float) -> np.ndarray:
         if _held_stack is None or _held_stack.key != key:
             _held_stack = None
             r, theta = pixel_polar(n, extent)
-            # np.stack's transient second stack stays within what pipelines
-            # budgets for a render (the stack, its mixed copy and the kept
-            # intensities), so a preallocated fill would lower no budgeted
-            # peak; it measured 3 MB more peak RSS
-            fields = np.stack([lg_amplitude(r, theta, LGMode(l, waist)) for l in alphabet])
+            # filled row by row: no per-mode arrays and no stacked copy
+            fields = np.empty((len(alphabet), n, n), dtype=complex)
+            held = {}  # charge -> its factors, kept for -charge later in the alphabet
+            for i, l in enumerate(alphabet):
+                if -l in held:
+                    radial, phase = held.pop(-l)
+                    np.conjugate(phase, out=phase)
+                else:
+                    radial, phase = _lg_factors(r, theta, LGMode(l, waist))
+                    if l and -l in alphabet[i + 1 :]:
+                        held[l] = radial, phase
+                np.multiply(radial, phase, out=fields[i])
+                del radial, phase
             fields.setflags(write=False)
             _held_stack = _HeldStack(key, fields)
         return _held_stack.fields
@@ -428,29 +457,49 @@ def petal_fit(hist: AngularHistogram, l: int) -> Fringe:
 # -- serialization -----------------------------------------------------------
 
 PGM_MAXVAL = 65535
+PGM_BLOCK_PX = 1 << 16  # pixels write_pgm formats at a time
+
+
+@functools.cache
+def _pgm_words() -> np.ndarray:
+    """The "%d " text of every value 0..PGM_MAXVAL, one read-only
+    little-endian uint64 word each: first character in the lowest byte, the
+    unused high bytes NUL. Built on first use, not at import."""
+    rest = np.arange(PGM_MAXVAL + 1, dtype=np.uint32)
+    words = np.full(rest.shape, ord(" "), dtype=np.uint64)
+    for j in range(len(str(PGM_MAXVAL))):
+        # the next digit from the right goes in front of the text so far,
+        # while any digits are left (0 keeps its one)
+        digit = (rest % 10 + ord("0")).astype(np.uint64)
+        words = np.where((rest > 0) | (j == 0), (words << 8) | digit, words)
+        rest //= 10
+    words = words.astype("<u8")
+    words.setflags(write=False)
+    return words
 
 
 def write_pgm(img: FieldImage, path) -> None:
-    """Plain-text 16-bit PGM, max-normalised, row-major from the top row."""
+    """Plain-text 16-bit PGM, max-normalised, row-major from the top row.
+
+    Values are separated by one space and rows end in a newline. Each block
+    of rows is quantised, looked up in the text table of _pgm_words, given
+    its row-end newlines and written without the NUL padding, so the
+    writer's memory does not grow with the image.
+    """
     px = img.pixels
     peak = px.max()
     scale = PGM_MAXVAL / peak if peak > 0 else 0.0
-    quant = np.rint(px * scale).astype(np.uint32)
     n = img.n
-    # each pixel as five right-aligned digits (PGM_MAXVAL has five) and a
-    # separator; dropping the leading zeros leaves "%d"-formatted values
-    text = np.empty((n, n, 6), dtype=np.uint8)
-    keep = np.ones((n, n, 6), dtype=bool)
-    for j in range(5):
-        power = 10 ** (4 - j)
-        text[..., j] = quant // power % 10 + ord("0")
-        if j < 4:
-            keep[..., j] = quant >= power
-    text[..., 5] = ord(" ")
-    text[:, -1, 5] = ord("\n")
+    words = _pgm_words()
+    rows = max(1, PGM_BLOCK_PX // n)
     with open(path, "wb") as fh:
         fh.write(f"P2\n{n} {n}\n{PGM_MAXVAL}\n".encode("ascii"))
-        fh.write(text[keep].tobytes())
+        for top in range(0, n, rows):
+            quant = np.rint(px[top : top + rows] * scale).astype(np.intp)
+            text = words.take(quant).view(np.uint8).reshape(*quant.shape, 8)
+            ends = text[:, -1]  # a view: the last value of each row
+            ends[ends == ord(" ")] = ord("\n")
+            fh.write(text[text != 0])
 
 
 def write_angle_csv(header: str, angles, values, path) -> None:

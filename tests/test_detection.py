@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from hesim.detection import (
+    SETTING_KETS,
     SETTINGS,
+    AnalyzerSetting,
     DetectorModel,
+    _arm_ket,
     analyzer_state,
     coincidence_row,
     conditional_oam,
@@ -19,7 +22,14 @@ from hesim.detection import (
 )
 from hesim.errors import ConfigError, NumericalError
 from hesim.jones import pump_state
-from hesim.lgmodes import angular_maxima, angular_profile, default_annulus, default_extent, petal_fit
+from hesim.lgmodes import (
+    angular_maxima,
+    angular_profile,
+    default_annulus,
+    default_extent,
+    petal_fit,
+    render_from_density,
+)
 from hesim.quantum import pol_ket
 from hesim.spdc import apply_noise, down_convert
 
@@ -63,6 +73,25 @@ def test_analyzer_matches_plate_chain_oracle():
             vec = qwp_oracle(setting.qwp_angle).conj().T @ vec
         ket = analyzer_state(setting)
         assert abs(np.vdot(vec, ket.amplitudes)) == pytest.approx(1.0, abs=1e-12), name
+
+
+def test_named_setting_kets_hold_fresh_bits():
+    def same(a, b):
+        return a.subsystems == b.subsystems and a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+    assert set(SETTING_KETS) == set(SETTINGS.values())
+    for name, setting in SETTINGS.items():
+        assert _arm_ket(setting) is SETTING_KETS[setting], name
+        assert same(SETTING_KETS[setting], analyzer_state(setting)), name
+    # H and L have a 0.0 half-wave angle: a -0.0 one compares equal, so it
+    # finds their ket, and a fresh build of it has the same bits
+    for name in ("H", "L"):
+        signed = AnalyzerSetting(SETTINGS[name].qwp_angle, -0.0)
+        assert signed in SETTING_KETS
+        assert same(_arm_ket(signed), analyzer_state(signed)), name
+    other = AnalyzerSetting(0.1, 0.2)
+    assert other not in SETTING_KETS
+    assert same(_arm_ket(other), analyzer_state(other))
 
 
 def test_linear_analyzer_arm_conventions():
@@ -295,6 +324,24 @@ def test_heralded_empty_image_flag():
     )
     assert img.meta["joint_probability"] == 0.0
     assert not img.pixels.any()
+
+
+def test_expected_image_keeps_the_flat_then_add_bits():
+    # the mean image as it was first assembled: the flat accidental floor,
+    # then the pair rate spread by intensity added onto it
+    state = apply_noise(down_convert(pump_state(2, phi=0.7, alpha=0.3, alphabet=OAM3)), 0.2)
+    grid = (64, default_extent(1.0, 2))
+    for acc in (0.0, 37.5):
+        det = DetectorModel(accidental_rate=acc, seed=3, sampled=False)
+        for idler in (None, "R", "A"):
+            setting = None if idler is None else SETTINGS[idler]
+            img = heralded_image(state, setting, SETTINGS["D"], grid, 1.0, det, 2)
+            block, weight = conditional_oam(state, setting, SETTINGS["D"])
+            intensity = render_from_density(block, OAM3, grid, 1.0)
+            expected_pairs = det.pair_rate * det.scale(2) * det.integration_time * weight
+            lam = np.full((64, 64), acc * det.integration_time / 64**2)
+            lam += expected_pairs * intensity / intensity.sum()
+            assert img.pixels.tobytes() == lam.tobytes(), (acc, idler)
 
 
 def test_heralded_expected_counts_meta():

@@ -5,12 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hesim import lgmodes
 from hesim.config import RunConfig
@@ -324,6 +328,51 @@ def test_pgm_bytes_match_savetxt(tmp_path, make_image):
     assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "oracle.pgm").read_bytes()
 
 
+DIGIT_EDGES = (0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 65535)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.integers(16, 48),
+    seed=st.integers(0, 2**32 - 1),
+    unit=st.sampled_from([1.0, 0.37, 2.5e-7]),
+    block_px=st.integers(1, 3000),
+    zero=st.booleans(),
+)
+def test_pgm_bytes_match_savetxt_on_random_images(tmp_path_factory, n, seed, unit, block_px, zero):
+    # values of every digit count, with each digit-count edge at the start
+    # and at the end of some row; pixels are value * unit, so the writer's
+    # own quantisation maps them back to (about) the drawn values
+    rng = np.random.default_rng(seed)
+    values = np.rint(10.0 ** rng.uniform(0.0, math.log10(65535.0), (n, n)))
+    values[rng.random((n, n)) < 0.1] = 0.0
+    values[rng.permutation(n)[: len(DIGIT_EDGES)], 0] = DIGIT_EDGES
+    values[rng.permutation(n)[: len(DIGIT_EDGES)], -1] = DIGIT_EDGES
+    img = FieldImage(np.zeros((n, n)) if zero else values * unit, 4.0)
+    path = tmp_path_factory.mktemp("pgm")
+    # small blocks: rows split into many blocks and a short last block
+    with mock.patch.object(lgmodes, "PGM_BLOCK_PX", block_px):
+        write_pgm(img, path / "new.pgm")
+    savetxt_pgm(img, path / "oracle.pgm")
+    assert (path / "new.pgm").read_bytes() == (path / "oracle.pgm").read_bytes()
+
+
+def test_pgm_writer_memory_does_not_grow_with_the_image(tmp_path):
+    # every value 4 or 5 digits long, the longest text; the former
+    # digit-plane writer peaked at 27.7 B/px on this image and at 24.0 B/px
+    # on 1024^2 gallery frames
+    n = 1024
+    img = FieldImage(np.random.default_rng(0).random((n, n)), 4.0)
+    tracemalloc.start()
+    try:
+        write_pgm(img, tmp_path / "big.pgm")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n**2 < 24.0
+    assert (tmp_path / "big.pgm").stat().st_size > 5 * n * n
+
+
 def test_pgm_header_format(tmp_path):
     img = FieldImage(np.ones((16, 16)), 4.0)
     path = tmp_path / "flat.pgm"
@@ -361,13 +410,15 @@ def test_field_image_validation():
 # -- held stacks, renders and bins ------------------------------------------------
 
 # a base key, then keys that each differ from it in one field only, so a
-# cache that left a field out of its key hands back a wrong array
+# cache that left a field out of its key hands back a wrong array, and a
+# gallery-size +-l pair
 STACK_KEYS = [
     ((-1, 0, 1), 32, 6.0, 1.0),
     ((-1, 0, 2), 32, 6.0, 1.0),
     ((-1, 0, 1), 40, 6.0, 1.0),
     ((-1, 0, 1), 32, 7.0, 1.0),
     ((-1, 0, 1), 32, 6.0, 1.3),
+    ((-6, 6), 512, default_extent(1.0, 6), 1.0),
 ]
 
 
@@ -419,6 +470,23 @@ def test_mode_stack_interleaved_keys_match_direct():
             stack[0, 0, 0] = 0.0
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    l=st.integers(0, 12),
+    reverse=st.booleans(),
+    n=st.integers(16, 80),
+    extent=st.floats(0.0, 1e3, exclude_min=True),
+    waist=st.floats(0.1, 10.0),
+)
+def test_mode_stack_holds_direct_bits(l, reverse, n, extent, waist):
+    # odd n puts pixel centers on the theta = 0 ray, large extents
+    # underflow the envelope: both make signed zeros that a conjugated
+    # field would flip
+    alphabet = (-1, 0, 1) if l == 0 else (-l, l)
+    key = (alphabet[::-1] if reverse else alphabet, n, extent, waist)
+    assert same_bits(mode_stack(*key), direct_stack(*key))
+
+
 def test_new_stack_key_drops_the_held_stack():
     first = weakref.ref(mode_stack(*STACK_KEYS[0]))
     gc.collect()
@@ -431,10 +499,10 @@ def test_new_stack_key_drops_the_held_stack():
 
 def test_render_interleaved_keys_match_direct():
     rng = np.random.default_rng(7)
-    blocks = [random_block(rng) for _ in range(2)]
+    blocks = {k: [random_block(rng, k) for _ in range(2)] for k in (2, 3)}
     # three renders of each block per visit: once, kept, returned from the memo
     for key in interleaved(STACK_KEYS):
-        for rho in blocks:
+        for rho in blocks[len(key[0])]:
             for _ in range(3):
                 assert same_bits(render(rho, key), direct_render(rho, key))
 
@@ -482,8 +550,8 @@ def test_concurrent_renders_match_direct():
     # more workers than cores and a short switch interval, so threads swap
     # the held stack under each other between lookup and store
     rng = np.random.default_rng(11)
-    blocks = [random_block(rng) for _ in range(3)]
-    jobs = [(rho, key) for key in interleaved(STACK_KEYS) for rho in blocks] * 3
+    blocks = {k: [random_block(rng, k) for _ in range(3)] for k in (2, 3)}
+    jobs = [(rho, key) for key in interleaved(STACK_KEYS) for rho in blocks[len(key[0])]] * 3
     expected = [direct_render(rho, key) for rho, key in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
