@@ -238,7 +238,7 @@ def _contrast(x: Fringe, y: Fringe, anchor: float, l: int) -> float:
     cx1, cx2 = float(x.curve(t1)), float(x.curve(t2))
     cy1, cy2 = float(y.curve(t1)), float(y.curve(t2))
     denom = cx1 + cx2 + cy1 + cy2
-    if denom <= 1e-30:
+    if denom <= 0.0:  # a ratio has no scale: any positive level reads its contrast
         return 0.0
     return abs(cx1 + cy2 - cx2 - cy1) / denom
 

@@ -17,8 +17,13 @@ idler side and cos(chi) H - sin(chi) V on the signal side. Named basis kets
 
 All sampling is routed through counter-based Philox streams keyed by
 (seed, purpose, indices), so counts are pure functions of their inputs and
-never depend on call order. The keys are the determinism contract; changing
-one moves every draw made from it:
+never depend on call order. numpy.random.SeedSequence hashes the seed and
+the tag words (_tag_ints) into the Philox key. The words go in as one
+uint32 array, which gives the pool that handing them over as ints gives
+(tested). So a change to the tag words moves every draw, and so would a
+numpy release whose SeedSequence or Philox seeding differs (CI pins numpy
+2.4.6). The keys are the determinism contract; changing one moves every
+draw made from it:
 
 * sample_counts keys on (seed, "counts", l, float(mean), tag), where the
   mean comes from the Born probability coincidence_row computes in one
@@ -42,6 +47,7 @@ from the stream, while a tiny positive mean does, so one such pixel shifts
 the draws of every pixel after it.
 """
 
+import struct
 import zlib
 from dataclasses import dataclass, field
 
@@ -80,12 +86,23 @@ SETTINGS = {
 }
 
 
+# the |H> a PBS transmits, and the arm subsystems: constants every ket reuses
+_H_IN = np.array([1.0, 0.0 + 0.0j])
+_H_IN.setflags(write=False)
+_ARMS = {"idler": (1.0, pol_subsystem(IDLER)), "signal": (-1.0, pol_subsystem(SIGNAL_POL))}
+
+
+def _transmitted(qwp_angle, hwp_angle: float, subsystem) -> Ket:
+    """Ket on ``subsystem`` that QWP(qwp_angle)^dagger HWP(hwp_angle) makes of |H>."""
+    vec = jones.half_wave(hwp_angle) @ _H_IN
+    if qwp_angle is not None:
+        vec = jones.quarter_wave(qwp_angle).conj().T @ vec
+    return Ket((subsystem,), vec)
+
+
 def analyzer_state(setting: AnalyzerSetting, name: str = "pol") -> Ket:
     """Polarization ket transmitted by the QWP -> HWP -> PBS chain."""
-    vec = jones.half_wave(setting.hwp_angle) @ np.array([1.0, 0.0 + 0.0j])
-    if setting.qwp_angle is not None:
-        vec = jones.quarter_wave(setting.qwp_angle).conj().T @ vec
-    return Ket((pol_subsystem(name),), vec)
+    return _transmitted(setting.qwp_angle, setting.hwp_angle, pol_subsystem(name))
 
 
 def linear_analyzer_ket(angle: float, arm: str) -> Ket:
@@ -96,12 +113,12 @@ def linear_analyzer_ket(angle: float, arm: str) -> Ket:
     lives on its arm's subsystem and is normalised there a second time:
     every dial count keys on those bits.
     """
-    arms = {"idler": (1.0, IDLER), "signal": (-1.0, SIGNAL_POL)}
-    if arm not in arms:
-        raise ConfigError(f"unknown arm {arm!r}")
-    sign, name = arms[arm]
-    ket = analyzer_state(AnalyzerSetting(None, sign * angle / 2.0))
-    return Ket((pol_subsystem(name),), ket.amplitudes, fix_phase=False)
+    try:
+        sign, sub = _ARMS[arm]
+    except KeyError:
+        raise ConfigError(f"unknown arm {arm!r}") from None
+    ket = _transmitted(None, sign * angle / 2.0, sub)
+    return Ket((sub,), ket.amplitudes, fix_phase=False)
 
 
 @dataclass(frozen=True)
@@ -157,31 +174,37 @@ class DetectorModel:
         return (self.pair_rate * self.scale(l) * min(prob, 1.0) + self.accidental_rate) * self.integration_time
 
 
-def _tag_ints(tags) -> tuple:
+def _tag_ints(tags) -> list:
+    """The uint32 words of a flattened tag tuple: a string's CRC-32, an int
+    modulo 2**32, a float's IEEE-754 bits as two words, high word first."""
     out = []
     for t in tags:
-        if isinstance(t, (tuple, list)):
-            out.extend(_tag_ints(t))
-        elif isinstance(t, str):
+        if isinstance(t, str):
             out.append(zlib.crc32(t.encode()))
         elif isinstance(t, float):
-            bits = int(np.float64(t).view(np.uint64))
-            out.extend((bits >> 32, bits & 0xFFFFFFFF))
+            out += struct.unpack(">II", struct.pack(">d", t))  # big-endian: high word first
+        elif isinstance(t, (tuple, list)):
+            out += _tag_ints(t)
         else:
             out.append(int(t) % (1 << 32))
-    return tuple(out)
+    return out
+
+
+def _seed_sequence(seed: int, tags) -> np.random.SeedSequence:
+    """The SeedSequence of (seed, tags). The tag words go in as one uint32
+    array, which gives the pool their ints would, without coercing each."""
+    words = np.array(_tag_ints(tags), dtype=np.uint32)
+    return np.random.SeedSequence(entropy=int(seed) % (1 << 64), spawn_key=(words,))
 
 
 def rng_stream(seed: int, *tags) -> np.random.Generator:
     """Deterministic counter-based generator keyed by seed and tags."""
-    ss = np.random.SeedSequence(entropy=int(seed) % (1 << 64), spawn_key=_tag_ints(tags))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, tags)))
 
 
 def derived_seed(seed: int, *tags) -> int:
     """A child seed that is a pure function of (seed, tags)."""
-    ss = np.random.SeedSequence(entropy=int(seed) % (1 << 64), spawn_key=_tag_ints(tags))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, tags).generate_state(1, np.uint64)[0])
 
 
 def sample_counts(prob: float, det: DetectorModel, l: int, tag=0) -> int:

@@ -411,9 +411,10 @@ def fringe_fit(angles, values, freq: int) -> Fringe:
     """Least-squares fringe m + a cos(freq t) + b sin(freq t), read as a Fringe.
 
     base = m and V = hypot(a, b) / m, with a delta-method stderr from the
-    residual variance; V is clipped to 1. One rule marks a fringe
-    degenerate, for sweeps and petals alike: m <= 0 or V < 1e-12. An angle
-    set that cannot separate the three terms raises NumericalError.
+    residual variance (nan at a level too small for that arithmetic); V is
+    clipped to 1. One rule marks a fringe degenerate, for sweeps and petals
+    alike: m <= 0 or V < 1e-12. An angle set that cannot separate the three
+    terms raises NumericalError.
     """
     angles = np.asarray(angles, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -427,12 +428,15 @@ def fringe_fit(angles, values, freq: int) -> Fringe:
     resid = values - design @ coef
     cov = float(resid @ resid) / max(len(values) - 3, 1) * np.linalg.inv(design.T @ design)
     amp = math.hypot(a, b)
-    # delta method for V = sqrt(a^2 + b^2) / m
-    if amp > 0:
-        grad = np.array([-amp / m**2, a / (amp * m), b / (amp * m)])
-    else:
-        grad = np.array([0.0, 1.0 / m, 1.0 / m])
-    stderr = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+    # delta method for V = sqrt(a^2 + b^2) / m; at a level so small that
+    # 1/m^2 overflows, or the variance does, the stderr is unknown (nan)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if amp > 0:
+            grad = np.array([-amp / m**2, a / (amp * m), b / (amp * m)])
+        else:
+            grad = np.array([0.0, 1.0 / m, 1.0 / m])
+        var = grad @ cov @ grad
+    stderr = float(np.sqrt(max(var, 0.0))) if np.isfinite(var) else math.nan
     if amp / m < 1e-12:
         return Fringe(freq, 0.0, math.nan, float(m), stderr, ("degenerate",))
     v = min(amp / m, 1.0)
@@ -487,7 +491,7 @@ def write_pgm(img: FieldImage, path) -> None:
     writer's memory does not grow with the image.
     """
     px = img.pixels
-    peak = px.max()
+    peak = float(px.max())
     scale = PGM_MAXVAL / peak if peak > 0 else 0.0
     n = img.n
     words = _pgm_words()
@@ -495,7 +499,10 @@ def write_pgm(img: FieldImage, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P2\n{n} {n}\n{PGM_MAXVAL}\n".encode("ascii"))
         for top in range(0, n, rows):
-            quant = np.rint(px[top : top + rows] * scale).astype(np.intp)
+            block = px[top : top + rows]
+            # a peak below PGM_MAXVAL / DBL_MAX overflows the scale: divide first
+            quant = block * scale if math.isfinite(scale) else block / peak * PGM_MAXVAL
+            quant = np.rint(quant).astype(np.intp)
             text = words.take(quant).view(np.uint8).reshape(*quant.shape, 8)
             ends = text[:, -1]  # a view: the last value of each row
             ends[ends == ord(" ")] = ord("\n")

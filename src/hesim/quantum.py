@@ -13,6 +13,7 @@ Conventions, fixed once and used everywhere:
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,7 @@ class Ket(_State):
     def __init__(self, subsystems, amplitudes, fix_phase: bool = True):
         self._subsystems = _check_subsystems(subsystems)
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        dim = int(np.prod([s.dim for s in self._subsystems]))
+        dim = math.prod(s.dim for s in self._subsystems)
         if amp.size != dim:
             raise ValueError(f"expected {dim} amplitudes, got {amp.size}")
         norm = np.linalg.norm(amp)
@@ -141,7 +142,7 @@ class Ket(_State):
     def from_terms(cls, subsystems, terms: dict, fix_phase: bool = True) -> "Ket":
         """Build from {label-tuple: amplitude}; labels of single subsystems may be bare."""
         subsystems = _check_subsystems(subsystems)
-        amp = np.zeros(int(np.prod([s.dim for s in subsystems])), dtype=complex)
+        amp = np.zeros(math.prod(s.dim for s in subsystems), dtype=complex)
         for label, value in terms.items():
             amp[_flat_index(subsystems, label)] += value
         return cls(subsystems, amp, fix_phase=fix_phase)
@@ -202,7 +203,7 @@ class DensityMatrix(_State):
     def __init__(self, subsystems, matrix):
         self._subsystems = _check_subsystems(subsystems)
         mat = np.asarray(matrix, dtype=complex)
-        dim = int(np.prod([s.dim for s in self._subsystems]))
+        dim = math.prod(s.dim for s in self._subsystems)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
         herm_defect = np.max(np.abs(mat - mat.conj().T)) if dim else 0.0
@@ -287,7 +288,7 @@ def project(state, proj: Ket, subsystem: str | None = None):
     # contract ket index with <proj| and bra index with |proj>
     t = np.tensordot(v.conj(), t, axes=([0], [ax]))
     t = np.tensordot(t, v, axes=([k - 1 + ax], [0]))
-    d_rem = int(np.prod([s.dim for s in remaining])) if remaining else 1
+    d_rem = math.prod(s.dim for s in remaining)
     mat = t.reshape(d_rem, d_rem)
     p = float(np.real(np.trace(mat)))
     if p < NULL_TOL or not remaining:
@@ -312,7 +313,7 @@ def partial_trace(state, keep) -> DensityMatrix:
     t = dm.matrix.reshape(dm.dims + dm.dims)
     red = np.einsum("".join(ket_ix) + "".join(bra_ix) + "->" + out, t)
     sub = tuple(dm.subsystems[i] for i in kept)
-    d = int(np.prod([s.dim for s in sub]))
+    d = math.prod(s.dim for s in sub)
     mat = red.reshape(d, d)
     mat = 0.5 * (mat + mat.conj().T)
     return DensityMatrix(sub, mat)

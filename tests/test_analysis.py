@@ -232,6 +232,20 @@ def test_pair_visibility_of_complementary_petals():
     }
 
 
+def test_pair_visibility_does_not_depend_on_the_pair_rate():
+    # the contrast is a ratio: mean images at 1e-300 pairs/s read what they
+    # read at the default rate, not 0 under an absolute floor
+    l = 3
+    grid = (64, default_extent(1.0, l))
+    default = expectation_detector()
+    tiny = dataclasses.replace(default, pair_rate=1e-300)
+    scans = [angular_basis_scan(bell_state(l), l, det, grid, 1.0) for det in (default, tiny)]
+    assert scans[0].pair_vis["DA"] > 0.99 and scans[0].pair_vis["RL"] > 0.95
+    for pair in ("DA", "RL"):
+        assert scans[1].pair_vis[pair] == pytest.approx(scans[0].pair_vis[pair], rel=1e-9)
+    assert scans[1].W == pytest.approx(scans[0].W, rel=1e-9)
+
+
 def test_witness_expectation_ideal_values():
     state = bell_state(3)
     out = witness_expectation(state, 3)

@@ -1,5 +1,8 @@
 """Analyzer settings, coincidence probabilities, and the counting model."""
 
+import math
+import zlib
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -375,6 +378,81 @@ def test_random_streams_follow_the_determinism_contract():
     for tag in (7, "7"):
         img = heralded(2, "R", sampled=True, seed=9, tag=tag)
         assert img.pixels.tobytes() == drawn.tobytes()
+
+
+def former_tag_ints(tags) -> tuple:
+    """The tag words as the stream keys were first made, kept as an oracle."""
+    out = []
+    for t in tags:
+        if isinstance(t, (tuple, list)):
+            out.extend(former_tag_ints(t))
+        elif isinstance(t, str):
+            out.append(zlib.crc32(t.encode()))
+        elif isinstance(t, float):
+            bits = int(np.float64(t).view(np.uint64))
+            out.extend((bits >> 32, bits & 0xFFFFFFFF))
+        else:
+            out.append(int(t) % (1 << 32))
+    return tuple(out)
+
+
+def former_seed_sequence(seed, tags):
+    """SeedSequence(entropy, spawn_key=<tuple of ints>), the former form of every key."""
+    return np.random.SeedSequence(entropy=int(seed) % 2**64, spawn_key=former_tag_ints(tags))
+
+
+stream_seeds = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**70), -1),
+)
+tag_leaves = st.one_of(
+    st.text(max_size=6),
+    st.integers(-(2**40), 2**40),
+    st.floats(),  # nan and +-inf included
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+stream_tags = st.lists(
+    st.recursive(tag_leaves, lambda kids: st.lists(kids, max_size=3).map(tuple), max_leaves=6),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=stream_seeds, tags=stream_tags)
+def test_stream_keys_match_the_former_seed_sequence(seed, tags):
+    # every key handed over as one uint32 word array gives the pool, and so
+    # the Philox key and the draws, that the tuple of Python ints gave
+    gen = rng_stream(seed, *tags)
+    oracle = np.random.Generator(np.random.Philox(former_seed_sequence(seed, tags)))
+    key, expected = gen.bit_generator.state["state"], oracle.bit_generator.state["state"]
+    assert np.array_equal(key["key"], expected["key"])
+    assert np.array_equal(key["counter"], expected["counter"])
+    assert gen.integers(0, 2**63, size=3).tolist() == oracle.integers(0, 2**63, size=3).tolist()
+    assert gen.poisson(1234.5) == oracle.poisson(1234.5)
+    assert derived_seed(seed, *tags) == int(
+        former_seed_sequence(seed, tags).generate_state(1, np.uint64)[0]
+    )
+
+
+def test_stream_keys_are_pinned():
+    # literal keys: a numpy release that changes SeedSequence or Philox
+    # seeding moves every draw, and fails here first
+    def key(gen):
+        return [int(k) for k in gen.bit_generator.state["state"]["key"]]
+
+    assert key(rng_stream(0, "counts", 0, 1000.0, ("sweep", 0))) == [
+        13234377131452054650,
+        2326913619267806749,
+    ]
+    assert key(rng_stream(2**40 + 7, "heralded_image", 3, "7")) == [
+        8568604883995141690,
+        14065749193063730373,
+    ]
+    assert derived_seed(0, "bootstrap", 1) == 15229887652550685136
+    assert derived_seed(-5, 2.5, ("a", -0.0)) == 1623809198250117318
 
 
 PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))

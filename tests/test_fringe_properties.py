@@ -94,6 +94,20 @@ def test_fringe_fit_ignores_the_scale_of_the_values(freq, v, phase, scale):
     assert scaled.flags == fit.flags
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-300, 1e-310])
+def test_fringe_fit_at_a_tiny_level_has_nan_stderr_and_no_warning(scale):
+    # 1/m^2 of the delta method overflows: the stderr is unknown, V is not
+    angles = turn(72)
+    values = fringe_values(angles, 6, 0.8, 0.1, 1.0) + 0.01 * np.cos(5 * angles)
+    fit = fringe_fit(angles, values, 6)
+    tiny = fringe_fit(angles, scale * values, 6)
+    assert math.isfinite(fit.stderr) and fit.stderr > 0.0
+    assert math.isnan(tiny.stderr)
+    assert tiny.V == close(fit.V, rel=1e-6)
+    assert "v_minus_sigma_subzero" not in tiny.flags
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(level=st.one_of(st.just(0.0), levels), l=st.integers(1, 6))
 def test_flat_sweep_and_flat_histogram_read_alike(level, l):

@@ -373,6 +373,14 @@ def test_pgm_writer_memory_does_not_grow_with_the_image(tmp_path):
     assert (tmp_path / "big.pgm").stat().st_size > 5 * n * n
 
 
+def test_pgm_of_a_subnormal_peak_is_full_scale(tmp_path):
+    # 65535 / 1e-310 overflows to inf, so such a peak is divided out first
+    write_pgm(FieldImage(np.full((16, 16), 1e-310), 4.0), tmp_path / "tiny.pgm")
+    data = read_pgm(tmp_path / "tiny.pgm")
+    assert data.shape == (16, 16)
+    assert np.all(data == 65535)
+
+
 def test_pgm_header_format(tmp_path):
     img = FieldImage(np.ones((16, 16)), 4.0)
     path = tmp_path / "flat.pgm"
