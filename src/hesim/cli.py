@@ -12,7 +12,12 @@ import sys
 
 from .config import RunConfig
 from .errors import ConfigError, NumericalError
-from .pipelines import run_hybrid_witness, run_polarization_bell, run_pump_gallery
+from .pipelines import (
+    output_formats,
+    run_hybrid_witness,
+    run_polarization_bell,
+    run_pump_gallery,
+)
 
 # subcommand names and their help lines; main() dispatches on the name
 COMMANDS = (
@@ -85,10 +90,14 @@ def main(argv=None) -> int:
         if args.dry_run:
             print(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
             return 0
+        # the success lines name only the artifact kinds --format kept
+        fmt = output_formats(args.formats)
         if args.command == "pump-gallery":
             manifest = run_pump_gallery(cfg, outdir, formats=args.formats)
-            n = len(manifest["images"])
-            print(f"wrote {n} pump images to {outdir}")
+            if "pgm" in fmt:
+                print(f"wrote {len(manifest['images'])} pump images to {outdir}")
+            if "json" in fmt:
+                print(f"manifest written to {outdir}/manifest.json")
         elif args.command == "polarization-bell":
             report = run_polarization_bell(cfg, outdir, formats=args.formats)
             vh = report.visibilities["H"].V
@@ -97,14 +106,16 @@ def main(argv=None) -> int:
                 f"V_H={vh:.4f} V_D={vd:.4f} "
                 f"S={report.S:.4f}+-{report.S_sigma:.4f} F={report.fidelity:.4f}"
             )
-            print(f"report written to {outdir}/report.json")
+            if "json" in fmt:
+                print(f"report written to {outdir}/report.json")
         elif args.command == "hybrid-witness":
             report = run_hybrid_witness(cfg, outdir, formats=args.formats)
             if report.W_sigma is None:
                 print(f"W={report.W:.4f} (expected-value run, no bootstrap)")
             else:
                 print(f"W={report.W:.4f}+-{report.W_sigma:.4f}")
-            print(f"report written to {outdir}/report.json")
+            if "json" in fmt:
+                print(f"report written to {outdir}/report.json")
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

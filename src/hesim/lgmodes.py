@@ -137,10 +137,19 @@ def _pixel_xy(n: int, extent: float):
 
 
 def pixel_polar(n: int, extent: float):
-    """(r, theta) arrays at the pixel centers of an n x n image."""
+    """(r, theta) arrays at the pixel centers of an n x n image.
+
+    theta folds atan2(y, x), which lies in [-pi, pi], into [0, 2 pi) with
+    one masked add of 2 pi. On that range this is np.mod's arithmetic bit
+    for bit (fmod returns the angle, and a negative one gets 2 pi added),
+    except that np.mod maps -0.0 to +0.0. atan2 returns -0.0 only for a
+    y of -0.0, and the grid never makes one: y is c - row times a positive
+    step, and c - row rounds an exact 0 to +0.0.
+    """
     x, y = _pixel_xy(n, extent)
     r = np.hypot(x, y)  # broadcasts to (n, n)
-    theta = np.mod(np.arctan2(y, x), TWO_PI)
+    theta = np.arctan2(y, x)
+    np.add(theta, TWO_PI, out=theta, where=theta < 0)
     return r, theta
 
 
@@ -486,9 +495,11 @@ def write_pgm(img: FieldImage, path) -> None:
     """Plain-text 16-bit PGM, max-normalised, row-major from the top row.
 
     Values are separated by one space and rows end in a newline. Each block
-    of rows is quantised, looked up in the text table of _pgm_words, given
-    its row-end newlines and written without the NUL padding, so the
-    writer's memory does not grow with the image.
+    of rows is quantised, looked up in the text table of _pgm_words and
+    given its row-end newlines; bytes.translate then deletes the table's
+    NUL padding from the block's bytes in one C pass, and the rest is
+    written. Memory is bounded by the block, so it does not grow with the
+    image.
     """
     px = img.pixels
     peak = float(px.max())
@@ -506,7 +517,7 @@ def write_pgm(img: FieldImage, path) -> None:
             text = words.take(quant).view(np.uint8).reshape(*quant.shape, 8)
             ends = text[:, -1]  # a view: the last value of each row
             ends[ends == ord(" ")] = ord("\n")
-            fh.write(text[text != 0])
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def write_angle_csv(header: str, angles, values, path) -> None:

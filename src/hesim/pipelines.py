@@ -120,7 +120,8 @@ def build_source(cfg: RunConfig, l: int | None = None):
 ALL_FORMATS = frozenset({"pgm", "csv", "json"})
 
 
-def _formats(formats) -> frozenset:
+def output_formats(formats) -> frozenset:
+    """The artifact kinds a run writes: ``formats``, or every kind for None."""
     chosen = ALL_FORMATS if formats is None else frozenset(formats)
     unknown = chosen - ALL_FORMATS
     if unknown:
@@ -157,7 +158,7 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     of each structured image. ``formats`` filters which artifact kinds are
     written (any of "pgm", "csv", "json"; default all).
     """
-    fmt = _formats(formats)
+    fmt = output_formats(formats)
     l = cfg.pump.l
     _check_stack_memory(cfg, l)
     grid = _grid(cfg, l)
@@ -215,7 +216,7 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
     at l = 0 regardless of the configured pump charge; phi, alpha, and the
     noise settings still apply.
     """
-    fmt = _formats(formats)
+    fmt = output_formats(formats)
     cfg.detector.scale(0)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg, l=0)
@@ -275,7 +276,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
     witness is recorded, so discretisation and shot noise stay visible as
     the difference between the two.
     """
-    fmt = _formats(formats)
+    fmt = output_formats(formats)
     l = cfg.pump.l
     if l < 1:
         raise ConfigError("hybrid witness needs a pump charge l >= 1")

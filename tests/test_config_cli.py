@@ -198,6 +198,35 @@ def test_cli_format_filter_keeps_only_json(tmp_path):
     assert names == {"manifest.json"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["pump-gallery", "--l", "1"], id="gallery-all"),
+        pytest.param(["pump-gallery", "--l", "1", "--format", "json"], id="gallery-json"),
+        pytest.param(["pump-gallery", "--l", "1", "--format", "pgm"], id="gallery-pgm"),
+        pytest.param(["polarization-bell"], id="bell-all"),
+        pytest.param(["polarization-bell", "--format", "csv"], id="bell-csv"),
+        pytest.param(["hybrid-witness", "--expected"], id="witness-all"),
+        pytest.param(["hybrid-witness", "--expected", "--format", "csv"], id="witness-csv"),
+    ],
+)
+def test_cli_success_lines_name_only_written_files(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    names = {p.name for p in out.iterdir()}
+    named = set(re.findall(re.escape(str(out)) + r"/(\S+)", text))
+    assert named <= names
+    pgm = sorted(name for name in names if name.endswith(".pgm"))
+    wrote = re.search(r"wrote (\d+) pump images", text)
+    if argv[0] == "pump-gallery":
+        assert (int(wrote.group(1)) if wrote else 0) == len(pgm)
+    else:
+        assert wrote is None
+    if "--format" not in argv:  # a full run names its report or manifest
+        assert {"report.json", "manifest.json"} & named
+
+
 def test_cli_polarization_bell_runs(tmp_path, capsys):
     out = tmp_path / "bell"
     rc = main(["polarization-bell", "--out", str(out)])

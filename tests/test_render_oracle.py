@@ -1,4 +1,5 @@
-"""render_from_density against the textbook three-operand einsum, on generated blocks."""
+"""render_from_density against the textbook three-operand einsum, and pixel_polar's
+angle fold against np.mod, on generated inputs."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -36,3 +37,18 @@ def test_render_matches_einsum_oracle(l, rank_one, seed, scale):
     assert out.min() >= 0.0
     scaled = render_from_density(scale * rho, alphabet, (n, extent), 1.0)
     assert np.abs(scaled - scale * out).max() <= 1e-13 * scale * peak
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(16, 600), extent=st.floats(1e-3, 1e3))
+def test_pixel_polar_fold_matches_np_mod_bit_for_bit(n, extent):
+    # the documented pixel centers: x = (col - (n-1)/2) * extent/n, y = ((n-1)/2 - row) * extent/n
+    step, c = extent / n, (n - 1) / 2.0
+    x = ((np.arange(n) - c) * step)[None, :]
+    y = ((c - np.arange(n)) * step)[:, None]
+    r, theta = pixel_polar(n, extent)
+    expected = np.mod(np.arctan2(y, x), 2.0 * np.pi)
+    # int64 views compare every bit, the sign of zero included
+    assert np.array_equal(theta.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(r.view(np.int64), np.hypot(x, y).view(np.int64))
+    assert theta.min() >= 0.0 and theta.max() < 2.0 * np.pi
