@@ -10,7 +10,6 @@ and the two-basis witness, with deterministic Poisson statistics on top.
 """
 
 from .analysis import (
-    AnalysisReport,
     chsh,
     chsh_table,
     fit_visibility,
@@ -42,7 +41,6 @@ from .spdc import apply_noise, down_convert
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "AnalyzerSetting",
     "ConfigError",
     "DensityMatrix",

@@ -13,7 +13,7 @@ shot-noise effects this package exists to expose.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -386,97 +386,3 @@ def bootstrap_errors(pipeline, n_iter: int, seed: int) -> BootstrapResult:
     names = results[0].keys()
     samples = {k: np.array([r[k] for r in results], dtype=float) for k in names}
     return BootstrapResult(samples, n_iter)
-
-
-# -- report ----------------------------------------------------------------------
-
-SCHEMA_VERSION = 1
-
-
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            return None
-        return float(f"{x:.12g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    return obj
-
-
-@dataclass
-class AnalysisReport:
-    """Serializable summary of one simulated experiment."""
-
-    kind: str
-    S: float | None = None
-    S_sigma: float | None = None
-    W: float | None = None
-    W_sigma: float | None = None
-    fidelity: float | None = None
-    rho: DensityMatrix | None = None
-    visibilities: dict = field(default_factory=dict)
-    petals: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-
-    def violation_sigmas(self) -> dict:
-        """Distance above the classical bounds, recomputed on demand."""
-        out = {}
-        if self.S is not None and self.S_sigma and self.S_sigma > 0:
-            out["chsh"] = (self.S - 2.0) / self.S_sigma
-        if self.W is not None and self.W_sigma and self.W_sigma > 0:
-            out["witness"] = (self.W - 1.0) / self.W_sigma
-        return out
-
-    def bell_bound_flag(self) -> bool | None:
-        """True when both sweep visibilities clear 1/sqrt(2)."""
-        if "H" not in self.visibilities or "D" not in self.visibilities:
-            return None
-        return bool(
-            self.visibilities["H"].V > BELL_VISIBILITY_BOUND
-            and self.visibilities["D"].V > BELL_VISIBILITY_BOUND
-        )
-
-    def to_dict(self) -> dict:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "violation_sigmas": self.violation_sigmas(),
-            "config": self.config,
-        }
-        if self.S is not None:
-            doc["chsh"] = {"S": self.S, "sigma": self.S_sigma}
-        if self.W is not None:
-            doc["witness"] = {"W": self.W, "sigma": self.W_sigma}
-        if self.fidelity is not None:
-            doc["fidelity"] = self.fidelity
-        if self.rho is not None:
-            doc["rho"] = {
-                "re": np.real(self.rho.matrix).tolist(),
-                "im": np.imag(self.rho.matrix).tolist(),
-                "psd": self.rho.psd_flag,
-            }
-        if self.visibilities:
-            flag = self.bell_bound_flag()
-            doc["visibilities"] = {
-                k: {
-                    "V": v.V,
-                    "theta0_deg": math.degrees(v.theta0)
-                    if math.isfinite(v.theta0)
-                    else None,
-                    "stderr": v.stderr,
-                    "flags": list(v.flags),
-                }
-                for k, v in self.visibilities.items()
-            }
-            if flag is not None:
-                doc["bell_bound_flag"] = flag
-        if self.petals:
-            doc["petals"] = self.petals
-        return _json_ready(doc)

@@ -96,26 +96,24 @@ def main(argv=None) -> int:
             manifest = run_pump_gallery(cfg, outdir, formats=args.formats)
             if "pgm" in fmt:
                 print(f"wrote {len(manifest['images'])} pump images to {outdir}")
-            if "json" in fmt:
-                print(f"manifest written to {outdir}/manifest.json")
+            written = "manifest"
         elif args.command == "polarization-bell":
             report = run_polarization_bell(cfg, outdir, formats=args.formats)
-            vh = report.visibilities["H"].V
-            vd = report.visibilities["D"].V
+            vis, chsh = report["visibilities"], report["chsh"]
             print(
-                f"V_H={vh:.4f} V_D={vd:.4f} "
-                f"S={report.S:.4f}+-{report.S_sigma:.4f} F={report.fidelity:.4f}"
+                f"V_H={vis['H']['V']:.4f} V_D={vis['D']['V']:.4f} "
+                f"S={chsh['S']:.4f}+-{chsh['sigma']:.4f} F={report['fidelity']:.4f}"
             )
-            if "json" in fmt:
-                print(f"report written to {outdir}/report.json")
-        elif args.command == "hybrid-witness":
-            report = run_hybrid_witness(cfg, outdir, formats=args.formats)
-            if report.W_sigma is None:
-                print(f"W={report.W:.4f} (expected-value run, no bootstrap)")
+            written = "report"
+        else:
+            w = run_hybrid_witness(cfg, outdir, formats=args.formats)["witness"]
+            if w["sigma"] is None:
+                print(f"W={w['W']:.4f} (expected-value run, no bootstrap)")
             else:
-                print(f"W={report.W:.4f}+-{report.W_sigma:.4f}")
-            if "json" in fmt:
-                print(f"report written to {outdir}/report.json")
+                print(f"W={w['W']:.4f}+-{w['sigma']:.4f}")
+            written = "report"
+        if "json" in fmt:
+            print(f"{written} written to {outdir}/{written}.json")
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,6 +1,8 @@
 """End-to-end experiment drivers: source, measurement chain, files, report.
 
-Three benches share one configured source:
+Three benches share one configured source. Each builds one JSON document
+(a gallery manifest or a report), writes it, and returns it with its raw
+floats; this module alone owns the JSON format (``_write_json``).
 
 * pump_gallery images the structured pump itself through a polarization
   analyzer, the classical check that the non-separable beam is prepared.
@@ -19,9 +21,9 @@ import os
 
 import numpy as np
 
-from . import analysis, detection, lgmodes
+from . import detection, lgmodes
 from .analysis import (
-    AnalysisReport,
+    BELL_VISIBILITY_BOUND,
     angular_basis_scan,
     bootstrap_errors,
     chsh,
@@ -120,12 +122,17 @@ def build_source(cfg: RunConfig, l: int | None = None):
 ALL_FORMATS = frozenset({"pgm", "csv", "json"})
 
 
-def output_formats(formats) -> frozenset:
-    """The artifact kinds a run writes: ``formats``, or every kind for None."""
-    chosen = ALL_FORMATS if formats is None else frozenset(formats)
-    unknown = chosen - ALL_FORMATS
-    if unknown:
-        raise ConfigError(f"unknown output formats {sorted(unknown)}")
+def output_formats(formats, kinds=ALL_FORMATS) -> frozenset:
+    """The artifact kinds a run writes: ``formats``, or all of ``kinds`` for None.
+
+    A format outside ``kinds``, the kinds the bench can write, is refused.
+    """
+    chosen = frozenset(kinds if formats is None else formats)
+    unwritable = chosen - kinds
+    if unwritable:
+        raise ConfigError(
+            f"output formats {sorted(unwritable)} are not among this bench's {sorted(kinds)}"
+        )
     return chosen
 
 
@@ -138,10 +145,37 @@ def _petal_summary(fit, hist) -> dict:
     }
 
 
+SCHEMA_VERSION = 1
+
+
+def _json_ready(obj):
+    """``obj`` as plain JSON values: floats at 12 significant digits, NaN and
+    infinities as None. Idempotent, so a ready document may pass again."""
+    if isinstance(obj, dict):
+        return {str(k): _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        if math.isnan(x) or math.isinf(x):
+            return None
+        return float(f"{x:.12g}")
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return _json_ready(obj.tolist())
+    return obj
+
+
 def _write_json(doc: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(_json_ready(doc), fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _violation(name: str, value: float, sigma, bound: float) -> dict:
+    """{name: sigmas by which value clears bound}; {} unless sigma > 0 (None, NaN)."""
+    return {name: (value - bound) / sigma} if sigma and sigma > 0 else {}
 
 
 # -- bench 1: classical pump gallery -----------------------------------------
@@ -156,9 +190,9 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     shown (all zero for a null projection), plus a manifest with the
     projection probabilities and, for l >= 1, the fitted petal orientation
     of each structured image. ``formats`` filters which artifact kinds are
-    written (any of "pgm", "csv", "json"; default all).
+    written ("pgm", "json" or both; default both).
     """
-    fmt = output_formats(formats)
+    fmt = output_formats(formats, {"pgm", "json"})
     l = cfg.pump.l
     _check_stack_memory(cfg, l)
     grid = _grid(cfg, l)
@@ -200,23 +234,21 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     manifest["images"]["none"] = {"file": "pump_none.pgm", "empty": False}
 
     if "json" in fmt:
-        _write_json(
-            analysis._json_ready(manifest), os.path.join(outdir, "manifest.json")
-        )
+        _write_json(manifest, os.path.join(outdir, "manifest.json"))
     return manifest
 
 
 # -- bench 2: two-photon polarization tests -----------------------------------
 
 
-def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> AnalysisReport:
+def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> dict:
     """Fringe sweeps, CHSH, and tomography on the polarization pair.
 
     The mode-transfer plate is out for this bench, so the source is built
     at l = 0 regardless of the configured pump charge; phi, alpha, and the
-    noise settings still apply.
+    noise settings still apply. Returns the report it writes.
     """
-    fmt = output_formats(formats)
+    fmt = output_formats(formats, {"csv", "json"})
     cfg.detector.scale(0)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg, l=0)
@@ -252,29 +284,40 @@ def run_polarization_bell(cfg: RunConfig, outdir: str, formats=None) -> Analysis
     # the reported fidelity is read off the clipped estimate then
     fid = fidelity(rho if rho.psd_flag else rho.clip_to_physical(), ideal)
 
-    report = AnalysisReport(
-        kind="polarization_bell",
-        S=s_val,
-        S_sigma=s_sigma,
-        fidelity=fid,
-        rho=rho,
-        visibilities=visibilities,
-        config=cfg.to_dict(),
-    )
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "polarization_bell",
+        "config": cfg.to_dict(),
+        "chsh": {"S": s_val, "sigma": s_sigma},
+        "violation_sigmas": _violation("chsh", s_val, s_sigma, 2.0),
+        "fidelity": fid,
+        "rho": {"re": rho.matrix.real, "im": rho.matrix.imag, "psd": rho.psd_flag},
+        # a NaN theta0 (degenerate fit) is written as null
+        "visibilities": {
+            basis: {
+                "V": fit.V,
+                "theta0_deg": math.degrees(fit.theta0),
+                "stderr": fit.stderr,
+                "flags": fit.flags,
+            }
+            for basis, fit in visibilities.items()
+        },
+        "bell_bound_flag": all(fit.V > BELL_VISIBILITY_BOUND for fit in visibilities.values()),
+    }
     if "json" in fmt:
-        _write_json(report.to_dict(), os.path.join(outdir, "report.json"))
+        _write_json(report, os.path.join(outdir, "report.json"))
     return report
 
 
 # -- bench 3: hybrid witness ----------------------------------------------------
 
 
-def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisReport:
+def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
     """Heralded petal images in four idler bases, witness W with bootstrap.
 
     Alongside the image route the Born-level expectation of the same
     witness is recorded, so discretisation and shot noise stay visible as
-    the difference between the two.
+    the difference between the two. Returns the report it writes.
     """
     fmt = output_formats(formats)
     l = cfg.pump.l
@@ -336,13 +379,14 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> AnalysisRep
             "V_RL_sigma": boot.sigma("V_RL"),
         }
 
-    report = AnalysisReport(
-        kind="hybrid_witness",
-        W=scan.W,
-        W_sigma=w_sigma,
-        petals=petals,
-        config=cfg.to_dict(),
-    )
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "hybrid_witness",
+        "config": cfg.to_dict(),
+        "witness": {"W": scan.W, "sigma": w_sigma},
+        "violation_sigmas": _violation("witness", scan.W, w_sigma, 1.0),
+        "petals": petals,
+    }
     if "json" in fmt:
-        _write_json(report.to_dict(), os.path.join(outdir, "report.json"))
+        _write_json(report, os.path.join(outdir, "report.json"))
     return report

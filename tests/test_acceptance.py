@@ -170,13 +170,14 @@ def test_criterion_4_witness_reproduction(tmp_path):
             "analysis": {"n_bootstrap": 100},
         })
         report = run_hybrid_witness(cfg, str(tmp_path / f"l{l}"), formats=("json",))
-        violation = report.violation_sigmas()["witness"]
+        violation = report["violation_sigmas"]["witness"]
+        w, sigma = report["witness"]["W"], report["witness"]["sigma"]
 
-        assert abs(report.W - row["target_w"]) <= 0.04, (l, report.W)
+        assert abs(w - row["target_w"]) <= 0.04, (l, w)
         assert row["target_v"] <= violation <= 1.3 * row["target_v"], (l, violation)
 
-        assert report.W == pytest.approx(row["W"], rel=1e-9)
-        assert report.W_sigma == pytest.approx(row["sigma"], rel=1e-9)
+        assert w == pytest.approx(row["W"], rel=1e-9)
+        assert sigma == pytest.approx(row["sigma"], rel=1e-9)
         assert violation == pytest.approx(row["violation"], rel=1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"witness reproduction took {elapsed:.0f} s"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hesim.analysis import (
-    AnalysisReport,
+    BELL_VISIBILITY_BOUND,
     TOMO_SETTINGS,
     _witness_pairs,
     angular_basis_scan,
@@ -25,7 +25,14 @@ from hesim.detection import SETTINGS, DetectorModel
 from hesim.errors import NumericalError
 from hesim.jones import pump_state
 from hesim.lgmodes import AngularHistogram, Fringe, default_extent, petal_fit
-from hesim.pipelines import _write_json
+from hesim.config import RunConfig
+from hesim.pipelines import (
+    _json_ready,
+    _violation,
+    build_source,
+    run_hybrid_witness,
+    run_polarization_bell,
+)
 from hesim.quantum import DensityMatrix, Ket, fidelity, oam_subsystem, pol_subsystem, state_fidelity
 from hesim.spdc import apply_noise, down_convert
 
@@ -390,39 +397,81 @@ def test_bootstrap_reproducible_and_thread_invariant():
 # -- report ------------------------------------------------------------------------
 
 
-def test_report_recomputes_violation_sigmas():
-    rep = AnalysisReport(kind="test", S=2.8, S_sigma=0.1, W=1.5, W_sigma=0.05)
-    v = rep.violation_sigmas()
-    assert v["chsh"] == pytest.approx(8.0)
-    assert v["witness"] == pytest.approx(10.0)
+def bench_report(run, overrides: dict, outdir) -> tuple:
+    """(returned, written) report of one bench run that writes only its JSON."""
+    returned = run(RunConfig.from_dict(overrides), str(outdir), formats=("json",))
+    return returned, json.loads((outdir / "report.json").read_text())
 
 
-def test_report_bell_bound_flag():
-    good = Fringe(freq=2, V=0.99, theta0=0.0, base=1.0, stderr=0.001)
-    bad = Fringe(freq=2, V=0.6, theta0=0.0, base=1.0, stderr=0.001)
-    assert AnalysisReport(kind="t", visibilities={"H": good, "D": good}).bell_bound_flag()
-    assert not AnalysisReport(kind="t", visibilities={"H": good, "D": bad}).bell_bound_flag()
-    assert AnalysisReport(kind="t").bell_bound_flag() is None
+SMALL_WITNESS = {"grid": {"n": 64}, "analysis": {"n_bootstrap": 3}}
+
+
+def test_report_recomputes_violation_sigmas(tmp_path):
+    bell, bell_doc = bench_report(run_polarization_bell, {}, tmp_path / "bell")
+    s, s_sigma = bell["chsh"]["S"], bell["chsh"]["sigma"]
+    assert bell["violation_sigmas"] == {"chsh": (s - 2.0) / s_sigma}
+    assert bell_doc["violation_sigmas"]["chsh"] == pytest.approx((s - 2.0) / s_sigma, rel=1e-11)
+
+    wit, wit_doc = bench_report(run_hybrid_witness, SMALL_WITNESS, tmp_path / "witness")
+    w, w_sigma = wit["witness"]["W"], wit["witness"]["sigma"]
+    assert w_sigma > 0
+    assert wit["violation_sigmas"] == {"witness": (w - 1.0) / w_sigma}
+    assert wit_doc["violation_sigmas"]["witness"] == pytest.approx((w - 1.0) / w_sigma, rel=1e-11)
+
+    # an expected-value witness has no bootstrap sigma, so no violation
+    _, expected = bench_report(
+        run_hybrid_witness, {**SMALL_WITNESS, "detector": {"sampled": False}}, tmp_path / "exp"
+    )
+    assert expected["witness"]["sigma"] is None
+    assert expected["violation_sigmas"] == {}
+    for sigma in (None, float("nan"), 0.0, -0.1):
+        assert _violation("chsh", 2.8, sigma, 2.0) == {}
+
+
+def test_report_bell_bound_flag(tmp_path):
+    # (p_white, seed): both sweeps over 1/sqrt(2); one over, the other under,
+    # either way round; both under (V_H 0.4993 at p_white 0.5, seed 2)
+    for p, seed, flag in [(0.0, 0, True), (0.2925, 0, False), (0.2925, 3, False), (0.5, 2, False)]:
+        cfg = {"noise": {"p_white": p}, "detector": {"seed": seed}}
+        rep, doc = bench_report(run_polarization_bell, cfg, tmp_path / f"{p}-{seed}")
+        v_h, v_d = (rep["visibilities"][b]["V"] for b in ("H", "D"))
+        assert doc["bell_bound_flag"] is flag
+        assert flag == (v_h > BELL_VISIBILITY_BOUND and v_d > BELL_VISIBILITY_BOUND)
+        if p == 0.2925:
+            assert (v_h > BELL_VISIBILITY_BOUND) == (seed == 0) != (v_d > BELL_VISIBILITY_BOUND)
+        if p == 0.5:
+            assert round(v_h, 4) == 0.4993
+
+
+def assert_keys_sorted(doc) -> None:
+    if isinstance(doc, dict):
+        assert list(doc) == sorted(doc)
+        for value in doc.values():
+            assert_keys_sorted(value)
 
 
 def test_report_json_format(tmp_path):
-    rep = AnalysisReport(kind="t", S=1.0 / 3.0, S_sigma=float("nan"))
-    doc = rep.to_dict()
-    assert doc["chsh"]["S"] == pytest.approx(0.333333333333, abs=1e-15)
-    assert doc["chsh"]["sigma"] is None
-    _write_json(doc, tmp_path / "report.json")
-    text = (tmp_path / "report.json").read_text()
-    parsed = json.loads(text)
-    assert parsed["schema_version"] == 1
-    keys = list(parsed.keys())
-    assert keys == sorted(keys)
-    assert text.endswith("\n")
+    # a flat fringe (p_white 1, expected counts) has no phase: theta0 is NaN
+    cfg = {"noise": {"p_white": 1.0}, "detector": {"sampled": False}}
+    rep, doc = bench_report(run_polarization_bell, cfg, tmp_path)
+    assert math.isnan(rep["visibilities"]["H"]["theta0_deg"])
+    assert doc["visibilities"]["H"]["theta0_deg"] is None
+    sigma = rep["chsh"]["sigma"]
+    assert doc["chsh"]["sigma"] == float(f"{sigma:.12g}") != sigma  # 12 digits
+    assert doc["schema_version"] == 1
+    assert_keys_sorted(doc)  # json.loads keeps the order of the file
+    assert (tmp_path / "report.json").read_text().endswith("}\n")
 
 
-def test_report_serializes_density_matrix():
-    bell = Ket(TWO_QUBIT_SUBS, np.array([1, 0, 0, -1.0]) / math.sqrt(2), fix_phase=False)
-    rho = DensityMatrix.from_ket(bell)
-    doc = AnalysisReport(kind="t", rho=rho).to_dict()
-    assert doc["rho"]["re"][0][3] == pytest.approx(-0.5)
-    assert doc["rho"]["im"][0][3] == 0.0
-    assert doc["rho"]["psd"] is True
+def test_report_serializes_density_matrix(tmp_path):
+    # noiseless counts invert to a non-PSD estimate, noisy ones here to a PSD one
+    for cfg, psd in [({}, False), ({"noise": {"p_white": 0.1}, "detector": {"seed": 4}}, True)]:
+        _, doc = bench_report(run_polarization_bell, cfg, tmp_path / str(psd))
+        config = RunConfig.from_dict(cfg)
+        state = build_source(config, l=0)
+        rho = tomography_linear(tomography_counts(state, config.detector, l=0, tag="tomo"))
+        assert set(doc["rho"]) == {"re", "im", "psd"}
+        assert doc["rho"]["re"] == _json_ready(rho.matrix.real)
+        assert doc["rho"]["im"] == _json_ready(rho.matrix.imag)
+        assert np.abs(rho.matrix.imag).max() > 1e-3  # re and im differ
+        assert doc["rho"]["psd"] is rho.psd_flag is psd

@@ -320,6 +320,9 @@ def test_cli_bad_config_exits_2(tmp_path):
             ["hybrid-witness", "--l", "166", "--expected"],
             id="corner-witness",
         ),
+        # a format the bench has no artifact of once ran to an empty --out
+        pytest.param({}, ["pump-gallery", "--l", "1", "--format", "csv"], id="format-gallery"),
+        pytest.param({}, ["polarization-bell", "--format", "pgm"], id="format-bell"),
     ],
 )
 def test_cli_rejects_before_writing(tmp_path, config, argv):

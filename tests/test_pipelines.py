@@ -8,6 +8,7 @@ import pytest
 from hesim.config import RunConfig
 from hesim.errors import ConfigError
 from hesim.pipelines import (
+    _json_ready,
     build_source,
     run_hybrid_witness,
     run_polarization_bell,
@@ -72,11 +73,11 @@ def test_gallery_rejects_unknown_format(tmp_path):
 def test_polarization_bell_sampled_run(tmp_path):
     cfg = RunConfig.from_dict({})
     report = run_polarization_bell(cfg, str(tmp_path / "a"))
-    assert report.S > 2.7
-    assert report.S < 2 * math.sqrt(2) + 0.05
-    assert report.fidelity > 0.99
-    assert report.bell_bound_flag() is True
-    assert report.visibilities["H"].V > 0.97
+    assert report["chsh"]["S"] > 2.7
+    assert report["chsh"]["S"] < 2 * math.sqrt(2) + 0.05
+    assert report["fidelity"] > 0.99
+    assert report["bell_bound_flag"] is True
+    assert report["visibilities"]["H"]["V"] > 0.97
 
     doc = json.loads((tmp_path / "a" / "report.json").read_text())
     assert doc["kind"] == "polarization_bell"
@@ -98,8 +99,8 @@ def test_polarization_bench_ignores_pump_charge(tmp_path):
         RunConfig.from_dict({"pump": {"l": 3}}), str(tmp_path / "l3")
     )
     # the bench models the mode plate being removed, so the charge is moot
-    assert high.S == base.S
-    assert high.fidelity == base.fidelity
+    assert high["chsh"]["S"] == base["chsh"]["S"]
+    assert high["fidelity"] == base["fidelity"]
 
 
 # -- hybrid witness bench --------------------------------------------------------
@@ -108,9 +109,9 @@ def test_polarization_bench_ignores_pump_charge(tmp_path):
 def test_hybrid_witness_expected_route(tmp_path):
     cfg = RunConfig.from_dict({"detector": {"sampled": False}})
     report = run_hybrid_witness(cfg, str(tmp_path))
-    assert report.W == pytest.approx(1.9771280779824245, rel=1e-9)
-    assert report.W_sigma is None
-    petals = report.petals
+    assert report["witness"]["W"] == pytest.approx(1.9771280779824245, rel=1e-9)
+    assert report["witness"]["sigma"] is None
+    petals = report["petals"]
     assert petals["expectation"]["W"] == pytest.approx(2.0, abs=1e-9)
     for basis in ("A", "D", "R", "L"):
         assert petals[basis]["n_maxima"] == 6
@@ -126,9 +127,9 @@ def test_hybrid_witness_expected_route(tmp_path):
 def test_hybrid_witness_sampled_bootstrap(tmp_path):
     cfg = RunConfig.from_dict({"analysis": {"n_bootstrap": 2}, "pump": {"l": 1}})
     report = run_hybrid_witness(cfg, str(tmp_path))
-    assert report.W_sigma is not None and report.W_sigma > 0
-    assert report.petals["bootstrap"]["n"] == 2
-    assert report.W == pytest.approx(2.0, abs=0.1)
+    assert report["witness"]["sigma"] is not None and report["witness"]["sigma"] > 0
+    assert report["petals"]["bootstrap"]["n"] == 2
+    assert report["witness"]["W"] == pytest.approx(2.0, abs=0.1)
 
 
 def test_hybrid_witness_json_only(tmp_path):
@@ -157,3 +158,38 @@ def test_witness_weakens_with_charge_at_calibrated_noise():
         assert out["W"] == pytest.approx(2.0 * (1.0 - p), abs=1e-9)
         w[l] = out["W"]
     assert w[1] > w[2] > w[3] > 1.0
+
+
+# -- documents -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run, overrides, name, keys",
+    [
+        pytest.param(
+            run_pump_gallery, {"pump": {"l": 1}, "grid": {"n": 64}}, "manifest.json",
+            {"grid", "images", "kind", "l"},
+            id="gallery",
+        ),
+        pytest.param(
+            run_polarization_bell, {}, "report.json",
+            {
+                "bell_bound_flag", "chsh", "config", "fidelity", "kind", "rho",
+                "schema_version", "violation_sigmas", "visibilities",
+            },
+            id="bell",
+        ),
+        pytest.param(
+            run_hybrid_witness, {"grid": {"n": 64}, "analysis": {"n_bootstrap": 3}},
+            "report.json",
+            {"config", "kind", "petals", "schema_version", "violation_sigmas", "witness"},
+            id="witness",
+        ),
+    ],
+)
+def test_runner_returns_the_document_it_wrote(tmp_path, run, overrides, name, keys):
+    returned = run(RunConfig.from_dict(overrides), str(tmp_path), formats=("json",))
+    written = json.loads((tmp_path / name).read_text())
+    assert written == _json_ready(returned)
+    assert _json_ready(written) == written  # a written document is already ready
+    assert set(written) == keys
