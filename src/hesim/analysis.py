@@ -310,21 +310,17 @@ def angular_basis_scan(
 
 
 def _oam_fringe(block: np.ndarray, alphabet, l: int) -> Fringe:
-    """The exact petal fringe of a heralded OAM block.
+    """The exact petal fringe of a heralded OAM block, read by lgmodes.pair_terms.
 
-    Valid when the only coherence in the block links -l and +l; any other
-    off-diagonal weight would add angular frequencies the fringe does not
-    model, so it is rejected. A block with no such coherence is degenerate.
+    Only the coherence linking -l and +l is modelled; any other (also one
+    linking another +-m pair) adds angular frequencies the fringe does not
+    carry, so it is refused. A block with no such coherence is degenerate.
     """
-    alphabet = list(alphabet)
-    ip, im = alphabet.index(+l), alphabet.index(-l)
-    off = block.copy()
-    off[ip, im] = off[im, ip] = 0.0
-    np.fill_diagonal(off, 0.0)
-    if np.max(np.abs(off)) > 1e-10:
+    terms = lgmodes.pair_terms(block, alphabet)
+    if any(c for m, (_, c) in terms.items() if m != l):
         raise NumericalError("state carries OAM coherences outside the +-l pair")
     base = float(np.real(np.trace(block)))
-    coh = complex(block[ip, im])  # <+l| rho |-l>, multiplies exp(+2 i l theta)
+    coh = terms[l][1]  # <+l| rho |-l>, multiplies exp(+2 i l theta)
     amp = 2.0 * abs(coh)
     if amp == 0:
         return Fringe(2 * l, 0.0, math.nan, base, flags=("degenerate",))

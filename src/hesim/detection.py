@@ -37,14 +37,11 @@ draw made from it:
 
 The Poisson draw of an image depends on every bit of its mean image. The
 render memo in lgmodes returns the bits a fresh render gives, so it never
-moves a draw. Reruns are byte-identical on one numpy/OpenBLAS build and CPU
-family: a render's matrix product runs in OpenBLAS, which picks its kernel
-for the CPU at run time, so another CPU family may move a mean's last bits
-(the BLAS thread count does not). With no accidentals, a noiseless source's
-sampled images also depend on the sign of the rounding dust on nodal
-pixels: the render clips negative dust to a mean of 0, which takes no draw
-from the stream, while a tiny positive mean does, so one such pixel shifts
-the draws of every pixel after it.
+moves a draw. With no accidentals, a noiseless source's sampled images also
+depend on the rounding on nodal pixels: the render clips a fringe that
+rounds below 0 to a mean of 0, which takes no draw from the stream, while a
+tiny positive mean does, so one such pixel shifts the draws of every pixel
+after it.
 """
 
 import struct
@@ -365,5 +362,5 @@ def heralded_image(
     if lam.max(initial=0.0) > MEAN_OVERFLOW:
         raise NumericalError("per-pixel mean overflows the counter model")
     gen = rng_stream(det.seed, "heralded_image", l, str(tag))
-    counts = gen.poisson(lam).astype(float)
-    return lgmodes.FieldImage(counts, extent, meta=meta)
+    lam[...] = gen.poisson(lam)  # the counts, in the mean's buffer: no second float image
+    return lgmodes.FieldImage(lam, extent, meta=meta)

@@ -17,25 +17,21 @@ Geometry conventions (fixed, also used by the angular histogram):
 * Which lab direction is theta = 0 is a simulation convention; fitted petal
   orientations are only meaningful as differences between projections.
 
-Rendering is a closed-form evaluation on the pixel grid with no stochastic
-element: one BLAS matrix product mixes the mode stack by the density block,
-and one real reduction pairs the result with the stack. Identical inputs
-give bit-identical images on one numpy/OpenBLAS build and CPU family.
-OpenBLAS picks its kernel for the CPU at run time, so another CPU family
-may move the last bits; the BLAS thread count does not. A mode stack
-evaluates each charge pair +-l once: the phase factor of -l is the bitwise
-conjugate of that of +l, as long as the host's complex exponential is
-conjugate-symmetric (tested), so the stack holds the bits of a direct
-evaluation of every mode.
+A render is a ring times a fringe. The charges +m and -m share one radial
+envelope R_m (Allen, Beijersbergen, Spreeuw & Woerdman, PRA 45, 8185
+(1992)), so a density block whose only coherences link +m and -m renders
+as sum_m R_m^2 (d_m + 2 Re(c_m exp(2 i m theta))). pair_terms reads d_m and
+c_m for the render and for the expectation route (analysis) alike, and
+refuses any other coherence. The evaluation is elementwise, with no BLAS
+call: identical inputs give bit-identical images on one numpy build and
+CPU family.
 
 Renders repeat: every bootstrap draw of a witness row renders the same four
-density blocks on one mode stack. So the module holds the last mode stack,
-the intensities of blocks rendered more than once on it, and the pixel mask
-and bin index of the last angular annulus. Held arrays are read-only and
-hold the bits a fresh computation gives, so a repeat returns identical
-images. The holders are module state, so one lock guards them against a
-caller that renders from several threads; the product and its reduction
-run outside it, so such threads share one stack without queueing on it.
+density blocks on one grid. So the module holds the render factors of the
+last grid, the intensities of blocks rendered more than once on them, and
+the pixel mask and bin index of the last angular annulus, all read-only and
+with the bits a fresh computation gives. One lock guards the holders
+against a caller that renders from several threads.
 """
 
 import functools
@@ -62,6 +58,14 @@ class LGMode:
             raise ValueError("waist must be positive")
 
 
+def _envelope(r, l: int, waist: float) -> np.ndarray:
+    """The real radial envelope of charge l, shared by +l and -l."""
+    r = np.asarray(r, dtype=float)
+    al = abs(int(l))
+    c = math.sqrt(2.0 / (math.pi * math.factorial(al))) / waist
+    return c * (np.sqrt(2.0) * r / waist) ** al * np.exp(-(r * r) / (waist * waist))
+
+
 def lg_amplitude(r, theta, mode: LGMode) -> np.ndarray:
     """Normalised transverse amplitude of a p=0 LG mode.
 
@@ -69,21 +73,8 @@ def lg_amplitude(r, theta, mode: LGMode) -> np.ndarray:
     with C = sqrt(2 / (pi |l|!)) / w so that the squared modulus integrates
     to one over the plane.
     """
-    radial, phase = _lg_factors(r, theta, mode)
-    return radial * phase
-
-
-def _lg_factors(r, theta, mode: LGMode):
-    """The real radial envelope and the unit phase factor whose product is
-    lg_amplitude. The envelope depends on |l| only, and the phase argument
-    of -l is the exact conjugate of that of +l."""
-    r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    w = mode.waist
-    al = abs(int(mode.l))
-    c = math.sqrt(2.0 / (math.pi * math.factorial(al))) / w
-    radial = c * (np.sqrt(2.0) * r / w) ** al * np.exp(-(r * r) / (w * w))
-    return radial, np.exp(1j * mode.l * theta)
+    return _envelope(r, mode.l, mode.waist) * np.exp(1j * mode.l * theta)
 
 
 def peak_radius(mode: LGMode) -> float:
@@ -167,15 +158,36 @@ def finite_on_grid(l: int, n: int, extent: float, waist: float) -> bool:
         return bool(np.isfinite(lg_amplitude(np.hypot(x[0, 0], y[0, 0]), 0.0, LGMode(l, waist))))
 
 
+def pair_terms(block: np.ndarray, alphabet) -> dict:
+    """{m: (d_m, c_m)} for each |m| of the alphabet, in increasing m: d_m =
+    rho(-m,-m) + rho(+m,+m) over the charges present, and c_m = rho(+m,-m)
+    (0 at m = 0 or without both charges). Any other coherence over 1e-10 of
+    the block's largest entry raises NumericalError."""
+    index = {a: i for i, a in enumerate(alphabet)}
+    off = np.array(block, dtype=complex)
+    np.fill_diagonal(off, 0.0)
+    terms = {}
+    for m in sorted({abs(a) for a in index}):
+        d = sum(float(block[index[q], index[q]].real) for q in {m, -m} if q in index)
+        c = 0j
+        if m and m in index and -m in index:
+            c = complex(block[index[m], index[-m]])
+            off[index[m], index[-m]] = off[index[-m], index[m]] = 0.0
+        terms[m] = (d, c)
+    if np.abs(off).max(initial=0.0) > 1e-10 * np.abs(block).max(initial=0.0):
+        raise NumericalError("OAM block carries coherences outside the +-m pairs")
+    return terms
+
+
 MAX_KEPT_RENDERS = 8  # per held stack: kept intensities, and blocks tracked as rendered once
 
 
 @dataclass
 class _HeldStack:
-    """The last mode stack, with the renders that repeated on it."""
+    """The render factors of the last grid, with the renders that repeated on them."""
 
     key: tuple
-    fields: np.ndarray
+    factors: dict
     seen: set = field(default_factory=set)  # density blocks rendered once
     kept: dict = field(default_factory=dict)  # density block -> read-only intensity
 
@@ -185,19 +197,13 @@ _held_stack = None
 _held_bins = None  # ((n, extent, r_min, r_max, nbins), mask, bin index)
 
 
-def mode_stack(alphabet, n: int, extent: float, waist: float) -> np.ndarray:
-    """Complex field of every mode in the OAM alphabet, shape (len, n, n).
+def mode_stack(alphabet, n: int, extent: float, waist: float) -> dict:
+    """The render factors of an OAM alphabet on the n x n grid, read-only.
 
-    Each field has the bits lg_amplitude gives, but a charge pair +-l takes
-    one evaluation: the second charge of the pair reuses the radial envelope
-    and multiplies it by the conjugated phase factor, which is the other
-    charge's phase factor bit for bit (signed zeros included) while the
-    host's complex exponential is conjugate-symmetric. Conjugating the
-    finished field instead would flip the sign of zeros on the theta = 0 ray
-    and where the envelope underflows.
-
-    The last stack is held and returned read-only. A new key drops it before
-    building the next, so the module never holds two.
+    {m: (ring, trig)} for each |m| of the alphabet: ring is R_m^2, and trig
+    stacks cos(2 m theta) and sin(2 m theta) where +m and -m both belong to
+    the alphabet (else None). The last factors are held; a new key drops
+    them before building the next, so the module never holds two.
     """
     global _held_stack
     alphabet = tuple(alphabet)
@@ -206,57 +212,58 @@ def mode_stack(alphabet, n: int, extent: float, waist: float) -> np.ndarray:
         if _held_stack is None or _held_stack.key != key:
             _held_stack = None
             r, theta = pixel_polar(n, extent)
-            # filled row by row: no per-mode arrays and no stacked copy
-            fields = np.empty((len(alphabet), n, n), dtype=complex)
-            held = {}  # charge -> its factors, kept for -charge later in the alphabet
-            for i, l in enumerate(alphabet):
-                if -l in held:
-                    radial, phase = held.pop(-l)
-                    np.conjugate(phase, out=phase)
-                else:
-                    radial, phase = _lg_factors(r, theta, LGMode(l, waist))
-                    if l and -l in alphabet[i + 1 :]:
-                        held[l] = radial, phase
-                np.multiply(radial, phase, out=fields[i])
-                del radial, phase
-            fields.setflags(write=False)
-            _held_stack = _HeldStack(key, fields)
-        return _held_stack.fields
+            factors = {}
+            for m in sorted({abs(a) for a in alphabet}):
+                ring, trig = np.square(_envelope(r, m, waist)), None
+                if m and m in alphabet and -m in alphabet:
+                    angle = theta * (2 * m)
+                    trig = np.stack([np.cos(angle), np.sin(angle)])
+                    trig.setflags(write=False)
+                ring.setflags(write=False)
+                factors[m] = (ring, trig)
+            _held_stack = _HeldStack(key, factors)
+        return _held_stack.factors
 
 
 def render_from_density(rho_oam: np.ndarray, alphabet, grid, waist: float) -> np.ndarray:
-    """Intensity of an OAM-space density operator on the pixel grid.
+    """Intensity of an OAM-space density operator on the pixel grid:
+    sum_m R_m^2 (d_m + 2 Re(c_m exp(2 i m theta))), from pair_terms.
 
     rho_oam may be unnormalised (its trace carries the event rate); the
-    returned array integrates to trace * (flux captured by this grid).
-    The second render of a block on the held stack keeps its intensity,
-    read-only, and later renders of that block return it.
+    returned array integrates to trace * (flux captured by this grid). Each
+    fringe is clipped at 0 before its ring multiplies it, so rounding on a
+    node leaves no negative pixel. The second render of a block on the held
+    factors keeps its intensity, read-only, for later renders of that block.
     """
     n, extent = int(grid[0]), float(grid[1])
     rho = np.asarray(rho_oam, dtype=complex)
-    k = len(tuple(alphabet))
+    alphabet = tuple(alphabet)
+    k = len(alphabet)
     if rho.shape != (k, k):
         raise ValueError(f"density block {rho.shape} does not match alphabet size {k}")
-    fields = mode_stack(alphabet, n, extent, waist)
+    terms = {m: dc for m, dc in pair_terms(rho, alphabet).items() if any(dc)}
+    factors = mode_stack(alphabet, n, extent, waist)
     block = rho.tobytes()
     keep = False
     with _lock:
         held = _held_stack
-        if held is not None and held.fields is fields:
+        if held is not None and held.factors is factors:
             if block in held.kept:
                 return held.kept[block]
             keep = block in held.seen and len(held.kept) < MAX_KEPT_RENDERS
             if not keep and len(held.seen) < MAX_KEPT_RENDERS:
                 held.seen.add(block)
-    # sum_ab rho_ab f_a conj(f_b): row b of mixed is sum_a rho_ab f_a, and
-    # Re(mixed_b conj(f_b)) is the dot product of their (real, imag) pairs
-    flat = fields.reshape(k, -1)
-    mixed = rho.T @ flat
-    out = np.einsum(
-        "bpc,bpc->p", flat.view(float).reshape(k, -1, 2), mixed.view(float).reshape(k, -1, 2)
-    ).reshape(n, n)
-    del mixed  # before the clip's mask, so the peak stays within pipelines' budget
-    out[out < 0] = 0.0  # rounding dust from the complex cross terms
+    out = None if terms else np.zeros((n, n))
+    for m, (d, c) in terms.items():
+        ring, trig = factors[m]
+        if c:
+            # 2 Re(c exp(2 i m theta)): trig dotted with (2 Re c, -2 Im c)
+            fringe = np.multiply(trig, [[[2.0 * c.real]], [[-2.0 * c.imag]]]).sum(axis=0)
+            fringe += d
+            term = np.multiply(np.maximum(fringe, 0.0, out=fringe), ring, out=fringe)
+        else:
+            term = ring * d
+        out = term if out is None else np.add(out, term, out=out)
     if keep:
         out.setflags(write=False)
         with _lock:

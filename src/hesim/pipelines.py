@@ -87,27 +87,25 @@ def _pump(cfg: RunConfig, l: int):
 MODE_STACK_BUDGET = 2 * 1024**3  # bytes one render may hold
 # the largest |l| whose LG normalisation sqrt(2 / (pi |l|!)) a float holds
 MAX_CHARGE = next(l for l in range(1 << 16) if math.factorial(l + 1) > math.nextafter(math.inf, 0))
+RENDER_BYTES_PER_PIXEL = 32 + 32 + 8 * lgmodes.MAX_KEPT_RENDERS
 
 
 def _check_stack_memory(cfg: RunConfig, l: int) -> None:
     """Refuse a charge over MAX_CHARGE, or a render over MODE_STACK_BUDGET.
 
-    A render holds the mode stack (one complex n x n field per mode of the
-    source alphabet), the stack mixed by the density block (as many complex
-    fields), its real n x n result, and up to lgmodes.MAX_KEPT_RENDERS kept
-    real n x n intensities: (32 m + 72) bytes per pixel for m modes. That is
-    136 B at m = 2 (l != 0), so n <= 3,973, and 168 B at m = 3 (l = 0), so
-    n <= 3,575.
+    Per pixel, a render holds the factors of the source alphabet, at most
+    two rings and one cos/sin pair (the l = 0 register; one ring fewer at
+    l != 0), 32 B; its result, a fringe and the fringe's two-row product,
+    32 B; and up to lgmodes.MAX_KEPT_RENDERS kept intensities, 8 B each:
+    128 B at any l, so n <= 4,096.
     """
     if abs(l) > MAX_CHARGE:
         raise ConfigError(f"pump.l={l} is over {MAX_CHARGE}: its LG normalisation overflows a float")
-    modes = len(_alphabet(l))
-    per_pixel = 2 * modes * 16 + 8 + lgmodes.MAX_KEPT_RENDERS * 8
-    need = per_pixel * cfg.grid.n**2
+    need = RENDER_BYTES_PER_PIXEL * cfg.grid.n**2
     if need > MODE_STACK_BUDGET:
         raise ConfigError(
-            f"grid.n={cfg.grid.n} needs {need:,} bytes to render ({modes} modes: "
-            f"{per_pixel} bytes per pixel), over the cap of {MODE_STACK_BUDGET:,}"
+            f"grid.n={cfg.grid.n} needs {need:,} bytes to render "
+            f"({RENDER_BYTES_PER_PIXEL} bytes per pixel), over the cap of {MODE_STACK_BUDGET:,}"
         )
 
 

@@ -286,11 +286,11 @@ def test_cli_bad_config_exits_2(tmp_path):
             ["polarization-bell", "--noise", "0.1"],
             id="step-string-bell",
         ),
-        # 2 modes at 20000^2 px: 136 B x 20000^2 = 50.7 GiB for a gallery render
+        # 128 B x 20000^2 = 47.7 GiB for a gallery render
         pytest.param({"grid": {"n": 20000}}, ["pump-gallery"], id="memory-gallery"),
-        # 2 modes at 4096^2 px: 136 B x 4096^2 = 2.13 GiB for a witness render
+        # 128 B x 4300^2 = 2.20 GiB for a witness render
         pytest.param(
-            {"grid": {"n": 4096}}, ["hybrid-witness", "--l", "3"], id="memory-witness"
+            {"grid": {"n": 4300}}, ["hybrid-witness", "--l", "3"], id="memory-witness"
         ),
         # a non-finite phase once ran to W = 0 on all-zero images
         pytest.param(
@@ -348,15 +348,16 @@ def needed_bytes(error: ConfigError) -> int:
 
 
 def test_render_memory_budget_boundary():
-    # l=3: the mode stack and its mixed copy at 16 B a mode, the real result
-    # and the kept intensities at 8 B: 136 B per pixel on the two charges
-    # the source fills, so 2 GiB allows n = 3973
-    per_pixel = 32 * len(pipelines._alphabet(3)) + 8 + 8 * lgmodes.MAX_KEPT_RENDERS
-    assert per_pixel == 136
-    _check_stack_memory(RunConfig.from_dict({"grid": {"n": 3973}}), 3)
-    with pytest.raises(ConfigError) as exc:
-        _check_stack_memory(RunConfig.from_dict({"grid": {"n": 3974}}), 3)
-    assert needed_bytes(exc.value) == per_pixel * 3974**2
+    # the factors of the l = 0 register (two rings, one cos/sin pair), the
+    # result, a fringe and its two-row product, and the kept intensities, at
+    # 8 B each: 128 B per pixel at any l, so 2 GiB allows n = 4096
+    per_pixel = 4 * 8 + 4 * 8 + 8 * lgmodes.MAX_KEPT_RENDERS
+    assert per_pixel == pipelines.RENDER_BYTES_PER_PIXEL == 128
+    for l in (0, 3):
+        _check_stack_memory(RunConfig.from_dict({"grid": {"n": 4096}}), l)
+        with pytest.raises(ConfigError) as exc:
+            _check_stack_memory(RunConfig.from_dict({"grid": {"n": 4097}}), l)
+        assert needed_bytes(exc.value) == per_pixel * 4097**2
 
 
 def test_charge_bound_is_where_the_lg_normalisation_overflows():
@@ -382,24 +383,23 @@ def test_charge_bound_at_the_frame_corner():
     assert pipelines._grid(small, pipelines.MAX_CHARGE) == (64, 20.0)
 
 
-def test_render_peak_within_memory_budget(monkeypatch):
-    n, l = 256, 3
-    monkeypatch.setattr(pipelines, "MODE_STACK_BUDGET", 0)
-    with pytest.raises(ConfigError) as exc:
-        _check_stack_memory(RunConfig.from_dict({"grid": {"n": n}}), l)
-    budget = needed_bytes(exc.value)
+def render_peaks(l: int, n: int = 256) -> tuple:
+    """tracemalloc peaks of the first render on the source alphabet of l,
+    which builds the factors, and of a render with every kept intensity held."""
     alphabet = pipelines._alphabet(l)
-    grid = (n, lgmodes.default_extent(1.0, l))
+    grid = (n, lgmodes.default_extent(1.0, max(l, 1)))
     rng = np.random.default_rng(17)
     blocks = []
     for _ in range(lgmodes.MAX_KEPT_RENDERS + 1):
-        a = rng.normal(size=len(alphabet)) + 1j * rng.normal(size=len(alphabet))
-        blocks.append(np.outer(a, a.conj()))
-    lgmodes.mode_stack(alphabet, 32, 6.0, 1.0)  # drop any held stack of this key
+        # coherent on the outer +-m pair; at l = 0 charge 0 adds its own ring
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        block = np.zeros((len(alphabet),) * 2, dtype=complex)
+        block[np.ix_([0, -1], [0, -1])] = np.outer(a, a.conj())
+        block[len(alphabet) // 2, len(alphabet) // 2] += rng.random()
+        blocks.append(block)
+    lgmodes.mode_stack(alphabet, 32, 6.0, 1.0)  # drop any held factors of this key
     tracemalloc.start()
     try:
-        # the first render builds the stack; the last one runs with every
-        # kept intensity held
         lgmodes.render_from_density(blocks[0], alphabet, grid, 1.0)
         fresh = tracemalloc.get_traced_memory()[1]
         for rho in blocks[:-1] * 2:
@@ -410,8 +410,17 @@ def test_render_peak_within_memory_budget(monkeypatch):
         full = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the memo's Python objects and einsum's buffers add a few kB at any n
-    assert max(fresh, full) <= budget + 64 * 1024
+    return fresh, full
+
+
+def test_render_peak_within_memory_budget(monkeypatch):
+    n = 256
+    monkeypatch.setattr(pipelines, "MODE_STACK_BUDGET", 0)
+    for l in (3, 0):
+        with pytest.raises(ConfigError) as exc:
+            _check_stack_memory(RunConfig.from_dict({"grid": {"n": n}}), l)
+        # the memo's Python objects add a few kB at any n
+        assert max(render_peaks(l, n)) <= needed_bytes(exc.value) + 64 * 1024
 
 
 def test_cli_hybrid_witness_rejects_zero_charge(tmp_path):

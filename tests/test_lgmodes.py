@@ -112,8 +112,9 @@ def test_mode_normalization_under_quadrature():
 def test_mode_orthonormality_on_grid():
     n, extent = GRID
     px_area = (extent / n) ** 2
-    stack = mode_stack((-2, 0, 1, 3), n, extent, 1.0)
-    gram = np.einsum("aij,bij->ab", stack.conj(), stack) * px_area
+    r, theta = pixel_polar(n, extent)
+    fields = np.stack([lg_amplitude(r, theta, LGMode(l, 1.0)) for l in (-2, 0, 1, 3)])
+    gram = np.einsum("aij,bij->ab", fields.conj(), fields) * px_area
     assert np.allclose(gram, np.eye(4), atol=1e-3)
 
 
@@ -415,14 +416,14 @@ def test_field_image_validation():
         FieldImage(np.full((16, 16), np.nan), 4.0)
 
 
-# -- held stacks, renders and bins ------------------------------------------------
+# -- held factors, renders and bins ------------------------------------------------
 
 # a base key, then keys that each differ from it in one field only, so a
 # cache that left a field out of its key hands back a wrong array, and a
 # gallery-size +-l pair
 STACK_KEYS = [
     ((-1, 0, 1), 32, 6.0, 1.0),
-    ((-1, 0, 2), 32, 6.0, 1.0),
+    ((-2, -1, 0, 1, 2), 32, 6.0, 1.0),
     ((-1, 0, 1), 40, 6.0, 1.0),
     ((-1, 0, 1), 32, 7.0, 1.0),
     ((-1, 0, 1), 32, 6.0, 1.3),
@@ -438,26 +439,45 @@ def interleaved(keys):
     return out
 
 
-def direct_stack(alphabet, n, extent, waist):
+def direct_factors(alphabet, n, extent, waist):
+    """The documented factors, from lg_amplitude: its real part at theta = 0
+    is the envelope, bit for bit."""
     r, theta = pixel_polar(n, extent)
-    return np.stack([lg_amplitude(r, theta, LGMode(l, waist)) for l in alphabet])
-
-
-def direct_render(rho, key):
-    """A fresh render, by the contraction render_from_density runs."""
-    fields = direct_stack(*key)
-    k, n = fields.shape[0], key[1]
-    flat = fields.reshape(k, -1)
-    mixed = rho.T @ flat
-    pairs = [z.view(float).reshape(k, -1, 2) for z in (flat, mixed)]
-    out = np.einsum("bpc,bpc->p", *pairs).reshape(n, n)
-    out[out < 0] = 0.0
+    out = {}
+    for m in sorted({abs(a) for a in alphabet}):
+        ring = lg_amplitude(r, 0.0, LGMode(m, waist)).real ** 2
+        trig = None
+        if m and m in alphabet and -m in alphabet:
+            trig = np.stack([np.cos(theta * (2 * m)), np.sin(theta * (2 * m))])
+        out[m] = (ring, trig)
     return out
 
 
-def random_block(rng, k=3):
-    m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    return m @ m.conj().T
+def same_factors(a, b):
+    return a.keys() == b.keys() and all(
+        same_bits(a[m][0], b[m][0])
+        and (a[m][1] is None if b[m][1] is None else same_bits(a[m][1], b[m][1]))
+        for m in a
+    )
+
+
+def direct_render(rho, key):
+    """A fresh render: the same call with no held factors or kept renders."""
+    with mock.patch.object(lgmodes, "_held_stack", None):
+        return render(rho, key)
+
+
+def random_block(rng, alphabet, m=None):
+    """A random positive block supported on the charges +-m of the alphabet
+    (a random |m| of it by default)."""
+    alphabet = list(alphabet)
+    if m is None:
+        m = int(rng.choice(sorted({abs(a) for a in alphabet})))
+    idx = sorted({alphabet.index(a) for a in (m, -m) if a in alphabet})
+    a = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+    block = np.zeros((len(alphabet),) * 2, dtype=complex)
+    block[np.ix_(idx, idx)] = a @ a.conj().T
+    return block
 
 
 def render(rho, key):
@@ -471,11 +491,12 @@ def same_bits(a, b):
 
 def test_mode_stack_interleaved_keys_match_direct():
     for key in interleaved(STACK_KEYS):
-        stack = mode_stack(*key)
-        assert same_bits(stack, direct_stack(*key))
-        assert not stack.flags.writeable
-        with pytest.raises(ValueError):
-            stack[0, 0, 0] = 0.0
+        factors = mode_stack(*key)
+        assert same_factors(factors, direct_factors(*key))
+        for arr in (a for arrays in factors.values() for a in arrays if a is not None):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -487,19 +508,23 @@ def test_mode_stack_interleaved_keys_match_direct():
     waist=st.floats(0.1, 10.0),
 )
 def test_mode_stack_holds_direct_bits(l, reverse, n, extent, waist):
-    # odd n puts pixel centers on the theta = 0 ray, large extents
-    # underflow the envelope: both make signed zeros that a conjugated
-    # field would flip
+    # the factors hold the bits of the documented evaluation, and the ring
+    # is lg_amplitude's squared modulus at every pixel angle
     alphabet = (-1, 0, 1) if l == 0 else (-l, l)
     key = (alphabet[::-1] if reverse else alphabet, n, extent, waist)
-    assert same_bits(mode_stack(*key), direct_stack(*key))
+    factors = mode_stack(*key)
+    assert same_factors(factors, direct_factors(*key))
+    r, theta = pixel_polar(n, extent)
+    for m, (ring, _) in factors.items():
+        modulus = np.abs(lg_amplitude(r, theta, LGMode(m, waist))) ** 2
+        assert np.abs(ring - modulus).max() <= 1e-15 * modulus.max()
 
 
 def test_new_stack_key_drops_the_held_stack():
-    first = weakref.ref(mode_stack(*STACK_KEYS[0]))
+    first = weakref.ref(mode_stack(*STACK_KEYS[0])[1][0])
     gc.collect()
     assert first() is not None  # held between calls
-    assert mode_stack(*STACK_KEYS[0]) is first()
+    assert mode_stack(*STACK_KEYS[0])[1][0] is first()
     mode_stack(*STACK_KEYS[1])
     gc.collect()
     assert first() is None
@@ -507,18 +532,18 @@ def test_new_stack_key_drops_the_held_stack():
 
 def test_render_interleaved_keys_match_direct():
     rng = np.random.default_rng(7)
-    blocks = {k: [random_block(rng, k) for _ in range(2)] for k in (2, 3)}
+    blocks = {key[0]: [random_block(rng, key[0]) for _ in range(2)] for key in STACK_KEYS}
     # three renders of each block per visit: once, kept, returned from the memo
     for key in interleaved(STACK_KEYS):
-        for rho in blocks[len(key[0])]:
+        for rho in blocks[key[0]]:
             for _ in range(3):
                 assert same_bits(render(rho, key), direct_render(rho, key))
 
 
 def test_render_keeps_only_repeated_blocks():
     key = STACK_KEYS[0]
-    mode_stack(*STACK_KEYS[1])  # start from a stack with nothing kept
-    rho = random_block(np.random.default_rng(3))
+    mode_stack(*STACK_KEYS[1])  # start from factors with nothing kept
+    rho = random_block(np.random.default_rng(3), key[0], 1)
     once = render(rho, key)
     assert once.flags.writeable
     first = weakref.ref(once)
@@ -535,7 +560,7 @@ def test_render_keeps_only_repeated_blocks():
     del kept
     gc.collect()
     assert second() is not None
-    mode_stack(*STACK_KEYS[1])  # kept intensities go with their stack
+    mode_stack(*STACK_KEYS[1])  # kept intensities go with their factors
     gc.collect()
     assert second() is None
 
@@ -544,7 +569,7 @@ def test_kept_renders_are_capped():
     key = STACK_KEYS[0]
     mode_stack(*STACK_KEYS[1])
     rng = np.random.default_rng(5)
-    blocks = [random_block(rng) for _ in range(lgmodes.MAX_KEPT_RENDERS + 3)]
+    blocks = [random_block(rng, key[0]) for _ in range(lgmodes.MAX_KEPT_RENDERS + 3)]
     for _ in range(2):
         for rho in blocks:
             render(rho, key)
@@ -556,10 +581,10 @@ def test_kept_renders_are_capped():
 
 def test_concurrent_renders_match_direct():
     # more workers than cores and a short switch interval, so threads swap
-    # the held stack under each other between lookup and store
+    # the held factors under each other between lookup and store
     rng = np.random.default_rng(11)
-    blocks = {k: [random_block(rng, k) for _ in range(3)] for k in (2, 3)}
-    jobs = [(rho, key) for key in interleaved(STACK_KEYS) for rho in blocks[len(key[0])]] * 3
+    blocks = {key[0]: [random_block(rng, key[0]) for _ in range(3)] for key in STACK_KEYS}
+    jobs = [(rho, key) for key in interleaved(STACK_KEYS) for rho in blocks[key[0]]] * 3
     expected = [direct_render(rho, key) for rho, key in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -576,13 +601,13 @@ RENDER_HASHES = """
 import hashlib
 import numpy as np
 from hesim import lgmodes
-from hesim.config import RunConfig
-from hesim.detection import oam_block
 for l in (1, 3, 6):
     k = 2 * l + 1
-    m = np.random.default_rng(l).normal(size=(k, k, 2)) @ [1, 1j]
+    a = np.random.default_rng(l).normal(size=(2, 2)) @ [1, 1j]
+    m = np.zeros((k, k), dtype=complex)
+    m[np.ix_([0, -1], [0, -1])] = np.outer(a, a.conj())  # on the +-l pair
     grid = (256, lgmodes.default_extent(1.0, l))
-    out = lgmodes.render_from_density(m @ m.conj().T, range(-l, l + 1), grid, 1.0)
+    out = lgmodes.render_from_density(m, range(-l, l + 1), grid, 1.0)
     print(l, hashlib.sha256(out.tobytes()).hexdigest())
 """
 

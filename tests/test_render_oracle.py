@@ -1,5 +1,5 @@
-"""render_from_density against the textbook three-operand einsum, and pixel_polar's
-angle fold against np.mod, on generated inputs."""
+"""render_from_density against the textbook three-operand einsum of lg_amplitude
+fields, and pixel_polar's angle fold against np.mod, on generated inputs."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -20,15 +20,23 @@ def einsum_render(rho, alphabet, n, extent, waist):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     l=st.integers(1, 6),
+    data=st.data(),
+    full=st.booleans(),
     rank_one=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     scale=st.floats(1e-3, 1e3),
 )
-def test_render_matches_einsum_oracle(l, rank_one, seed, scale):
-    alphabet, n, extent = tuple(range(-l, l + 1)), 48, default_extent(1.0, l)
+def test_render_matches_einsum_oracle(l, data, full, rank_one, seed, scale):
+    # a block supported on one +-m pair of (-m, m) or of range(-l, l + 1),
+    # which is (-1, 0, 1) at l = 1
+    m = data.draw(st.integers(0 if full else 1, l), label="m")
+    alphabet = tuple(range(-l, l + 1)) if full else (-m, m)
+    n, extent = 48, default_extent(1.0, l)
+    idx = sorted({alphabet.index(q) for q in (-m, m)})
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(2 * l + 1, 2 * l + 1)) + 1j * rng.normal(size=(2 * l + 1, 2 * l + 1))
-    rho = np.outer(a[0], a[0].conj()) if rank_one else a @ a.conj().T
+    a = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+    rho = np.zeros((len(alphabet),) * 2, dtype=complex)
+    rho[np.ix_(idx, idx)] = np.outer(a[0], a[0].conj()) if rank_one else a @ a.conj().T
     out = render_from_density(rho, alphabet, (n, extent), 1.0)
     expected = einsum_render(rho, alphabet, n, extent, 1.0)
     peak = expected.max()
