@@ -282,10 +282,15 @@ def angular_basis_scan(
     annulus=None,
     nbins: int = 72,
     tag: str = "scan",
+    through: int | None = None,
 ) -> AngularScan:
     """Heralded image -> angular profile -> petal fit, per idler basis.
 
-    The idler is analyzed in A, D, R and L; the signal always in D.
+    The idler is analyzed in A, D, R and L; the signal always in D. through
+    is passed to each heralded_image. At lgmodes.annulus_end of the grid and
+    annulus, each image is drawn only up to the last pixel the profiles
+    read: the images hold zeros after it, and every histogram, fit and W is
+    the one a full draw gives.
     """
     if annulus is None:
         annulus = lgmodes.default_annulus(waist, l)
@@ -300,6 +305,7 @@ def angular_basis_scan(
             det,
             l,
             tag=(tag, basis),
+            through=through,
         )
         hist = lgmodes.angular_profile(img, nbins, annulus)
         fits[basis] = petal_fit(hist, l)

@@ -42,6 +42,15 @@ depend on the rounding on nodal pixels: the render clips a fringe that
 rounds below 0 to a mean of 0, which takes no draw from the stream, while a
 tiny positive mean does, so one such pixel shifts the draws of every pixel
 after it.
+
+The converse makes truncated draws exact. Generator.poisson draws an array
+in C order from its one Philox stream, so a pixel's count depends only on
+its mean and the means before it. So heralded_image(..., through=k) gives
+the first k pixels the counts a full draw gives them, and leaves the rest
+at 0. Only the bootstrap scans of hybrid-witness truncate, at
+lgmodes.annulus_end, one past the last pixel an angular profile reads. No
+stream key changes, and no histogram, fit, W or sigma moves. The first
+scan and the unanalyzed image are written to disk, so they are drawn whole.
 """
 
 import struct
@@ -327,6 +336,7 @@ def heralded_image(
     det: DetectorModel,
     l: int,
     tag="image",
+    through: int | None = None,
 ) -> lgmodes.FieldImage:
     """Coincidence image of the signal arm conditioned on the idler.
 
@@ -335,8 +345,18 @@ def heralded_image(
     the accidental rate is spread flat. With det.sampled each pixel is an
     independent Poisson draw from a stream keyed by (seed, tag); otherwise
     the expected means themselves are returned.
+
+    through, a count in [0, n*n], draws only the first ``through`` pixels
+    in C order and leaves the rest at 0; those pixels get the counts a full
+    draw gives them (see the module docstring). The mean image, its
+    expected_counts and the overflow check still cover every pixel, and an
+    unsampled image is returned whole. None draws every pixel.
     """
     n, extent = int(grid[0]), float(grid[1])
+    if through is None:
+        through = n * n
+    elif not 0 <= through <= n * n:
+        raise ValueError(f"through={through} is outside [0, {n * n}]")
     alphabet = state.subsystems[state.axis(SIGNAL_OAM)].labels
     block, weight = conditional_oam(state, idler, signal_pol)
     meta = {"joint_probability": weight, "idler": str(idler), "signal": str(signal_pol)}
@@ -362,5 +382,7 @@ def heralded_image(
     if lam.max(initial=0.0) > MEAN_OVERFLOW:
         raise NumericalError("per-pixel mean overflows the counter model")
     gen = rng_stream(det.seed, "heralded_image", l, str(tag))
-    lam[...] = gen.poisson(lam)  # the counts, in the mean's buffer: no second float image
+    flat = lam.reshape(-1)  # a view: the counts go in the mean's buffer
+    flat[:through] = gen.poisson(flat[:through])
+    flat[through:] = 0.0
     return lgmodes.FieldImage(lam, extent, meta=meta)

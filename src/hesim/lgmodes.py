@@ -144,10 +144,13 @@ def pixel_polar(n: int, extent: float):
     return r, theta
 
 
-def annulus_on_grid(n: int, extent: float, annulus) -> bool:
-    """Whether angular_profile finds a pixel center of an n x n image in the annulus."""
+def annulus_end(n: int, extent: float, annulus) -> int:
+    """The flat (C-order) index one past the last pixel center of an n x n
+    image that angular_profile's mask puts in the annulus; 0 if it holds none.
+    The pixels from there on are never read by an angular profile."""
     r = np.hypot(*_pixel_xy(n, extent))
-    return bool(((r >= annulus[0]) & (r <= annulus[1])).any())
+    inside = np.flatnonzero((r >= float(annulus[0])) & (r <= float(annulus[1])))
+    return int(inside[-1]) + 1 if inside.size else 0
 
 
 def finite_on_grid(l: int, n: int, extent: float, waist: float) -> bool:

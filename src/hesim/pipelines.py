@@ -54,7 +54,8 @@ def _grid(cfg: RunConfig, l: int):
 
 
 def _annulus(cfg: RunConfig, l: int, grid) -> tuple:
-    """Petal-analysis annulus for charge l, checked against the bins and the grid."""
+    """(annulus, end): the petal-analysis annulus for charge l, checked
+    against the bins and the grid, and its lgmodes.annulus_end on the grid."""
     if cfg.analysis.nbins <= 4 * l:
         raise ConfigError(
             f"analysis.nbins={cfg.analysis.nbins} must exceed 4*l={4 * l} "
@@ -62,12 +63,13 @@ def _annulus(cfg: RunConfig, l: int, grid) -> tuple:
         )
     annulus = cfg.analysis.annulus or lgmodes.default_annulus(cfg.grid.waist, l)
     n, extent = grid
-    if not lgmodes.annulus_on_grid(n, extent, annulus):
+    end = lgmodes.annulus_end(n, extent, annulus)
+    if not end:
         raise ConfigError(
             f"analysis annulus {annulus} holds no pixel center of the "
             f"{n}x{n} grid of extent {extent:g}"
         )
-    return annulus
+    return annulus, end
 
 
 def _alphabet(l: int) -> tuple:
@@ -194,7 +196,7 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     l = cfg.pump.l
     _check_stack_memory(cfg, l)
     grid = _grid(cfg, l)
-    annulus = _annulus(cfg, l, grid) if l >= 1 else None
+    annulus = _annulus(cfg, l, grid)[0] if l >= 1 else None
     os.makedirs(outdir, exist_ok=True)
     pump = _pump(cfg, l)
     waist = cfg.grid.waist
@@ -323,7 +325,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
         raise ConfigError("hybrid witness needs a pump charge l >= 1")
     _check_stack_memory(cfg, l)
     grid = _grid(cfg, l)
-    annulus = _annulus(cfg, l, grid)
+    annulus, end = _annulus(cfg, l, grid)
     cfg.detector.scale(l)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg)
@@ -356,7 +358,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
             det_i = dataclasses.replace(det, seed=seed)
             sc = angular_basis_scan(
                 state, l, det_i, grid, waist,
-                annulus=annulus, nbins=cfg.analysis.nbins, tag="scan",
+                annulus=annulus, nbins=cfg.analysis.nbins, tag="scan", through=end,
             )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 

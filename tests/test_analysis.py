@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hesim import detection
 from hesim.analysis import (
     BELL_VISIBILITY_BOUND,
     TOMO_SETTINGS,
@@ -24,7 +26,14 @@ from hesim.analysis import (
 from hesim.detection import SETTINGS, DetectorModel
 from hesim.errors import NumericalError
 from hesim.jones import pump_state
-from hesim.lgmodes import AngularHistogram, Fringe, default_extent, petal_fit
+from hesim.lgmodes import (
+    AngularHistogram,
+    Fringe,
+    annulus_end,
+    default_annulus,
+    default_extent,
+    petal_fit,
+)
 from hesim.config import RunConfig
 from hesim.pipelines import (
     _json_ready,
@@ -354,6 +363,71 @@ def test_sampled_image_route_bound_over_random_product_states():
             assert w <= 1.0 + 3.0 * sigma, (l, i, w, sigma)
 
 
+# -- draws cut at the annulus end ------------------------------------------------
+
+
+def cut_case(l, n, p_white, accidental):
+    """(state, detector, grid, annulus, end) of a sampled l row on an n x n grid."""
+    cfg = RunConfig.from_dict({"pump": {"l": l}, "noise": {"p_white": p_white}})
+    det = DetectorModel(accidental_rate=accidental, seed=3)
+    grid = (n, default_extent(1.0, l))
+    annulus = default_annulus(1.0, l)
+    return build_source(cfg), det, grid, annulus, annulus_end(*grid, annulus)
+
+
+CUT_CASES = [(3, 256, 0.0, 0.0), (2, 129, 0.3, 50.0), (1, 96, 0.2, 0.0)]
+
+
+@pytest.mark.parametrize("l, n, p_white, accidental", CUT_CASES)
+def test_scan_cut_at_the_annulus_end_is_bit_identical(l, n, p_white, accidental):
+    state, det, grid, annulus, end = cut_case(l, n, p_white, accidental)
+    assert 0 < end < n * n
+    full, cut = (
+        angular_basis_scan(state, l, det, grid, 1.0, annulus=annulus, through=through)
+        for through in (None, end)
+    )
+    assert cut.W == full.W
+    assert cut.pair_vis == full.pair_vis
+    for basis, hist in full.histograms.items():
+        assert cut.histograms[basis].bins.tobytes() == hist.bins.tobytes(), basis
+        drawn, tail = np.split(cut.images[basis].pixels.reshape(-1), [end])
+        assert drawn.tobytes() == full.images[basis].pixels.reshape(-1)[:end].tobytes(), basis
+        assert not tail.any(), basis
+
+
+@pytest.mark.parametrize("l, n, p_white, accidental", CUT_CASES[1:])
+def test_bootstrap_cut_at_the_annulus_end_keeps_its_samples(l, n, p_white, accidental):
+    state, det, grid, annulus, end = cut_case(l, n, p_white, accidental)
+
+    def pipeline(through):
+        def one(seed):
+            det_i = dataclasses.replace(det, seed=seed)
+            sc = angular_basis_scan(state, l, det_i, grid, 1.0, annulus=annulus, through=through)
+            return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
+
+        return one
+
+    full, cut = (bootstrap_errors(pipeline(t), n_iter=4, seed=det.seed) for t in (None, end))
+    for name, samples in full.samples.items():
+        assert cut.samples[name].tobytes() == samples.tobytes(), name
+
+
+def test_witness_cuts_only_its_bootstrap_draws(tmp_path):
+    # the first scan and the unanalyzed image are written, so they are whole
+    cfg = RunConfig.from_dict({"grid": {"n": 64}, "analysis": {"n_bootstrap": 3}})
+    calls = []
+    real = detection.heralded_image
+
+    def spy(*args, through=None, **kwargs):
+        calls.append(through)
+        return real(*args, through=through, **kwargs)
+
+    with mock.patch.object(detection, "heralded_image", spy):
+        run_hybrid_witness(cfg, str(tmp_path), formats=("json",))
+    end = annulus_end(64, default_extent(1.0, 3), default_annulus(1.0, 3))
+    assert calls == [None] * 5 + [end] * 12
+
+
 # -- bootstrap ---------------------------------------------------------------------
 
 
@@ -386,7 +460,7 @@ def test_bootstrap_single_iteration_has_no_spread():
     assert boot.mean("S") > 0
 
 
-def test_bootstrap_reproducible_and_thread_invariant():
+def test_bootstrap_reproducible():
     a = bootstrap_errors(chsh_pipeline(1e4), n_iter=12, seed=5)
     b = bootstrap_errors(chsh_pipeline(1e4), n_iter=12, seed=5)
     assert np.array_equal(a.samples["S"], b.samples["S"])

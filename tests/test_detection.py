@@ -380,6 +380,30 @@ def test_random_streams_follow_the_determinism_contract():
         assert img.pixels.tobytes() == drawn.tobytes()
 
 
+def test_heralded_image_through_draws_a_prefix():
+    state = apply_noise(down_convert(pump_state(2, phi=0.4, alphabet=OAM3)), 0.1)
+    n = 48
+    grid = (n, default_extent(1.0, 2))
+    for acc in (0.0, 20.0):
+
+        def image(through, sampled=True):
+            det = DetectorModel(accidental_rate=acc, seed=11, sampled=sampled)
+            return heralded_image(state, SETTINGS["R"], SETTINGS["D"], grid, 1.0, det, 2, through=through)
+
+        full = image(None)
+        assert image(n * n).pixels.tobytes() == full.pixels.tobytes()
+        for k in (0, 1, 1000, n * n - 1):
+            cut = image(k)
+            assert cut.pixels.reshape(-1)[:k].tobytes() == full.pixels.reshape(-1)[:k].tobytes()
+            assert not cut.pixels.reshape(-1)[k:].any()
+            assert cut.meta == full.meta  # the mean and its sum are whole
+        # an unsampled image is the mean, whole at any cut
+        assert image(5, sampled=False).pixels.tobytes() == image(None, sampled=False).pixels.tobytes()
+        for k in (-1, n * n + 1):
+            with pytest.raises(ValueError, match="through"):
+                image(k)
+
+
 def former_tag_ints(tags) -> tuple:
     """The tag words as the stream keys were first made, kept as an oracle."""
     out = []

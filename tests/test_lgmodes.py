@@ -14,12 +14,12 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from hesim import lgmodes
 from hesim.config import RunConfig
 from hesim.detection import oam_block
-from hesim.errors import NumericalError
+from hesim.errors import ConfigError, NumericalError
 from hesim.jones import pump_state
 from hesim.lgmodes import (
     AngularHistogram,
@@ -38,7 +38,7 @@ from hesim.lgmodes import (
     write_histogram_csv,
     write_pgm,
 )
-from hesim.pipelines import run_pump_gallery
+from hesim.pipelines import _annulus, run_pump_gallery
 from hesim.quantum import partial_trace, pol_ket
 
 OAM3 = tuple(range(-3, 4))
@@ -652,3 +652,36 @@ def test_angular_profile_interleaved_keys_match_direct():
     # an annulus with no pixel center still raises after a held entry
     with pytest.raises(ValueError):
         angular_profile(FieldImage(pixels, extent), nbins, (1e-4, 2e-4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    n=st.integers(16, 160),
+    extent=st.floats(1e-3, 1e3),
+    lo=st.floats(0.0, 1.0),
+    width=st.floats(1e-6, 1.0),
+)
+def test_annulus_end_covers_the_profile_mask(n, extent, lo, width):
+    # radii as fractions of the extent: the frame's corner centers sit near
+    # 0.707, so an annulus may hold no pixel or reach past the frame
+    annulus = (lo * extent, (lo + width) * extent)
+    assume(annulus[0] < annulus[1])
+    end = lgmodes.annulus_end(n, extent, annulus)
+    cfg = RunConfig.from_dict(
+        {"pump": {"l": 1}, "grid": {"n": n, "extent": extent}, "analysis": {"annulus": list(annulus)}}
+    )
+    pixels = np.random.default_rng(n).random((n, n)) + 1.0
+    if end == 0:
+        with pytest.raises(ConfigError):
+            _annulus(cfg, 1, (n, extent))
+        with pytest.raises(ValueError):
+            angular_profile(FieldImage(pixels, extent), 16, annulus)
+        return
+    assert _annulus(cfg, 1, (n, extent)) == (annulus, end)
+    # the profile reads no pixel from end on, and reads pixel end - 1
+    full = angular_profile(FieldImage(pixels, extent), 16, annulus).bins
+    pixels.reshape(-1)[end:] = 0.0
+    assert same_bits(angular_profile(FieldImage(pixels, extent), 16, annulus).bins, full)
+    pixels[...] = 0.0
+    pixels.reshape(-1)[end - 1] = 1.0
+    assert angular_profile(FieldImage(pixels, extent), 16, annulus).bins.sum() == 1.0
