@@ -24,6 +24,7 @@ from .detection import (
     SETTINGS,
     coincidence_row,
     conditional_oam,
+    count_keys,
     derived_seed,
     linear_analyzer_ket,
     sample_counts,
@@ -56,11 +57,18 @@ def fit_visibility(series) -> Fringe:
     return fringe_fit(angles, values, 2)
 
 
-def _counts(prob: float, det: DetectorModel, l: int, tag) -> float:
-    """Coincidence counts for one setting: a Poisson draw if det.sampled, else its mean."""
-    if det.sampled:
-        return float(sample_counts(prob, det, l, tag=tag))
-    return det.mean_counts(prob, l)
+def _counts(probs, det: DetectorModel, l: int, tags) -> list:
+    """Coincidence counts for a table of settings: Poisson draws if
+    det.sampled, else the means. Cell k has Born probability probs[k] and
+    draws from the stream keyed (det.seed, "counts", l, float(mean), tags[k]);
+    the table's keys come from one count_keys pass, and one generator is
+    reset to each key in turn."""
+    means = [det.mean_counts(prob, l) for prob in probs]
+    if not det.sampled:
+        return means
+    keys = count_keys(det.seed, l, means, tags)
+    gen = np.random.Generator(np.random.Philox(0))
+    return [float(sample_counts(gen, mean, key)) for mean, key in zip(means, keys)]
 
 
 def sweep_dial(step_deg: float = 10.0) -> list:
@@ -85,10 +93,8 @@ def sweep_series(
     if dial is None:
         dial = sweep_dial()
     probs = coincidence_row(state, idler, [ket for _, ket in dial])
-    return [
-        (ang, _counts(prob, det, l, (tag, k)))
-        for k, ((ang, _), prob) in enumerate(zip(dial, probs))
-    ]
+    counts = _counts(probs, det, l, [(tag, k) for k in range(len(dial))])
+    return [(ang, n) for (ang, _), n in zip(dial, counts)]
 
 
 # -- CHSH ---------------------------------------------------------------------
@@ -115,12 +121,13 @@ def chsh_table(
     idler_angles = (a, a + np.pi / 2, ap, ap + np.pi / 2)
     signal_angles = (b, b + np.pi / 2, bp, bp + np.pi / 2)
     signals = [linear_analyzer_ket(sa, "signal") for sa in signal_angles]
-    table = np.zeros((4, 4))
-    for i, ia in enumerate(idler_angles):
-        row = coincidence_row(state, linear_analyzer_ket(ia, "idler"), signals)
-        for j, prob in enumerate(row):
-            table[i, j] = _counts(prob, det, l, (tag, i, j))
-    return table
+    probs = [
+        p
+        for ia in idler_angles
+        for p in coincidence_row(state, linear_analyzer_ket(ia, "idler"), signals)
+    ]
+    tags = [(tag, i, j) for i in range(4) for j in range(4)]
+    return np.array(_counts(probs, det, l, tags)).reshape(4, 4)
 
 
 def _correlation(block: np.ndarray):
@@ -180,18 +187,19 @@ _TOMO_A = _tomo_design()
 def tomography_counts(state, det: DetectorModel, l: int = 0, tag: str = "tomo") -> np.ndarray:
     """Coincidence counts for the 16 canonical projection pairs.
 
-    Each setting's ket comes from SETTING_KETS, and the pairs are measured
-    one idler setting (one row) at a time; count k keeps the tag (tag, k) of
-    its place in TOMO_SETTINGS.
+    Each setting's ket comes from SETTING_KETS. The Born probabilities are
+    taken one coincidence_row per idler setting, and the 16 counts are
+    drawn as one table; count k keeps the tag (tag, k) of its place in
+    TOMO_SETTINGS.
     """
-    counts = np.zeros(16)
+    probs = [0.0] * 16
     for li in dict.fromkeys(li for li, _ in TOMO_SETTINGS):
         cells = [(k, ls) for k, (i, ls) in enumerate(TOMO_SETTINGS) if i == li]
         signals = [SETTING_KETS[SETTINGS[ls]] for _, ls in cells]
         row = coincidence_row(state, SETTING_KETS[SETTINGS[li]], signals)
         for (k, _), prob in zip(cells, row):
-            counts[k] = _counts(prob, det, l, (tag, k))
-    return counts
+            probs[k] = prob
+    return np.array(_counts(probs, det, l, [(tag, k) for k in range(16)]))
 
 
 def tomography_linear(counts16) -> DensityMatrix:

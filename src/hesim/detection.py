@@ -25,7 +25,7 @@ numpy release whose SeedSequence or Philox seeding differs (CI pins numpy
 2.4.6). The keys are the determinism contract; changing one moves every
 draw made from it:
 
-* sample_counts keys on (seed, "counts", l, float(mean), tag), where the
+* a count keys on (seed, "counts", l, float(mean), tag), where the
   mean comes from the Born probability coincidence_row computes in one
   stacked row contraction (its docstring names the products). So any
   change to that arithmetic, to the mean's, or to the bits of an arm ket
@@ -34,6 +34,15 @@ draw made from it:
   its row, nor on the BLAS thread count (both are tested);
 * heralded_image keys on (seed, "heralded_image", l, str(tag)), so the tag
   7 and the tag "7" draw the same image.
+
+Images (rng_stream) and bootstrap seeds (derived_seed) take their keys from
+numpy's SeedSequence, one stream at a time. A count table takes its keys
+from count_keys, which runs SeedSequence's uint32 hashing down the columns
+of the whole table at once and gives the same keys bit for bit; a Philox
+stream needs nothing but its key (Salmon et al., SC'11). sample_counts
+then resets one generator to each key at counter 0 and draws. A property
+test holds count_keys equal to rng_stream's keys, and literal key pins
+hold both to numpy's.
 
 The Poisson draw of an image depends on every bit of its mean image. The
 render memo in lgmodes returns the bits a fresh render gives, so it never
@@ -213,12 +222,109 @@ def derived_seed(seed: int, *tags) -> int:
     return int(_seed_sequence(seed, tags).generate_state(1, np.uint64)[0])
 
 
-def sample_counts(prob: float, det: DetectorModel, l: int, tag=0) -> int:
-    """One Poisson draw of coincidence counts; pure in (det.seed, inputs, tag)."""
-    mean = det.mean_counts(prob, l)
+# numpy.random.SeedSequence's hash constants, and its pool size
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hash_consts(n: int, init: int, mult: int) -> np.ndarray:
+    """The first n values of SeedSequence's running hash constant, as a column."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value, const, next_const):
+    value = value ^ const
+    value *= next_const
+    value ^= value >> 16
+    return value
+
+
+def _mix(x, y):
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    out ^= out >> 16
+    return out
+
+
+def _seed_keys(words: np.ndarray) -> np.ndarray:
+    """The (N, 2) uint64 Philox keys of N SeedSequences at once.
+
+    Row k of ``words`` (N x length, uint32, length >= the pool size) is the
+    assembled entropy of sequence k. The steps are SeedSequence's mix_entropy
+    and generate_state(2, uint64), run down the columns; the hash constant
+    depends only on the step, so every row shares it.
+    """
+    length = words.shape[1]
+    cols = words.T
+    steps = _POOL + _POOL * (_POOL - 1) + _POOL * (length - _POOL)
+    c = _hash_consts(steps + 1, _INIT_A, _MULT_A)
+    pool = _hashmix(cols[:_POOL], c[:_POOL], c[1 : _POOL + 1])
+    k = _POOL
+    # each source word mixes into every other pool word; it is not changed meanwhile
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k : k + 3], c[k + 1 : k + 4]))
+        k += 3
+    for src in range(_POOL, length):
+        pool = _mix(pool, _hashmix(cols[src], c[k : k + 4], c[k + 1 : k + 5]))
+        k += 4
+    b = _hash_consts(_POOL + 1, _INIT_B, _MULT_B)
+    out = _hashmix(pool, b[:_POOL], b[1:]).astype(np.uint64)
+    return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
+
+
+def count_keys(seed: int, l: int, means, tags) -> np.ndarray:
+    """The (N, 2) uint64 Philox keys of a count table, one row per cell.
+
+    Cell k's key is the one rng_stream(seed, "counts", l, float(means[k]),
+    tags[k]) gives, bit for bit, derived for the whole table in one pass.
+    The tags must all flatten to the same number of words; a table that
+    mixes lengths raises ValueError.
+    """
+    tag_words = [_tag_ints((t,)) for t in tags]
+    if len({len(w) for w in tag_words}) > 1:
+        raise ValueError("the tags of one count table must have the same number of words")
+    n = len(tag_words)
+    if n == 0:
+        return np.zeros((0, 2), dtype=np.uint64)
+    seed = int(seed) % (1 << 64)
+    # the seed's words, padded to the pool size as a spawn key makes SeedSequence do
+    head = [seed & 0xFFFFFFFF, seed >> 32, 0, 0] + _tag_ints(("counts", l))
+    bits = np.array(means, dtype=np.float64).reshape(n).view(np.uint64)
+    words = np.empty((n, len(head) + 2 + len(tag_words[0])), dtype=np.uint32)
+    words[:, : len(head)] = head
+    words[:, len(head)] = bits >> np.uint64(32)  # a float's high word first
+    words[:, len(head) + 1] = bits & np.uint64(0xFFFFFFFF)
+    words[:, len(head) + 2 :] = tag_words
+    return _seed_keys(words)
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_ZERO4.setflags(write=False)
+
+
+def sample_counts(gen: np.random.Generator, mean: float, key) -> int:
+    """One Poisson draw of coincidence counts from the Philox stream ``key``.
+
+    ``gen`` is any Generator on a Philox bit generator; its state is reset
+    to ``key`` at counter 0 with an empty buffer, the state a fresh stream
+    starts in, so one generator serves a whole table. With a key from
+    count_keys the draw is rng_stream(...).poisson(mean)'s.
+    """
     if mean > MEAN_OVERFLOW:
         raise NumericalError(f"expected counts {mean:.3e} overflow the counter model")
-    gen = rng_stream(det.seed, "counts", l, float(mean), tag)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return int(gen.poisson(mean))
 
 

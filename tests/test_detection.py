@@ -6,7 +6,7 @@ import zlib
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hesim.detection import (
     SETTING_KETS,
@@ -17,6 +17,7 @@ from hesim.detection import (
     analyzer_state,
     coincidence_row,
     conditional_oam,
+    count_keys,
     derived_seed,
     heralded_image,
     linear_analyzer_ket,
@@ -168,14 +169,22 @@ def golden_detector(seed=0):
     )
 
 
+def draw_count(prob, det, l, tag=0) -> int:
+    """One count drawn as a table of one cell: its key from count_keys, its
+    draw from a generator made for it."""
+    mean = det.mean_counts(prob, l)
+    key = count_keys(det.seed, l, [mean], [tag])[0]
+    return sample_counts(np.random.Generator(np.random.Philox(0)), mean, key)
+
+
 def test_zero_probability_draws_zero_counts():
-    assert sample_counts(0.0, golden_detector(), 0) == 0
+    assert draw_count(0.0, golden_detector(), 0) == 0
 
 
 def test_golden_poisson_draws():
     # frozen values pin the stream layout; a change here is a compat break
-    assert sample_counts(1.0, golden_detector(seed=0), 0, tag=0) == 109
-    assert sample_counts(1.0, golden_detector(seed=1), 0, tag=0) == 103
+    assert draw_count(1.0, golden_detector(seed=0), 0, tag=0) == 109
+    assert draw_count(1.0, golden_detector(seed=1), 0, tag=0) == 103
 
 
 def test_sample_counts_mean_tracks_rate():
@@ -183,7 +192,7 @@ def test_sample_counts_mean_tracks_rate():
         pair_rate=1e5, accidental_rate=0.0, integration_time=10.0,
         rate_scale_per_l={0: 1.0}, seed=7,
     )
-    n = sample_counts(1.0, det, 0, tag="bulk")
+    n = draw_count(1.0, det, 0, tag="bulk")
     assert abs(n - 1e6) < 5 * np.sqrt(1e6)
 
 
@@ -193,13 +202,13 @@ def test_sample_counts_overflow_guard():
         rate_scale_per_l={0: 1.0}, seed=0,
     )
     with pytest.raises(NumericalError):
-        sample_counts(1.0, det, 0)
+        draw_count(1.0, det, 0)
 
 
 def test_sample_counts_is_pure_in_its_inputs():
     det = golden_detector(seed=3)
-    a = [sample_counts(0.7, det, 0, tag=("sweep", k)) for k in range(6)]
-    b = [sample_counts(0.7, det, 0, tag=("sweep", k)) for k in range(6)]
+    a = [draw_count(0.7, det, 0, tag=("sweep", k)) for k in range(6)]
+    b = [draw_count(0.7, det, 0, tag=("sweep", k)) for k in range(6)]
     assert a == b
     assert len(set(a)) > 1  # distinct tags give distinct draws
 
@@ -364,12 +373,12 @@ def test_heralded_sampling_determinism():
 
 
 def test_random_streams_follow_the_determinism_contract():
-    # sample_counts keys on (seed, "counts", l, float(mean), tag)
+    # counts key on (seed, "counts", l, float(mean), tag)
     det = make_detector(seed=9)
     for prob, l, tag in ((0.3, 0, 0), (0.7, 2, "sweep"), (1.0, 3, ("chsh", 4))):
         mean = det.mean_counts(prob, l)
         expected = int(rng_stream(9, "counts", l, float(mean), tag).poisson(mean))
-        assert sample_counts(prob, det, l, tag=tag) == expected
+        assert draw_count(prob, det, l, tag=tag) == expected
     # heralded images key on (seed, "heralded_image", l, str(tag)), drawn from
     # the unsampled image's means; repeated renders leave those bits alone
     lams = [heralded(2, "R", sampled=False, seed=9).pixels for _ in range(3)]
@@ -477,6 +486,65 @@ def test_stream_keys_are_pinned():
     ]
     assert derived_seed(0, "bootstrap", 1) == 15229887652550685136
     assert derived_seed(-5, 2.5, ("a", -0.0)) == 1623809198250117318
+
+
+count_means = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e12]),  # a subnormal among them
+    st.floats(0.0, 1e12),
+)
+count_tags = st.recursive(
+    st.one_of(st.text(max_size=6), st.integers(-(2**40), 2**40), st.integers(-(2**31), -1)),
+    lambda kids: st.lists(kids, max_size=3).map(tuple),
+    max_leaves=5,
+)
+
+
+def stream_key(gen) -> list:
+    return gen.bit_generator.state["state"]["key"].tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=stream_seeds,
+    l=st.integers(-(2**33), 2**33),
+    cells=st.lists(st.tuples(count_means, count_tags), min_size=1, max_size=6),
+)
+@example(seed=0, l=0, cells=[(0.0, 0), (-0.0, 1), (5e-324, -1), (1e12, 2)])
+@example(seed=2**32 + 5, l=3, cells=[(1000.0, ("sweep", 0)), (0.5, ("chsh", (1, 2)))])
+@example(seed=-7, l=-2, cells=[(2.5, "a"), (2.5, ("a", ())), (7.0, ("a", (-1,)))])
+def test_count_keys_are_the_stream_keys(seed, l, cells):
+    # each table groups the cells whose tags flatten to the same number of words
+    groups = {}
+    for mean, tag in cells:
+        groups.setdefault(len(former_tag_ints((tag,))), []).append((mean, tag))
+    for group in groups.values():
+        means, tags = zip(*group)
+        keys = count_keys(seed, l, means, tags)
+        assert keys.dtype == np.uint64 and keys.shape == (len(group), 2)
+        for mean, tag, key in zip(means, tags, keys):
+            assert key.tolist() == stream_key(rng_stream(seed, "counts", l, float(mean), tag))
+    # a table whose tags differ in length is refused, not grouped
+    if len(groups) > 1:
+        means, tags = zip(*cells)
+        with pytest.raises(ValueError, match="same number of words"):
+            count_keys(seed, l, means, tags)
+
+
+def test_count_keys_of_an_empty_table():
+    assert count_keys(3, 0, [], []).shape == (0, 2)
+
+
+def test_one_generator_draws_a_shuffled_table_as_fresh_streams():
+    # numpy's Poisson sampler takes another algorithm below a mean of 10
+    means = [0.0, 0.3, 2.5, 9.999, 10.0, 10.5, 73.2, 1e4, 1e9]
+    tags = [("reuse", k) for k in range(len(means))]
+    keys = count_keys(11, 2, means, tags)
+    gen = np.random.Generator(np.random.Philox(0))
+    gen.integers(0, 2**32, dtype=np.uint32)  # a half-used buffer and a held uint32
+    assert gen.bit_generator.state["has_uint32"] == 1
+    for k in np.random.default_rng(3).permutation(len(means)):
+        fresh = int(rng_stream(11, "counts", 2, means[k], tags[k]).poisson(means[k]))
+        assert sample_counts(gen, means[k], keys[k]) == fresh
 
 
 PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
