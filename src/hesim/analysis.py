@@ -26,6 +26,7 @@ from .detection import (
     conditional_oam,
     count_keys,
     derived_seed,
+    dial_amplitudes,
     linear_analyzer_ket,
     sample_counts,
 )
@@ -61,9 +62,9 @@ def _counts(probs, det: DetectorModel, l: int, tags) -> list:
     """Coincidence counts for a table of settings: Poisson draws if
     det.sampled, else the means. Cell k has Born probability probs[k] and
     draws from the stream keyed (det.seed, "counts", l, float(mean), tags[k]);
-    the table's keys come from one count_keys pass, and one generator is
-    reset to each key in turn."""
-    means = [det.mean_counts(prob, l) for prob in probs]
+    the means come from one mean_counts call, the keys from one count_keys
+    pass, and one generator is reset to each key in turn."""
+    means = det.mean_counts(probs, l).tolist()
     if not det.sampled:
         return means
     keys = count_keys(det.seed, l, means, tags)
@@ -71,10 +72,12 @@ def _counts(probs, det: DetectorModel, l: int, tags) -> list:
     return [float(sample_counts(gen, mean, key)) for mean, key in zip(means, keys)]
 
 
-def sweep_dial(step_deg: float = 10.0) -> list:
-    """(dial angle in radians, signal analyzer ket) at each step of a full turn."""
-    angles = (math.radians(float(deg)) for deg in np.arange(0.0, 360.0, step_deg))
-    return [(ang, linear_analyzer_ket(ang, "signal")) for ang in angles]
+def sweep_dial(step_deg: float = 10.0) -> tuple:
+    """(angles, amplitudes) of a full turn of the signal dial: the angles in
+    radians at each step, and their (N, 2) dial_amplitudes, one read-only
+    row per angle, bit for bit the linear_analyzer_ket amplitudes."""
+    angles = tuple(math.radians(float(deg)) for deg in np.arange(0.0, 360.0, step_deg))
+    return angles, dial_amplitudes(angles, "signal")
 
 
 def sweep_series(
@@ -85,16 +88,17 @@ def sweep_series(
     dial=None,
     tag: str = "sweep",
 ):
-    """Coincidence counts against the signal-arm analyzer dial angle.
+    """Coincidence counts against the signal-arm analyzer dial angle, as
+    (angle, counts) pairs.
 
-    ``dial`` is a sweep_dial list (default: 10 degree steps); sweeps that
-    share their dial angles share one list, so its kets are built once.
+    ``dial`` is a sweep_dial (angles, amplitudes) pair (default: 10 degree
+    steps); sweeps that share their dial angles share one pair, so its
+    amplitudes are built once. The amplitudes are the signal row as given.
     """
-    if dial is None:
-        dial = sweep_dial()
-    probs = coincidence_row(state, idler, [ket for _, ket in dial])
-    counts = _counts(probs, det, l, [(tag, k) for k in range(len(dial))])
-    return [(ang, n) for (ang, _), n in zip(dial, counts)]
+    angles, amplitudes = sweep_dial() if dial is None else dial
+    probs = coincidence_row(state, idler, amplitudes)
+    counts = _counts(probs, det, l, [(tag, k) for k in range(len(angles))])
+    return list(zip(angles, counts))
 
 
 # -- CHSH ---------------------------------------------------------------------
@@ -111,16 +115,18 @@ def chsh_table(
     """4x4 coincidence-count table at the standard CHSH analyzer settings.
 
     Rows are the idler dial at (a, a+90, a', a'+90); columns the signal dial
-    at (b, b+90, b', b'+90), each in its own arm frame. ``sampled``
-    overrides det.sampled when given; it remains only for the benchmark's
-    Bell check and goes once that check passes an unsampled detector.
+    at (b, b+90, b', b'+90), each in its own arm frame. The four signal
+    kets are one dial_amplitudes row; each idler is a linear_analyzer_ket,
+    the Ket that projecting a mixed state takes. ``sampled`` overrides
+    det.sampled when given; it remains only for the benchmark's Bell
+    check and goes once that check passes an unsampled detector.
     """
     if sampled is not None:
         det = replace(det, sampled=sampled)
     a, ap, b, bp = (math.radians(float(x)) for x in settings_deg)
     idler_angles = (a, a + np.pi / 2, ap, ap + np.pi / 2)
     signal_angles = (b, b + np.pi / 2, bp, bp + np.pi / 2)
-    signals = [linear_analyzer_ket(sa, "signal") for sa in signal_angles]
+    signals = dial_amplitudes(signal_angles, "signal")
     probs = [
         p
         for ia in idler_angles

@@ -31,7 +31,11 @@ draw made from it:
   change to that arithmetic, to the mean's, or to the bits of an arm ket
   moves every sweep, CHSH and tomography count; np.einsum is not an
   equivalent. A cell's mean does not depend on how many settings share
-  its row, nor on the BLAS thread count (both are tested);
+  its row, nor on the BLAS thread count (both are tested). A sweep's and
+  a CHSH table's signal kets come from dial_amplitudes, one numpy pass
+  over the dial that gives bit for bit linear_analyzer_ket's
+  two-normalisation chain, angle by angle; a count's mean keys on those
+  bits, and a property test holds the two paths equal;
 * heralded_image keys on (seed, "heralded_image", l, str(tag)), so the tag
   7 and the tag "7" draw the same image.
 
@@ -120,20 +124,55 @@ def analyzer_state(setting: AnalyzerSetting, name: str = "pol") -> Ket:
     return _transmitted(setting.qwp_angle, setting.hwp_angle, pol_subsystem(name))
 
 
+def _arm(arm: str):
+    try:
+        return _ARMS[arm]
+    except KeyError:
+        raise ConfigError(f"unknown arm {arm!r}") from None
+
+
 def linear_analyzer_ket(angle: float, arm: str) -> Ket:
-    """Transmitted state of a bare linear analyzer at a local dial angle.
+    """Transmitted state of a bare linear analyzer at one local dial angle.
 
     The dial is a half-wave plate at half the angle; the signal arm turns it
     the other way, because the two arms face opposite directions. The ket
-    lives on its arm's subsystem and is normalised there a second time:
-    every dial count keys on those bits.
+    lives on its arm's subsystem and is normalised there a second time. A
+    CHSH idler is this ket; a sweep's or a CHSH table's signal row is
+    dial_amplitudes, which gives the same bits.
     """
-    try:
-        sign, sub = _ARMS[arm]
-    except KeyError:
-        raise ConfigError(f"unknown arm {arm!r}") from None
+    sign, sub = _arm(arm)
     ket = _transmitted(None, sign * angle / 2.0, sub)
     return Ket((sub,), ket.amplitudes, fix_phase=False)
+
+
+def _unit_rows(amp: np.ndarray) -> np.ndarray:
+    """Each row over its norm, the squared norm summed as np.linalg.norm
+    sums a complex vector: re.re + im.im, each a dot product."""
+    re, im = amp.real, amp.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    return amp / np.sqrt(sq.reshape(-1, 1))
+
+
+def dial_amplitudes(angles, arm: str) -> np.ndarray:
+    """The read-only (N, 2) amplitudes of linear_analyzer_ket at N dial angles.
+
+    Row k is linear_analyzer_ket(angles[k], arm).amplitudes bit for bit
+    (tested): the same plate, one stacked plate-times-|H> product, the
+    phase fix of a Ket and two normalisations, run on arrays. Other forms
+    of the same sums (np.linalg.norm(axis=1), np.einsum) or a third
+    normalisation move some rows by an ulp, and every dial count keys on
+    these bits.
+    """
+    sign, _ = _arm(arm)
+    theta = sign * np.asarray(angles, dtype=np.float64).reshape(-1) / 2.0
+    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    plates = np.stack([c, s, s, -c], axis=1).astype(complex).reshape(-1, 2, 2)
+    amp = _unit_rows(np.matmul(plates, _H_IN))
+    # the first amplitude above 1e-12 made real and non-negative, as a Ket does
+    first = np.where(np.abs(amp[:, 0]) > 1e-12, amp[:, 0], amp[:, 1])
+    amp = _unit_rows(amp * np.exp(-1j * np.angle(first))[:, None])
+    amp.setflags(write=False)
+    return amp
 
 
 @dataclass(frozen=True)
@@ -148,7 +187,8 @@ class DetectorModel:
     The per-l rate scale stands in for the l-dependent generation and
     coupling efficiency; the values are synthetic knobs, not measurements.
     ``sampled`` makes count tables and heralded images record Poisson
-    draws (True) or the expected means themselves (False).
+    draws (True) or the expected means themselves (False). ``seed`` keys
+    every stream as 64 bits, so it must lie in [0, 2**64).
     """
 
     pair_rate: float = 1.0e4
@@ -167,7 +207,7 @@ class DetectorModel:
         check("pair_rate", 0.0)
         check("accidental_rate", 0.0)
         check("integration_time", 0.0, open_lo=True)
-        check("seed", integer=True)
+        check("seed", 0, (1 << 64) - 1, integer=True)
         if type(self.sampled) is not bool:
             raise ConfigError(f"detector.sampled must be true or false, got {self.sampled!r}")
         scales = {}
@@ -183,10 +223,15 @@ class DetectorModel:
         except KeyError:
             raise ConfigError(f"no rate scale declared for |l|={abs(int(l))}") from None
 
-    def mean_counts(self, prob: float, l: int) -> float:
-        if not 0.0 <= prob <= 1.0 + 1e-9:
-            raise ValueError(f"probability {prob} outside [0, 1]")
-        return (self.pair_rate * self.scale(l) * min(prob, 1.0) + self.accidental_rate) * self.integration_time
+    def mean_counts(self, prob, l: int):
+        """The mean of each probability in ``prob`` (a number or an array),
+        in one expression, so a cell's mean is the scalar formula's float."""
+        p = np.asarray(prob, dtype=np.float64)
+        bad = ~((p >= 0.0) & (p <= 1.0 + 1e-9))
+        if bad.any():
+            raise ValueError(f"probability {p[bad].flat[0]} outside [0, 1]")
+        rate = self.pair_rate * self.scale(l)
+        return (rate * np.minimum(p, 1.0) + self.accidental_rate) * self.integration_time
 
 
 def _tag_ints(tags) -> list:
@@ -350,7 +395,9 @@ def coincidence_row(state, idler, signals) -> list:
 
     The signal OAM register is traced out. Settings may be AnalyzerSetting
     values or polarization kets, which are used as given (not normalised
-    again); look basis labels up in SETTINGS. The whole row is one stacked
+    again); look basis labels up in SETTINGS. ``signals`` may also be an
+    (N, 2) complex amplitude array, such as dial_amplitudes gives, used as
+    given as a ket's amplitudes are. The whole row is one stacked
     contraction over the signal amplitudes S (N x 2), and that arithmetic
     is what its counts key on:
 
@@ -369,7 +416,14 @@ def coincidence_row(state, idler, signals) -> list:
     ulp.
     """
     idler = _arm_ket(idler)
-    S = np.array([_arm_ket(s).amplitudes for s in signals], dtype=complex).reshape(-1, 2)
+    if isinstance(signals, np.ndarray):
+        if signals.dtype != complex or signals.ndim != 2 or signals.shape[1] != 2:
+            raise ConfigError(
+                f"signal amplitudes must be (N, 2) complex, got {signals.dtype} {signals.shape}"
+            )
+        S = signals
+    else:
+        S = np.array([_arm_ket(s).amplitudes for s in signals], dtype=complex).reshape(-1, 2)
     n = len(S)
     # one (1 x 2) @ (2 x ...) product per cell, as the per-cell chain makes it
     bras = S.conj()[:, None, :]

@@ -26,4 +26,5 @@ def number(value, what, lo=-math.inf, hi=math.inf, *, integer=False, open_lo=Fal
     left = "(" if open_lo or lo == -math.inf else "["
     right = ")" if open_hi or hi == math.inf else "]"
     kind = "an integer" if integer else "a finite number"
-    raise ConfigError(f"{what} must be {kind} in {left}{lo:g}, {hi:g}{right}, got {value!r}")
+    lo, hi = (b if isinstance(b, int) else f"{b:g}" for b in (lo, hi))  # an int bound exactly
+    raise ConfigError(f"{what} must be {kind} in {left}{lo}, {hi}{right}, got {value!r}")

@@ -333,6 +333,16 @@ def test_cli_rejects_before_writing(tmp_path, config, argv):
     assert not out.exists()
 
 
+# every stream keys on the seed modulo 2**64, so a seed outside 64 bits once
+# wrote another seed's counts under its own name in the report
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_cli_refuses_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    out = tmp_path / "never"
+    assert main(["polarization-bell", "--seed", seed, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "detector.seed" in capsys.readouterr().err
+
+
 # argparse's prefix matching once ran "--n 1" as "--noise 1", to W = 0
 @pytest.mark.parametrize("argv", [["--n", "1"], ["--exp"], ["--noi", "0.1"]])
 def test_cli_rejects_abbreviated_options(tmp_path, argv):

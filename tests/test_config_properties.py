@@ -37,7 +37,7 @@ SLOTS = {
         setting("detector", "integration_time"),
         (False, 0, INF, True, False),
     ),
-    "detector.seed": (setting("detector", "seed"), (True, -INF, INF, False, False)),
+    "detector.seed": (setting("detector", "seed"), (True, 0, 2**64 - 1, False, False)),
     "detector.rate_scale_per_l value": (
         (
             lambda v: {"detector": {"rate_scale_per_l": {"3": v}}},

@@ -18,6 +18,7 @@ from hesim.detection import (
     DetectorModel,
     analyzer_state,
     coincidence_row,
+    dial_amplitudes,
     linear_analyzer_ket,
 )
 from hesim.jones import pump_state
@@ -105,9 +106,11 @@ def test_idler_marginal_ignores_the_signal_basis(state, idler, chi1, chi2):
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(state=sources(), idler=idlers)
 def test_full_dial_rows_match_cell_by_cell_chain(step, state, idler):
-    row = [ket for _, ket in sweep_dial(step)]
+    angles, row = sweep_dial(step)
     assert len(row) == round(360 / step)
-    assert coincidence_row(state, idler, row) == [cell_prob(state, idler, s) for s in row]
+    assert coincidence_row(state, idler, row) == [
+        cell_prob(state, idler, linear_analyzer_ket(a, "signal")) for a in angles
+    ]
 
 
 @pytest.mark.parametrize("source", [pure_sources, mixed_sources], ids=["pure", "mixed"])
@@ -116,10 +119,23 @@ def test_full_dial_rows_match_cell_by_cell_chain(step, state, idler):
 def test_a_cell_does_not_depend_on_how_many_settings_share_its_row(source, data, idler, extra):
     # a row of one and a row of 360 may run through different BLAS kernels
     state = data.draw(source)
-    row = [ket for _, ket in sweep_dial(1.0)] + extra
+    _, dial = sweep_dial(1.0)
+    tail = np.array([proj_ket(s, SIGNAL_POL).amplitudes for s in extra], dtype=complex)
+    row = np.concatenate([dial, tail.reshape(-1, 2)])
     assert coincidence_row(state, idler, row) == [
-        coincidence_row(state, idler, [s])[0] for s in row
+        coincidence_row(state, idler, row[k : k + 1])[0] for k in range(len(row))
     ]
+
+
+@pytest.mark.parametrize("source", [pure_sources, mixed_sources], ids=["pure", "mixed"])
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data(), idler=idlers, dial=st.lists(angles, max_size=12))
+def test_a_stacked_dial_row_is_its_ket_row(source, data, idler, dial):
+    state = data.draw(source)
+    stacked = coincidence_row(state, idler, dial_amplitudes(dial, "signal"))
+    kets = coincidence_row(state, idler, [linear_analyzer_ket(a, "signal") for a in dial])
+    assert len(stacked) == len(dial)
+    assert np.array(stacked).view(np.uint64).tolist() == np.array(kets).view(np.uint64).tolist()
 
 
 ROW_HASHES = """
@@ -129,7 +145,7 @@ from hesim.analysis import sweep_dial
 from hesim.config import RunConfig
 from hesim.detection import SETTINGS, coincidence_row
 from hesim.pipelines import build_source
-row = [ket for _, ket in sweep_dial(1.0)]
+_, row = sweep_dial(1.0)
 for l in (0, 3):
     cfg = RunConfig.from_dict({"pump": {"l": l, "phi": 0.4}, "noise": {"p_white": 0.1}})
     probs = np.array(coincidence_row(build_source(cfg, l=l), SETTINGS["D"], row), dtype=np.float64)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from hesim.analysis import CHSH_SETTINGS_DEG, sweep_dial
 from hesim.detection import (
     SETTING_KETS,
     SETTINGS,
@@ -19,6 +20,7 @@ from hesim.detection import (
     conditional_oam,
     count_keys,
     derived_seed,
+    dial_amplitudes,
     heralded_image,
     linear_analyzer_ket,
     rng_stream,
@@ -106,6 +108,55 @@ def test_linear_analyzer_arm_conventions():
     assert np.allclose(idl.amplitudes, [np.cos(chi), np.sin(chi)], atol=1e-12)
     with pytest.raises(ConfigError):
         linear_analyzer_ket(chi, "pump")
+
+
+def assert_dial_is_its_kets(angles, arm):
+    got = dial_amplitudes(angles, arm)
+    want = np.array([linear_analyzer_ket(a, arm).amplitudes for a in angles], dtype=complex)
+    assert got.shape == (len(angles), 2)
+    assert np.array_equal(got.view(np.uint64), want.reshape(-1, 2).view(np.uint64))
+
+
+@pytest.mark.parametrize("step", [0.01, 0.25, 1.0, 2.0, 5.0, 10.0])
+def test_every_sweep_dial_is_its_analyzer_kets_bit_for_bit(step):
+    # every dial count keys on these bits, through its Born probability
+    angles, amplitudes = sweep_dial(step)
+    assert np.array_equal(
+        amplitudes.view(np.uint64), dial_amplitudes(angles, "signal").view(np.uint64)
+    )
+    for arm in ("signal", "idler"):
+        assert_dial_is_its_kets(angles, arm)
+
+
+CHSH_SIGNAL_ANGLES = [
+    math.radians(CHSH_SETTINGS_DEG[k]) + quarter
+    for k in (2, 3)
+    for quarter in (0.0, np.pi / 2)
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    arm=st.sampled_from(("signal", "idler")),
+    angles=st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=40),
+)
+@example(arm="signal", angles=[0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi])
+@example(arm="idler", angles=[0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi])
+@example(arm="signal", angles=CHSH_SIGNAL_ANGLES)
+def test_dial_amplitudes_are_the_analyzer_kets_bit_for_bit(arm, angles):
+    assert_dial_is_its_kets(angles, arm)
+
+
+def test_dial_amplitudes_shape_and_refusals():
+    amp = dial_amplitudes([0.1, 0.2], "idler")
+    assert not amp.flags.writeable
+    with pytest.raises(ValueError):
+        amp[0, 0] = 1.0
+    assert dial_amplitudes([], "signal").shape == (0, 2)
+    with pytest.raises(ConfigError):
+        dial_amplitudes([0.1], "pump")
+    with pytest.raises(ConfigError):  # an amplitude row is (N, 2) complex
+        coincidence_row(bell_state(), SETTINGS["H"], amp.real)
 
 
 def test_coincidence_table_against_kron_oracle():
@@ -226,6 +277,39 @@ def test_mean_counts_includes_accidentals():
         det.mean_counts(0.5, 5)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    probs=st.lists(st.floats(0.0, 1.0 + 1e-9), max_size=20),
+    pair_rate=st.floats(0.0, 1e9),
+    accidental_rate=st.floats(0.0, 1e3),
+    integration_time=st.floats(1e-3, 1e3),
+    scale=st.floats(0.0, 1.0, exclude_min=True),
+)
+@example(
+    probs=[0.0, -0.0, 5e-324, 1.0, 1.0 + 1e-9, 0.1], pair_rate=1e4,
+    accidental_rate=0.0, integration_time=10.0, scale=0.12,
+)
+def test_table_means_are_the_scalar_formula(
+    probs, pair_rate, accidental_rate, integration_time, scale
+):
+    # a count keys on float(mean), so a table's means must be the per-cell floats
+    det = DetectorModel(
+        pair_rate=pair_rate, accidental_rate=accidental_rate,
+        integration_time=integration_time, rate_scale_per_l={3: scale},
+    )
+    scalar = [
+        (det.pair_rate * det.scale(3) * min(p, 1.0) + det.accidental_rate) * det.integration_time
+        for p in probs
+    ]
+    means = det.mean_counts(np.array(probs, dtype=np.float64), -3)
+    assert means.shape == (len(probs),)
+    assert means.view(np.uint64).tolist() == np.array(scalar).view(np.uint64).tolist()
+    with pytest.raises(ValueError):
+        det.mean_counts(np.array(probs + [1.1]), 3)
+    with pytest.raises(ValueError):
+        det.mean_counts(np.array([math.nan] + probs), 3)
+
+
 def test_detector_model_validation():
     with pytest.raises(ConfigError):
         DetectorModel(pair_rate=-1.0, accidental_rate=0.0, integration_time=1.0,
@@ -236,6 +320,15 @@ def test_detector_model_validation():
     with pytest.raises(ConfigError):
         DetectorModel(pair_rate=1.0, accidental_rate=0.0, integration_time=1.0,
                       rate_scale_per_l={0: 0.0}, seed=0)
+
+
+def test_detector_seed_spans_64_bits():
+    # every stream keys on 64 bits of the seed, so a seed outside them would alias
+    for seed in (0, 2**64 - 1):
+        assert DetectorModel(seed=seed).seed == seed
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ConfigError):
+            DetectorModel(seed=seed)
 
 
 def test_derived_seed_flattens_nested_tags():
