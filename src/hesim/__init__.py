@@ -34,7 +34,6 @@ from .quantum import (
     pol_ket,
     pol_subsystem,
     project,
-    state_fidelity,
 )
 from .spdc import apply_noise, down_convert
 
@@ -73,7 +72,6 @@ __all__ = [
     "run_hybrid_witness",
     "run_polarization_bell",
     "run_pump_gallery",
-    "state_fidelity",
     "tomography_counts",
     "tomography_linear",
     "witness_expectation",

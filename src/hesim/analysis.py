@@ -24,11 +24,10 @@ from .detection import (
     SETTINGS,
     coincidence_row,
     conditional_oam,
-    count_keys,
-    derived_seed,
     dial_amplitudes,
     linear_analyzer_ket,
     sample_counts,
+    stream_keys,
 )
 from .errors import NumericalError
 from .lgmodes import Fringe, fold_phase, fringe_fit, petal_fit
@@ -58,18 +57,20 @@ def fit_visibility(series) -> Fringe:
     return fringe_fit(angles, values, 2)
 
 
-def _counts(probs, det: DetectorModel, l: int, tags) -> list:
+def _counts(probs, det: DetectorModel, l: int, tag, *columns) -> list:
     """Coincidence counts for a table of settings: Poisson draws if
     det.sampled, else the means. Cell k has Born probability probs[k] and
-    draws from the stream keyed (det.seed, "counts", l, float(mean), tags[k]);
-    the means come from one mean_counts call, the keys from one count_keys
-    pass, and one generator is reset to each key in turn."""
-    means = det.mean_counts(probs, l).tolist()
+    draws from the stream keyed (det.seed, "counts", l, mean, tag, column
+    entries at k); ``tag`` is a str or a tuple of constant parts, each
+    column an int array. The means come from one mean_counts call, the keys
+    from one stream_keys pass, and one generator is reset to each key."""
+    means = det.mean_counts(probs, l)
     if not det.sampled:
-        return means
-    keys = count_keys(det.seed, l, means, tags)
+        return means.tolist()
+    tag = tag if isinstance(tag, tuple) else (tag,)
+    keys = stream_keys(det.seed, "counts", l, means, *tag, *columns)
     gen = np.random.Generator(np.random.Philox(0))
-    return [float(sample_counts(gen, mean, key)) for mean, key in zip(means, keys)]
+    return [float(sample_counts(gen, mean, key)) for mean, key in zip(means.tolist(), keys)]
 
 
 def sweep_dial(step_deg: float = 10.0) -> tuple:
@@ -97,7 +98,7 @@ def sweep_series(
     """
     angles, amplitudes = sweep_dial() if dial is None else dial
     probs = coincidence_row(state, idler, amplitudes)
-    counts = _counts(probs, det, l, [(tag, k) for k in range(len(angles))])
+    counts = _counts(probs, det, l, tag, np.arange(len(angles)))
     return list(zip(angles, counts))
 
 
@@ -132,8 +133,8 @@ def chsh_table(
         for ia in idler_angles
         for p in coincidence_row(state, linear_analyzer_ket(ia, "idler"), signals)
     ]
-    tags = [(tag, i, j) for i in range(4) for j in range(4)]
-    return np.array(_counts(probs, det, l, tags)).reshape(4, 4)
+    cells = np.arange(16)
+    return np.array(_counts(probs, det, l, tag, cells // 4, cells % 4)).reshape(4, 4)
 
 
 def _correlation(block: np.ndarray):
@@ -205,7 +206,7 @@ def tomography_counts(state, det: DetectorModel, l: int = 0, tag: str = "tomo") 
         row = coincidence_row(state, SETTING_KETS[SETTINGS[li]], signals)
         for (k, _), prob in zip(cells, row):
             probs[k] = prob
-    return np.array(_counts(probs, det, l, [(tag, k) for k in range(16)]))
+    return np.array(_counts(probs, det, l, tag, np.arange(16)))
 
 
 def tomography_linear(counts16) -> DensityMatrix:
@@ -287,6 +288,19 @@ class AngularScan:
     W: float
 
 
+SCAN_BASES = ("A", "D", "R", "L")
+
+
+def scan_keys(seeds, l: int, tag: str = "scan") -> np.ndarray:
+    """The (N, 4, 2) Philox keys of the SCAN_BASES images of N scans, one
+    per seed (an int, or a uint64 column), from one stream_keys pass. The
+    image of a basis keys on (seed, "heralded_image", l, str((tag, basis)))."""
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    names = np.array([str((tag, b)) for b in SCAN_BASES])
+    k = np.arange(4 * len(seeds))
+    return stream_keys(seeds[k // 4], "heralded_image", l, names[k % 4]).reshape(-1, 4, 2)
+
+
 def angular_basis_scan(
     state,
     l: int,
@@ -297,19 +311,23 @@ def angular_basis_scan(
     nbins: int = 72,
     tag: str = "scan",
     through: int | None = None,
+    keys=None,
 ) -> AngularScan:
     """Heralded image -> angular profile -> petal fit, per idler basis.
 
-    The idler is analyzed in A, D, R and L; the signal always in D. through
-    is passed to each heralded_image. At lgmodes.annulus_end of the grid and
-    annulus, each image is drawn only up to the last pixel the profiles
-    read: the images hold zeros after it, and every histogram, fit and W is
-    the one a full draw gives.
+    The idler is analyzed in A, D, R and L; the signal always in D. The
+    images draw from ``keys``, a scan_keys row (None: the one of det.seed
+    and tag). through is passed to each heralded_image. At
+    lgmodes.annulus_end of the grid and annulus, each image is drawn only
+    up to the last pixel the profiles read: the images hold zeros after it,
+    and every histogram, fit and W is the one a full draw gives.
     """
     if annulus is None:
         annulus = lgmodes.default_annulus(waist, l)
+    if keys is None:
+        keys = scan_keys(det.seed, l, tag)[0]
     fits, hists, images = {}, {}, {}
-    for basis in ("A", "D", "R", "L"):
+    for basis, key in zip(SCAN_BASES, keys):
         img = detection.heralded_image(
             state,
             SETTINGS[basis],
@@ -318,7 +336,7 @@ def angular_basis_scan(
             waist,
             det,
             l,
-            tag=(tag, basis),
+            key=key,
             through=through,
         )
         hist = lgmodes.angular_profile(img, nbins, annulus)
@@ -389,16 +407,22 @@ class BootstrapResult:
         return float(np.mean(self.samples[name]))
 
 
+def bootstrap_seeds(seed: int, n_iter: int) -> np.ndarray:
+    """The uint64 seeds of n_iter bootstrap iterations, from one stream_keys
+    pass: iteration i's is the first word of the key of (seed, "bootstrap", i)."""
+    return stream_keys(seed, "bootstrap", np.arange(n_iter))[:, 0]
+
+
 def bootstrap_errors(pipeline, n_iter: int, seed: int) -> BootstrapResult:
     """Parametric bootstrap: rerun a sampled pipeline with derived seeds.
 
     ``pipeline`` maps an integer seed to a {statistic: value} dict. Iteration
-    i runs on derived_seed(seed, "bootstrap", i), a pure function of (seed, i),
-    so the result is reproducible.
+    i runs on bootstrap_seeds(seed, n_iter)[i], a pure function of (seed,
+    i), so the result is reproducible.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")
-    results = [pipeline(derived_seed(seed, "bootstrap", i)) for i in range(n_iter)]
+    results = [pipeline(s) for s in bootstrap_seeds(seed, n_iter).tolist()]
     names = results[0].keys()
     samples = {k: np.array([r[k] for r in results], dtype=float) for k in names}
     return BootstrapResult(samples, n_iter)

@@ -70,6 +70,10 @@ class GridConfig:
 
 
 MAX_SWEEP_POINTS = 36_000  # per fringe sweep or angular histogram: 0.01 degree at the finest
+# bootstrap draws: each reruns a four-image scan, about 15 ms at the default
+# grid, so the cap is some 25 minutes of draws. The one pass that keys every
+# draw's seed grows with the count; at the cap it peaks near 12 MB
+MAX_BOOTSTRAP = 100_000
 
 
 @dataclass
@@ -89,7 +93,9 @@ class AnalysisConfig:
         self.chsh_settings = tuple(number(x, "analysis.chsh_settings") for x in self.chsh_settings)
         if len(self.chsh_settings) != 4:
             raise ConfigError("analysis.chsh_settings needs exactly 4 angles")
-        self.n_bootstrap = number(self.n_bootstrap, "analysis.n_bootstrap", 1, integer=True)
+        self.n_bootstrap = number(
+            self.n_bootstrap, "analysis.n_bootstrap", 1, MAX_BOOTSTRAP, integer=True
+        )
         # 8 to MAX_SWEEP_POINTS sweep points; kept as given, the report echoes it
         finest, coarsest = 360.0 / MAX_SWEEP_POINTS, 360.0 / 7
         number(self.sweep_step_deg, "analysis.sweep_step_deg", finest, coarsest, open_hi=True)

@@ -17,36 +17,35 @@ idler side and cos(chi) H - sin(chi) V on the signal side. Named basis kets
 
 All sampling is routed through counter-based Philox streams keyed by
 (seed, purpose, indices), so counts are pure functions of their inputs and
-never depend on call order. numpy.random.SeedSequence hashes the seed and
-the tag words (_tag_ints) into the Philox key. The words go in as one
-uint32 array, which gives the pool that handing them over as ints gives
-(tested). So a change to the tag words moves every draw, and so would a
-numpy release whose SeedSequence or Philox seeding differs (CI pins numpy
-2.4.6). The keys are the determinism contract; changing one moves every
-draw made from it:
+never depend on call order. stream_keys derives every key with the
+in-repo hash, for a whole count table, image scan or bootstrap in one
+pass. The hash is the one numpy.random seeds a bit generator with,
+reimplemented here and run by column. A Philox stream needs nothing but
+its key (Salmon et al., SC'11): an image draws from
+Generator(Philox(key=...)), and sample_counts resets one generator to each
+count's key. So a change to numpy's seeding cannot move a draw; only
+Philox and Generator.poisson can (CI pins numpy 2.4.6). The tests hold the
+hash to numpy's seeding as an oracle and pin literal keys. The keys are
+the determinism contract; changing one moves every draw made from it:
 
-* a count keys on (seed, "counts", l, float(mean), tag), where the
-  mean comes from the Born probability coincidence_row computes in one
-  stacked row contraction (its docstring names the products). So any
-  change to that arithmetic, to the mean's, or to the bits of an arm ket
-  moves every sweep, CHSH and tomography count; np.einsum is not an
-  equivalent. A cell's mean does not depend on how many settings share
-  its row, nor on the BLAS thread count (both are tested). A sweep's and
-  a CHSH table's signal kets come from dial_amplitudes, one numpy pass
-  over the dial that gives bit for bit linear_analyzer_ket's
-  two-normalisation chain, angle by angle; a count's mean keys on those
-  bits, and a property test holds the two paths equal;
-* heralded_image keys on (seed, "heralded_image", l, str(tag)), so the tag
-  7 and the tag "7" draw the same image.
-
-Images (rng_stream) and bootstrap seeds (derived_seed) take their keys from
-numpy's SeedSequence, one stream at a time. A count table takes its keys
-from count_keys, which runs SeedSequence's uint32 hashing down the columns
-of the whole table at once and gives the same keys bit for bit; a Philox
-stream needs nothing but its key (Salmon et al., SC'11). sample_counts
-then resets one generator to each key at counter 0 and draws. A property
-test holds count_keys equal to rng_stream's keys, and literal key pins
-hold both to numpy's.
+* a count keys on (seed, "counts", l, mean, tag, cell indices): a sweep's
+  cell k on (tag, k), a CHSH cell on (tag, i, j), a tomography count on
+  (tag, k). The mean comes from the Born probability coincidence_row
+  computes in one stacked row contraction (its docstring names the
+  products). So any change to that arithmetic, to the mean's, or to the
+  bits of an arm ket moves every sweep, CHSH and tomography count;
+  np.einsum is not an equivalent. A cell's mean does not depend on how
+  many settings share its row, nor on the BLAS thread count (both are
+  tested). A sweep's and a CHSH table's signal kets come from
+  dial_amplitudes, one numpy pass over the dial that gives bit for bit
+  linear_analyzer_ket's two-normalisation chain, angle by angle; a
+  count's mean keys on those bits, and a property test holds the two
+  paths equal;
+* an image of a scan keys on (seed, "heralded_image", l, str((tag,
+  basis))) (analysis.scan_keys, one pass for many scans), and the
+  witness's unanalyzed image on str(("scan", "none")) in its place;
+* bootstrap iteration i runs on the first word of the key of (seed,
+  "bootstrap", i) (analysis.bootstrap_seeds).
 
 The Poisson draw of an image depends on every bit of its mean image. The
 render memo in lgmodes returns the bits a fresh render gives, so it never
@@ -66,7 +65,6 @@ stream key changes, and no histogram, fit, W or sigma moves. The first
 scan and the unanalyzed image are written to disk, so they are drawn whole.
 """
 
-import struct
 import zlib
 from dataclasses import dataclass, field
 
@@ -187,8 +185,9 @@ class DetectorModel:
     The per-l rate scale stands in for the l-dependent generation and
     coupling efficiency; the values are synthetic knobs, not measurements.
     ``sampled`` makes count tables and heralded images record Poisson
-    draws (True) or the expected means themselves (False). ``seed`` keys
-    every stream as 64 bits, so it must lie in [0, 2**64).
+    draws (True) or the expected means themselves (False). ``seed`` is
+    the first part of every stream key (stream_keys), taken as 64 bits, so
+    it must lie in [0, 2**64).
     """
 
     pair_rate: float = 1.0e4
@@ -234,40 +233,7 @@ class DetectorModel:
         return (rate * np.minimum(p, 1.0) + self.accidental_rate) * self.integration_time
 
 
-def _tag_ints(tags) -> list:
-    """The uint32 words of a flattened tag tuple: a string's CRC-32, an int
-    modulo 2**32, a float's IEEE-754 bits as two words, high word first."""
-    out = []
-    for t in tags:
-        if isinstance(t, str):
-            out.append(zlib.crc32(t.encode()))
-        elif isinstance(t, float):
-            out += struct.unpack(">II", struct.pack(">d", t))  # big-endian: high word first
-        elif isinstance(t, (tuple, list)):
-            out += _tag_ints(t)
-        else:
-            out.append(int(t) % (1 << 32))
-    return out
-
-
-def _seed_sequence(seed: int, tags) -> np.random.SeedSequence:
-    """The SeedSequence of (seed, tags). The tag words go in as one uint32
-    array, which gives the pool their ints would, without coercing each."""
-    words = np.array(_tag_ints(tags), dtype=np.uint32)
-    return np.random.SeedSequence(entropy=int(seed) % (1 << 64), spawn_key=(words,))
-
-
-def rng_stream(seed: int, *tags) -> np.random.Generator:
-    """Deterministic counter-based generator keyed by seed and tags."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, tags)))
-
-
-def derived_seed(seed: int, *tags) -> int:
-    """A child seed that is a pure function of (seed, tags)."""
-    return int(_seed_sequence(seed, tags).generate_state(1, np.uint64)[0])
-
-
-# numpy.random.SeedSequence's hash constants, and its pool size
+# the in-repo hash: the constants and pool size of numpy.random's seeding hash
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -275,7 +241,7 @@ _POOL = 4
 
 
 def _hash_consts(n: int, init: int, mult: int) -> np.ndarray:
-    """The first n values of SeedSequence's running hash constant, as a column."""
+    """The first n values of the running hash constant, as a column."""
     out = [init]
     for _ in range(n - 1):
         out.append(out[-1] * mult & 0xFFFFFFFF)
@@ -296,11 +262,11 @@ def _mix(x, y):
 
 
 def _seed_keys(words: np.ndarray) -> np.ndarray:
-    """The (N, 2) uint64 Philox keys of N SeedSequences at once.
+    """The (N, 2) uint64 Philox keys of N word rows at once.
 
     Row k of ``words`` (N x length, uint32, length >= the pool size) is the
-    assembled entropy of sequence k. The steps are SeedSequence's mix_entropy
-    and generate_state(2, uint64), run down the columns; the hash constant
+    entropy of stream k. The steps are numpy's mix_entropy and
+    generate_state(2, uint64), run down the columns; the hash constant
     depends only on the step, so every row shares it.
     """
     length = words.shape[1]
@@ -322,29 +288,46 @@ def _seed_keys(words: np.ndarray) -> np.ndarray:
     return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
 
 
-def count_keys(seed: int, l: int, means, tags) -> np.ndarray:
-    """The (N, 2) uint64 Philox keys of a count table, one row per cell.
+def _part_words(part) -> np.ndarray:
+    """The uint32 words of one key part, one row per stream (one for a constant)."""
+    if isinstance(part, int):  # an int of any size, which no int64 array holds
+        return np.array([[part % (1 << 32)]], dtype=np.uint32)
+    col = part if isinstance(part, np.ndarray) else np.array([part])
+    if col.ndim == 1 and col.dtype.kind == "f":
+        bits = np.ascontiguousarray(col, dtype=np.float64).view(np.uint64)
+        return np.stack([bits >> np.uint64(32), bits], axis=1).astype(np.uint32)
+    if col.ndim == 1 and col.dtype.kind in "iu":
+        return col.astype(np.uint32)[:, None]  # modulo 2**32
+    if col.ndim == 1 and col.dtype.kind == "U":
+        crcs = [zlib.crc32(s.encode()) for s in col.tolist()]
+        return np.array(crcs, dtype=np.uint32)[:, None]
+    raise TypeError(f"cannot key on {part!r}")
 
-    Cell k's key is the one rng_stream(seed, "counts", l, float(means[k]),
-    tags[k]) gives, bit for bit, derived for the whole table in one pass.
-    The tags must all flatten to the same number of words; a table that
-    mixes lengths raises ValueError.
+
+def stream_keys(seed, *parts) -> np.ndarray:
+    """The (N, 2) uint64 Philox keys of N streams, derived in one pass.
+
+    ``seed`` is an int, or a uint64 column with one seed per stream. Each
+    part is a constant, which every stream shares, or a column: a 1-D
+    numpy array with one entry per stream. The columns set N; with none, N
+    is 1. A str becomes its CRC-32, an int its value modulo 2**32 and a
+    float its IEEE-754 bits as two words, high word first. Stream k hashes
+    its seed's low and high words, two zero words, then each part's words
+    at row k. The hash is numpy.random's, so the key is the one numpy seeds
+    a Philox with from entropy seed % 2**64 and those part words as the
+    spawn key, bit for bit (tested).
     """
-    tag_words = [_tag_ints((t,)) for t in tags]
-    if len({len(w) for w in tag_words}) > 1:
-        raise ValueError("the tags of one count table must have the same number of words")
-    n = len(tag_words)
-    if n == 0:
-        return np.zeros((0, 2), dtype=np.uint64)
-    seed = int(seed) % (1 << 64)
-    # the seed's words, padded to the pool size as a spawn key makes SeedSequence do
-    head = [seed & 0xFFFFFFFF, seed >> 32, 0, 0] + _tag_ints(("counts", l))
-    bits = np.array(means, dtype=np.float64).reshape(n).view(np.uint64)
-    words = np.empty((n, len(head) + 2 + len(tag_words[0])), dtype=np.uint32)
-    words[:, : len(head)] = head
-    words[:, len(head)] = bits >> np.uint64(32)  # a float's high word first
-    words[:, len(head) + 1] = bits & np.uint64(0xFFFFFFFF)
-    words[:, len(head) + 2 :] = tag_words
+    n = next((len(p) for p in (seed, *parts) if isinstance(p, np.ndarray)), 1)
+    if not isinstance(seed, np.ndarray):
+        seed = np.array([int(seed) % (1 << 64)], dtype=np.uint64)
+    head = np.zeros((len(seed), 4), dtype=np.uint32)
+    head[:, 0], head[:, 1] = seed & np.uint64(0xFFFFFFFF), seed >> np.uint64(32)
+    blocks = [head] + [_part_words(part) for part in parts]
+    words = np.empty((n, sum(b.shape[1] for b in blocks)), dtype=np.uint32)
+    at = 0
+    for b in blocks:  # a constant's one row fills every row; a column of another length raises
+        words[:, at : at + b.shape[1]] = b
+        at += b.shape[1]
     return _seed_keys(words)
 
 
@@ -357,8 +340,8 @@ def sample_counts(gen: np.random.Generator, mean: float, key) -> int:
 
     ``gen`` is any Generator on a Philox bit generator; its state is reset
     to ``key`` at counter 0 with an empty buffer, the state a fresh stream
-    starts in, so one generator serves a whole table. With a key from
-    count_keys the draw is rng_stream(...).poisson(mean)'s.
+    starts in, so one generator serves a whole table: each draw is the one
+    a fresh Generator(Philox(key=key)) makes.
     """
     if mean > MEAN_OVERFLOW:
         raise NumericalError(f"expected counts {mean:.3e} overflow the counter model")
@@ -495,7 +478,7 @@ def heralded_image(
     waist: float,
     det: DetectorModel,
     l: int,
-    tag="image",
+    key=None,
     through: int | None = None,
 ) -> lgmodes.FieldImage:
     """Coincidence image of the signal arm conditioned on the idler.
@@ -503,8 +486,9 @@ def heralded_image(
     Pixel means follow the detector model: the joint-projection event rate
     is spread over the pixels in proportion to the rendered intensity, and
     the accidental rate is spread flat. With det.sampled each pixel is an
-    independent Poisson draw from a stream keyed by (seed, tag); otherwise
-    the expected means themselves are returned.
+    independent Poisson draw from the Philox stream ``key``, a stream_keys
+    row (None: the key of (det.seed, "heralded_image", l, "image"));
+    otherwise the expected means themselves are returned.
 
     through, a count in [0, n*n], draws only the first ``through`` pixels
     in C order and leaves the rest at 0; those pixels get the counts a full
@@ -541,7 +525,9 @@ def heralded_image(
         return lgmodes.FieldImage(lam, extent, meta=meta)
     if lam.max(initial=0.0) > MEAN_OVERFLOW:
         raise NumericalError("per-pixel mean overflows the counter model")
-    gen = rng_stream(det.seed, "heralded_image", l, str(tag))
+    if key is None:
+        key = stream_keys(det.seed, "heralded_image", l, "image")[0]
+    gen = np.random.Generator(np.random.Philox(key=key))
     flat = lam.reshape(-1)  # a view: the counts go in the mean's buffer
     flat[:through] = gen.poisson(flat[:through])
     flat[through:] = 0.0

@@ -26,9 +26,11 @@ from .analysis import (
     BELL_VISIBILITY_BOUND,
     angular_basis_scan,
     bootstrap_errors,
+    bootstrap_seeds,
     chsh,
     chsh_table,
     fit_visibility,
+    scan_keys,
     sweep_dial,
     sweep_series,
     tomography_counts,
@@ -336,8 +338,9 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
         state, l, det, grid, waist,
         annulus=annulus, nbins=cfg.analysis.nbins, tag="scan",
     )
+    key_none = detection.stream_keys(det.seed, "heralded_image", l, str(("scan", "none")))[0]
     img_none = detection.heralded_image(
-        state, None, SETTINGS["D"], grid, waist, det, l, tag=("scan", "none")
+        state, None, SETTINGS["D"], grid, waist, det, l, key=key_none
     )
     if "pgm" in fmt:
         for basis, img in {**scan.images, "none": img_none}.items():
@@ -354,11 +357,15 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
     boot = None
     if det.sampled and cfg.analysis.n_bootstrap >= 2:
 
+        # every draw's four image keys in one pass, not one pass per scan
+        seeds = bootstrap_seeds(det.seed, cfg.analysis.n_bootstrap)
+        keys = dict(zip(seeds.tolist(), scan_keys(seeds, l, "scan")))
+
         def one(seed: int) -> dict:
             det_i = dataclasses.replace(det, seed=seed)
             sc = angular_basis_scan(
                 state, l, det_i, grid, waist,
-                annulus=annulus, nbins=cfg.analysis.nbins, tag="scan", through=end,
+                annulus=annulus, nbins=cfg.analysis.nbins, through=end, keys=keys[seed],
             )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 

@@ -36,9 +36,9 @@ from hesim.quantum import (
     fidelity,
     oam_subsystem,
     pol_subsystem,
-    state_fidelity,
 )
 from hesim.spdc import apply_noise, down_convert
+from fidelity_oracle import state_fidelity
 
 TWO_QUBIT_SUBS = (pol_subsystem("idler"), pol_subsystem("signal_pol"))
 OAM0 = (oam_subsystem((0,), name="signal_oam"),)

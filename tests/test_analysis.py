@@ -42,8 +42,9 @@ from hesim.pipelines import (
     run_hybrid_witness,
     run_polarization_bell,
 )
-from hesim.quantum import DensityMatrix, Ket, fidelity, oam_subsystem, pol_subsystem, state_fidelity
+from hesim.quantum import DensityMatrix, Ket, fidelity, oam_subsystem, pol_subsystem
 from hesim.spdc import apply_noise, down_convert
+from fidelity_oracle import state_fidelity
 
 TWO_QUBIT_SUBS = (pol_subsystem("idler"), pol_subsystem("signal_pol"))
 
@@ -225,25 +226,26 @@ def test_tomography_validation():
 
 def test_count_tables_draw_each_cell_from_its_own_stream():
     # a table draws once over keys from one pass; each count is still the
-    # draw of a fresh stream keyed (seed, "counts", l, float(mean), tag)
+    # draw of a fresh stream keyed (seed, "counts", l, mean, tag, indices)
     state = apply_noise(bell_state(2), 0.2)
     det = DetectorModel(pair_rate=3.0, integration_time=1.0, seed=2**32 + 9)
     unsampled = dataclasses.replace(det, sampled=False)
 
-    def fresh(mean, tag):
-        return float(detection.rng_stream(det.seed, "counts", 2, float(mean), tag).poisson(mean))
+    def fresh(mean, *tag):
+        key = detection.stream_keys(det.seed, "counts", 2, float(mean), *tag)[0]
+        return float(np.random.Generator(np.random.Philox(key=key)).poisson(mean))
 
     sweep = sweep_series(state, SETTINGS["D"], det, l=2, tag="s")
     means = sweep_series(state, SETTINGS["D"], unsampled, l=2, tag="s")
-    assert [n for _, n in sweep] == [fresh(m, ("s", k)) for k, (_, m) in enumerate(means)]
+    assert [n for _, n in sweep] == [fresh(m, "s", k) for k, (_, m) in enumerate(means)]
     table = chsh_table(state, det, l=2, tag=("c", 1))
     means = chsh_table(state, unsampled, l=2)
     assert table.tolist() == [
-        [fresh(means[i, j], (("c", 1), i, j)) for j in range(4)] for i in range(4)
+        [fresh(means[i, j], "c", 1, i, j) for j in range(4)] for i in range(4)
     ]
     counts = tomography_counts(state, det, l=2, tag="t")
     means = tomography_counts(state, unsampled, l=2)
-    assert counts.tolist() == [fresh(m, ("t", k)) for k, m in enumerate(means)]
+    assert counts.tolist() == [fresh(m, "t", k) for k, m in enumerate(means)]
 
 
 # -- witness -----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from hesim import lgmodes, pipelines
 from hesim.cli import main
-from hesim.config import MAX_SWEEP_POINTS, RunConfig
+from hesim.config import MAX_BOOTSTRAP, MAX_SWEEP_POINTS, RunConfig
 from hesim.errors import ConfigError
 from hesim.pipelines import _check_stack_memory
 
@@ -90,6 +90,8 @@ def test_unknown_keys_rejected_at_both_levels():
         # angular bins past the finest sweep resolution; 10**10 would ask for 80 GB
         {"analysis": {"nbins": MAX_SWEEP_POINTS + 1}},
         {"analysis": {"nbins": 10**10}},
+        # bootstrap draws past the cap: their seeds are keyed in one pass
+        {"analysis": {"n_bootstrap": MAX_BOOTSTRAP + 1}},
     ],
 )
 def test_bad_values_rejected(patch):
@@ -248,6 +250,16 @@ def test_cli_polarization_bell_noiseless_fidelity_in_range(tmp_path):
         assert 0.0 <= report["fidelity"] <= 1.0
 
 
+def test_cli_dry_run_takes_the_bootstrap_cap(tmp_path, capsys):
+    # the cap itself is a valid config; a dry run checks it without drawing
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"analysis": {"n_bootstrap": MAX_BOOTSTRAP}}))
+    out = tmp_path / "never"
+    assert main(["hybrid-witness", "--dry-run", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["analysis"]["n_bootstrap"] == MAX_BOOTSTRAP
+    assert not out.exists()
+
+
 def test_cli_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"pump": {"l": -3}}))
@@ -323,6 +335,11 @@ def test_cli_bad_config_exits_2(tmp_path):
         # a format the bench has no artifact of once ran to an empty --out
         pytest.param({}, ["pump-gallery", "--l", "1", "--format", "csv"], id="format-gallery"),
         pytest.param({}, ["polarization-bell", "--format", "pgm"], id="format-bell"),
+        pytest.param(
+            {"analysis": {"n_bootstrap": MAX_BOOTSTRAP + 1}},
+            ["hybrid-witness"],
+            id="bootstrap-witness",
+        ),
     ],
 )
 def test_cli_rejects_before_writing(tmp_path, config, argv):

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import assume, given, settings
 
-from hesim.config import MAX_SWEEP_POINTS, RunConfig
+from hesim.config import MAX_BOOTSTRAP, MAX_SWEEP_POINTS, RunConfig
 from hesim.errors import ConfigError
 
 INF = math.inf
@@ -56,7 +56,10 @@ SLOTS = {
     "grid.extent": (setting("grid", "extent"), (False, 0, INF, True, False)),
     "grid.waist": (setting("grid", "waist"), (False, 0, INF, True, False)),
     "analysis.nbins": (setting("analysis", "nbins"), (True, 8, MAX_SWEEP_POINTS, False, False)),
-    "analysis.n_bootstrap": (setting("analysis", "n_bootstrap"), (True, 1, INF, False, False)),
+    "analysis.n_bootstrap": (
+        setting("analysis", "n_bootstrap"),
+        (True, 1, MAX_BOOTSTRAP, False, False),
+    ),
     "analysis.annulus inner": (
         (
             lambda v: {"analysis": {"annulus": [v, 50.0]}},

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from hesim.analysis import CHSH_SETTINGS_DEG, sweep_dial
+from hesim.analysis import CHSH_SETTINGS_DEG, angular_basis_scan, scan_keys, sweep_dial
 from hesim.detection import (
     SETTING_KETS,
     SETTINGS,
@@ -18,13 +18,11 @@ from hesim.detection import (
     analyzer_state,
     coincidence_row,
     conditional_oam,
-    count_keys,
-    derived_seed,
     dial_amplitudes,
     heralded_image,
     linear_analyzer_ket,
-    rng_stream,
     sample_counts,
+    stream_keys,
 )
 from hesim.errors import ConfigError, NumericalError
 from hesim.jones import pump_state
@@ -221,10 +219,11 @@ def golden_detector(seed=0):
 
 
 def draw_count(prob, det, l, tag=0) -> int:
-    """One count drawn as a table of one cell: its key from count_keys, its
-    draw from a generator made for it."""
+    """One count drawn as a table of one cell: its key from stream_keys, its
+    draw from a generator made for it. A tuple tag is its constant parts."""
     mean = det.mean_counts(prob, l)
-    key = count_keys(det.seed, l, [mean], [tag])[0]
+    tag = tag if isinstance(tag, tuple) else (tag,)
+    key = stream_keys(det.seed, "counts", l, float(mean), *tag)[0]
     return sample_counts(np.random.Generator(np.random.Philox(0)), mean, key)
 
 
@@ -331,16 +330,6 @@ def test_detector_seed_spans_64_bits():
             DetectorModel(seed=seed)
 
 
-def test_derived_seed_flattens_nested_tags():
-    assert derived_seed(7, ("a", (1, 2))) == derived_seed(7, "a", 1, 2)
-    assert derived_seed(7, ["a", 1, 2]) == derived_seed(7, "a", 1, 2)
-    assert derived_seed(7, "a", 1, 2) != derived_seed(7, "a", 1, 3)
-    assert derived_seed(7, 1.5) == derived_seed(7, 1.5)
-    assert derived_seed(7, 1.5) != derived_seed(7, 2.5)
-    assert derived_seed(7, "1") != derived_seed(7, 1)
-    assert derived_seed(8, "a") != derived_seed(7, "a")
-
-
 # -- conditional OAM and heralded images ---------------------------------------------
 
 
@@ -380,8 +369,9 @@ def heralded(l, idler, sampled=False, seed=0, tag="t"):
     state = down_convert(pump_state(l, alphabet=OAM3))
     grid = (256, default_extent(1.0, l))
     setting = None if idler is None else SETTINGS[idler]
+    key = stream_keys(seed, "heralded_image", l, str(tag))[0]
     return heralded_image(
-        state, setting, SETTINGS["D"], grid, 1.0, make_detector(seed, sampled), l, tag=tag
+        state, setting, SETTINGS["D"], grid, 1.0, make_detector(seed, sampled), l, key=key
     )
 
 
@@ -465,21 +455,36 @@ def test_heralded_sampling_determinism():
     assert not np.array_equal(a.pixels, c.pixels)
 
 
+def oracle_stream(seed, *tags) -> np.random.Generator:
+    """A fresh stream keyed through numpy's SeedSequence, the keys' oracle."""
+    return np.random.Generator(np.random.Philox(former_seed_sequence(seed, tags)))
+
+
 def test_random_streams_follow_the_determinism_contract():
-    # counts key on (seed, "counts", l, float(mean), tag)
+    # counts key on (seed, "counts", l, mean, tag)
     det = make_detector(seed=9)
     for prob, l, tag in ((0.3, 0, 0), (0.7, 2, "sweep"), (1.0, 3, ("chsh", 4))):
         mean = det.mean_counts(prob, l)
-        expected = int(rng_stream(9, "counts", l, float(mean), tag).poisson(mean))
+        expected = int(oracle_stream(9, "counts", l, float(mean), tag).poisson(mean))
         assert draw_count(prob, det, l, tag=tag) == expected
-    # heralded images key on (seed, "heralded_image", l, str(tag)), drawn from
-    # the unsampled image's means; repeated renders leave those bits alone
+    # a heralded image draws from the key it is given, on the unsampled
+    # image's means; repeated renders leave those bits alone
     lams = [heralded(2, "R", sampled=False, seed=9).pixels for _ in range(3)]
     assert all(lam.tobytes() == lams[0].tobytes() for lam in lams)
-    drawn = rng_stream(9, "heralded_image", 2, "7").poisson(lams[0]).astype(float)
-    for tag in (7, "7"):
-        img = heralded(2, "R", sampled=True, seed=9, tag=tag)
-        assert img.pixels.tobytes() == drawn.tobytes()
+    drawn = oracle_stream(9, "heralded_image", 2, "7").poisson(lams[0]).astype(float)
+    assert heralded(2, "R", sampled=True, seed=9, tag="7").pixels.tobytes() == drawn.tobytes()
+    # a scan keys the image of each basis on (seed, "heralded_image", l, str((tag, basis)))
+    state = down_convert(pump_state(2, alphabet=OAM3))
+    grid = (32, default_extent(1.0, 2))
+    scan = angular_basis_scan(state, 2, det, grid, 1.0, nbins=16, tag="s")
+    for basis, img in scan.images.items():
+        setting = SETTINGS[basis]
+        lam = heralded_image(state, setting, SETTINGS["D"], grid, 1.0, make_detector(9, False), 2)
+        drawn = oracle_stream(9, "heralded_image", 2, f"('s', '{basis}')").poisson(lam.pixels)
+        assert img.pixels.tobytes() == drawn.astype(float).tobytes(), basis
+    # a batch of scans, one seed each, keys every scan as it keys itself
+    seeds = np.array([9, 2**40 + 7, 2**64 - 1], dtype=np.uint64)
+    assert scan_keys(seeds, 2, "s").tolist() == [scan_keys(int(s), 2, "s")[0].tolist() for s in seeds]
 
 
 def test_heralded_image_through_draws_a_prefix():
@@ -527,116 +532,111 @@ def former_seed_sequence(seed, tags):
     return np.random.SeedSequence(entropy=int(seed) % 2**64, spawn_key=former_tag_ints(tags))
 
 
-stream_seeds = st.one_of(
-    st.just(0),
-    st.integers(1, 2**32 - 1),
-    st.integers(2**32, 2**64 - 1),
-    st.integers(2**64, 2**80),
-    st.integers(-(2**70), -1),
-)
-tag_leaves = st.one_of(
-    st.text(max_size=6),
-    st.integers(-(2**40), 2**40),
-    st.floats(),  # nan and +-inf included
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
-)
-stream_tags = st.lists(
-    st.recursive(tag_leaves, lambda kids: st.lists(kids, max_size=3).map(tuple), max_leaves=6),
-    max_size=5,
-)
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e12]  # 5e-324 is subnormal
+key_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+key_ints = st.integers(-(2**40), 2**40)
+key_texts = st.text(max_size=6)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(seed=stream_seeds, tags=stream_tags)
-def test_stream_keys_match_the_former_seed_sequence(seed, tags):
-    # every key handed over as one uint32 word array gives the pool, and so
-    # the Philox key and the draws, that the tuple of Python ints gave
-    gen = rng_stream(seed, *tags)
-    oracle = np.random.Generator(np.random.Philox(former_seed_sequence(seed, tags)))
-    key, expected = gen.bit_generator.state["state"], oracle.bit_generator.state["state"]
-    assert np.array_equal(key["key"], expected["key"])
-    assert np.array_equal(key["counter"], expected["counter"])
-    assert gen.integers(0, 2**63, size=3).tolist() == oracle.integers(0, 2**63, size=3).tolist()
-    assert gen.poisson(1234.5) == oracle.poisson(1234.5)
-    assert derived_seed(seed, *tags) == int(
-        former_seed_sequence(seed, tags).generate_state(1, np.uint64)[0]
+@st.composite
+def key_parts(draw) -> tuple:
+    """Constants and columns of one length, in any order."""
+    n = draw(st.integers(0, 5))
+
+    def column(values, dtype):
+        return st.lists(values, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=dtype))
+
+    part = st.one_of(
+        key_texts, key_ints, key_floats,
+        column(key_ints, np.int64), column(key_texts, str), column(key_floats, np.float64),
     )
+    return tuple(draw(st.lists(part, max_size=5)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(-(2**70), 2**70)),
+    parts=key_parts(),
+)
+@example(seed=0, parts=("counts", 3, np.array(SPECIAL_FLOATS), "sweep", np.arange(7)))
+@example(seed=2**32 - 1, parts=(np.array(["A", "D", "", "\u00e9"]), -1, np.arange(-2, 2)))
+@example(seed=2**32, parts=(2.5, np.array([-(2**40), -1, 0, 2**40]), "x", -0.0))
+@example(seed=2**64 - 1, parts=())
+@example(seed=3, parts=("counts", 0, np.zeros(0), "t", np.arange(0)))  # an empty table
+def test_stream_keys_match_the_former_seed_sequence(seed, parts):
+    # row k is the key numpy's SeedSequence makes of the seed and the words
+    # of every constant and of every column's entry k
+    keys = stream_keys(seed, *parts)
+    columns = [p for p in parts if isinstance(p, np.ndarray)]
+    n = len(columns[0]) if columns else 1
+    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+    rows = [[p.tolist()[k] if isinstance(p, np.ndarray) else p for p in parts] for k in range(n)]
+    for key, tags in zip(keys, rows):
+        expected = former_seed_sequence(seed, tags).generate_state(2, np.uint64)
+        assert key.tolist() == expected.tolist()
+    if n:
+        # a Philox stream needs nothing but its key
+        gen = np.random.Generator(np.random.Philox(key=keys[0]))
+        oracle = oracle_stream(seed, *rows[0])
+        assert gen.integers(0, 2**63, size=3).tolist() == oracle.integers(0, 2**63, size=3).tolist()
+        assert gen.poisson(1234.5) == oracle.poisson(1234.5)
 
 
 def test_stream_keys_are_pinned():
-    # literal keys: a numpy release that changes SeedSequence or Philox
-    # seeding moves every draw, and fails here first
-    def key(gen):
-        return [int(k) for k in gen.bit_generator.state["state"]["key"]]
-
-    assert key(rng_stream(0, "counts", 0, 1000.0, ("sweep", 0))) == [
+    # literal keys: a change to the hash, or to how a part becomes words,
+    # moves every draw, and fails here first
+    assert stream_keys(0, "counts", 0, 1000.0, "sweep", 0)[0].tolist() == [
         13234377131452054650,
         2326913619267806749,
     ]
-    assert key(rng_stream(2**40 + 7, "heralded_image", 3, "7")) == [
+    seeds = np.array([0, 2**40 + 7], dtype=np.uint64)  # a seed column keys as its seeds do
+    assert stream_keys(seeds, "heralded_image", 3, "7")[1].tolist() == [
         8568604883995141690,
         14065749193063730373,
     ]
-    assert derived_seed(0, "bootstrap", 1) == 15229887652550685136
-    assert derived_seed(-5, 2.5, ("a", -0.0)) == 1623809198250117318
+    assert stream_keys(0, "bootstrap", np.arange(3))[1, 0] == 15229887652550685136
+    assert stream_keys(-5, 2.5, "a", -0.0)[0, 0] == 1623809198250117318
 
 
-count_means = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 1e12]),  # a subnormal among them
-    st.floats(0.0, 1e12),
-)
-count_tags = st.recursive(
-    st.one_of(st.text(max_size=6), st.integers(-(2**40), 2**40), st.integers(-(2**31), -1)),
-    lambda kids: st.lists(kids, max_size=3).map(tuple),
-    max_leaves=5,
-)
-
-
-def stream_key(gen) -> list:
-    return gen.bit_generator.state["state"]["key"].tolist()
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(
-    seed=stream_seeds,
+    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(-(2**70), 2**70)),
     l=st.integers(-(2**33), 2**33),
-    cells=st.lists(st.tuples(count_means, count_tags), min_size=1, max_size=6),
+    means=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e12]), st.floats(0.0, 1e12)),
+                   min_size=1, max_size=6),
+    tag=st.lists(st.one_of(key_texts, key_ints), max_size=3).map(tuple),
+    with_column=st.booleans(),
 )
-@example(seed=0, l=0, cells=[(0.0, 0), (-0.0, 1), (5e-324, -1), (1e12, 2)])
-@example(seed=2**32 + 5, l=3, cells=[(1000.0, ("sweep", 0)), (0.5, ("chsh", (1, 2)))])
-@example(seed=-7, l=-2, cells=[(2.5, "a"), (2.5, ("a", ())), (7.0, ("a", (-1,)))])
-def test_count_keys_are_the_stream_keys(seed, l, cells):
-    # each table groups the cells whose tags flatten to the same number of words
-    groups = {}
-    for mean, tag in cells:
-        groups.setdefault(len(former_tag_ints((tag,))), []).append((mean, tag))
-    for group in groups.values():
-        means, tags = zip(*group)
-        keys = count_keys(seed, l, means, tags)
-        assert keys.dtype == np.uint64 and keys.shape == (len(group), 2)
-        for mean, tag, key in zip(means, tags, keys):
-            assert key.tolist() == stream_key(rng_stream(seed, "counts", l, float(mean), tag))
-    # a table whose tags differ in length is refused, not grouped
-    if len(groups) > 1:
-        means, tags = zip(*cells)
-        with pytest.raises(ValueError, match="same number of words"):
-            count_keys(seed, l, means, tags)
+@example(seed=0, l=0, means=[0.0, -0.0, 5e-324, 1e12], tag=("sweep",), with_column=True)
+@example(seed=2**32 + 5, l=3, means=[1000.0, 0.5], tag=("chsh", 1, 2), with_column=False)
+def test_count_keys_are_the_stream_keys(seed, l, means, tag, with_column):
+    # a count table keys as _counts does it: a means column, the constant
+    # tag parts, then any int columns; cell k gets the key of its own stream
+    columns = [np.arange(len(means)) - 1] if with_column else []
+    keys = stream_keys(seed, "counts", l, np.array(means), *tag, *columns)
+    assert keys.dtype == np.uint64 and keys.shape == (len(means), 2)
+    for k, mean in enumerate(means):
+        cell = ("counts", l, float(mean), *tag, *(int(c[k]) for c in columns))
+        assert keys[k].tolist() == former_seed_sequence(seed, cell).generate_state(2, np.uint64).tolist()
+    # a column of another length is refused, not broadcast
+    with pytest.raises(ValueError):
+        stream_keys(seed, "counts", l, np.array(means), np.arange(len(means) + 1))
 
 
 def test_count_keys_of_an_empty_table():
-    assert count_keys(3, 0, [], []).shape == (0, 2)
+    keys = stream_keys(3, "counts", 0, np.zeros(0), "t", np.arange(0))
+    assert keys.dtype == np.uint64 and keys.shape == (0, 2)
 
 
 def test_one_generator_draws_a_shuffled_table_as_fresh_streams():
     # numpy's Poisson sampler takes another algorithm below a mean of 10
-    means = [0.0, 0.3, 2.5, 9.999, 10.0, 10.5, 73.2, 1e4, 1e9]
-    tags = [("reuse", k) for k in range(len(means))]
-    keys = count_keys(11, 2, means, tags)
+    means = np.array([0.0, 0.3, 2.5, 9.999, 10.0, 10.5, 73.2, 1e4, 1e9])
+    keys = stream_keys(11, "counts", 2, means, "reuse", np.arange(len(means)))
     gen = np.random.Generator(np.random.Philox(0))
     gen.integers(0, 2**32, dtype=np.uint32)  # a half-used buffer and a held uint32
     assert gen.bit_generator.state["has_uint32"] == 1
     for k in np.random.default_rng(3).permutation(len(means)):
-        fresh = int(rng_stream(11, "counts", 2, means[k], tags[k]).poisson(means[k]))
+        fresh = int(np.random.Generator(np.random.Philox(key=keys[k])).poisson(means[k]))
         assert sample_counts(gen, means[k], keys[k]) == fresh
 
 

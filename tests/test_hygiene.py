@@ -80,13 +80,6 @@ def test_lgmodes_has_no_quantum_layer():
     assert "quantum" in imported_modules("from .quantum import project\n")
 
 
-# public names nothing in src/hesim calls, each with the reason it stays
-DEAD_NAME_ALLOWED = {
-    # the Uhlmann reference that acceptance criterion 5 measures with
-    "state_fidelity",
-}
-
-
 def dead_names(sources: dict) -> list:
     """(module, name) of public top-level functions and classes no other code reads.
 
@@ -125,7 +118,7 @@ def test_dead_names_detected():
 
 def test_no_dead_names_in_package():
     found = dead_names({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
-    assert [hit for hit in found if hit[1] not in DEAD_NAME_ALLOWED] == []
+    assert found == []
 
 
 def dead_members(sources: dict) -> list:

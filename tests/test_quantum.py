@@ -13,9 +13,9 @@ from hesim.quantum import (
     pol_ket,
     pol_subsystem,
     project,
-    state_fidelity,
 )
 from hesim.errors import NumericalError
+from fidelity_oracle import state_fidelity
 
 # -- oracles: raw vectors, no package code ------------------------------------
 
