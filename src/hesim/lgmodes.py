@@ -26,6 +26,15 @@ refuses any other coherence. The evaluation is elementwise, with no BLAS
 call: identical inputs give bit-identical images on one numpy build and
 CPU family.
 
+The geometry is built once per grid quadrant. The pixel centers sit at
+(i - c) * step with c = (N-1)/2, and i - c is exactly -(N-1-i - c) for odd
+and even N, so x and y are exactly antisymmetric about the center lines.
+hypot reads only their moduli, so r, and every function of r alone (the
+rings R_m^2, the annulus mask), is evaluated on the top-left (N+1)//2
+square and mirrored left-right and top-bottom, with the bits a full-grid
+evaluation gives. The angle is not symmetric this way and is taken on the
+full grid, or for the angular bins on the annulus pixels only.
+
 Renders repeat: every bootstrap draw of a witness row renders the same four
 density blocks on one grid. So the module holds the render factors of the
 last grid, the intensities of blocks rendered more than once on them, and
@@ -107,7 +116,8 @@ class FieldImage:
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2 or px.shape[0] != px.shape[1] or px.shape[0] < 16:
             raise ValueError(f"image must be square and at least 16x16, got {px.shape}")
-        if not np.all(np.isfinite(px)) or np.any(px < 0):
+        # two reductions: a NaN fails both comparisons, -0.0 passes the first
+        if not (px.min() >= 0.0 and px.max() < np.inf):
             raise NumericalError("image has negative or non-finite pixels")
         if self.extent <= 0:
             raise ValueError("extent must be positive")
@@ -127,9 +137,41 @@ def _pixel_xy(n: int, extent: float):
     return cols[None, :], rows[:, None]
 
 
+def _quadrant_r(n: int, extent: float) -> np.ndarray:
+    """np.hypot(x, y) on the top-left (n+1)//2 square of the pixel centers."""
+    h = (n + 1) // 2
+    x, y = _pixel_xy(n, extent)
+    return np.hypot(x[:, :h], y[:h])
+
+
+def _mirrored(quadrant: np.ndarray, n: int) -> np.ndarray:
+    """The n x n array whose top-left (n+1)//2 square is quadrant, mirrored
+    left-right and top-bottom; an odd n shares the center row and column."""
+    h = quadrant.shape[0]
+    out = np.empty((n, n), dtype=quadrant.dtype)
+    out[:h, :h] = quadrant
+    out[:h, h:] = quadrant[:, : n - h][:, ::-1]
+    out[h:] = out[: n - h][::-1]
+    return out
+
+
+def _annulus_mask(n: int, extent: float, r_min: float, r_max: float) -> np.ndarray:
+    """Whether each pixel center of an n x n image has r_min <= r <= r_max."""
+    r = _quadrant_r(n, extent)
+    return _mirrored((r >= r_min) & (r <= r_max), n)
+
+
+def _folded_angle(y, x) -> np.ndarray:
+    """atan2(y, x) folded into [0, 2 pi) by one masked add (see pixel_polar)."""
+    theta = np.arctan2(y, x)
+    np.add(theta, TWO_PI, out=theta, where=theta < 0)
+    return theta
+
+
 def pixel_polar(n: int, extent: float):
     """(r, theta) arrays at the pixel centers of an n x n image.
 
+    r is hypot(x, y), built from the top-left quadrant (module docstring).
     theta folds atan2(y, x), which lies in [-pi, pi], into [0, 2 pi) with
     one masked add of 2 pi. On that range this is np.mod's arithmetic bit
     for bit (fmod returns the angle, and a negative one gets 2 pi added),
@@ -137,19 +179,15 @@ def pixel_polar(n: int, extent: float):
     y of -0.0, and the grid never makes one: y is c - row times a positive
     step, and c - row rounds an exact 0 to +0.0.
     """
-    x, y = _pixel_xy(n, extent)
-    r = np.hypot(x, y)  # broadcasts to (n, n)
-    theta = np.arctan2(y, x)
-    np.add(theta, TWO_PI, out=theta, where=theta < 0)
-    return r, theta
+    x, y = _pixel_xy(n, extent)  # theta broadcasts them to (n, n)
+    return _mirrored(_quadrant_r(n, extent), n), _folded_angle(y, x)
 
 
 def annulus_end(n: int, extent: float, annulus) -> int:
     """The flat (C-order) index one past the last pixel center of an n x n
     image that angular_profile's mask puts in the annulus; 0 if it holds none.
     The pixels from there on are never read by an angular profile."""
-    r = np.hypot(*_pixel_xy(n, extent))
-    inside = np.flatnonzero((r >= float(annulus[0])) & (r <= float(annulus[1])))
+    inside = np.flatnonzero(_annulus_mask(n, extent, float(annulus[0]), float(annulus[1])))
     return int(inside[-1]) + 1 if inside.size else 0
 
 
@@ -215,12 +253,16 @@ def mode_stack(alphabet, n: int, extent: float, waist: float) -> dict:
         if _held_stack is None or _held_stack.key != key:
             _held_stack = None
             r, theta = pixel_polar(n, extent)
+            quadrant = r[: (n + 1) // 2, : (n + 1) // 2]  # the rings depend on r alone
             factors = {}
             for m in sorted({abs(a) for a in alphabet}):
-                ring, trig = np.square(_envelope(r, m, waist)), None
+                ring, trig = _mirrored(np.square(_envelope(quadrant, m, waist)), n), None
                 if m and m in alphabet and -m in alphabet:
-                    angle = theta * (2 * m)
-                    trig = np.stack([np.cos(angle), np.sin(angle)])
+                    # the angle goes in the sin row, and cos and sin read it there
+                    trig = np.empty((2, n, n))
+                    angle = np.multiply(theta, 2 * m, out=trig[1])
+                    np.cos(angle, out=trig[0])
+                    np.sin(angle, out=angle)
                     trig.setflags(write=False)
                 ring.setflags(write=False)
                 factors[m] = (ring, trig)
@@ -260,8 +302,10 @@ def render_from_density(rho_oam: np.ndarray, alphabet, grid, waist: float) -> np
     for m, (d, c) in terms.items():
         ring, trig = factors[m]
         if c:
-            # 2 Re(c exp(2 i m theta)): trig dotted with (2 Re c, -2 Im c)
-            fringe = np.multiply(trig, [[[2.0 * c.real]], [[-2.0 * c.imag]]]).sum(axis=0)
+            # 2 Re(c exp(2 i m theta)): trig dotted with (2 Re c, -2 Im c), the
+            # cos row's product plus the sin row's, as a sum over the stack adds them
+            fringe = np.multiply(trig[0], 2.0 * c.real)
+            fringe += trig[1] * (-2.0 * c.imag)
             fringe += d
             term = np.multiply(np.maximum(fringe, 0.0, out=fringe), ring, out=fringe)
         else:
@@ -317,11 +361,13 @@ def angular_profile(img: FieldImage, nbins: int, annulus: tuple) -> AngularHisto
     key = (img.n, img.extent, r_min, r_max, nbins)
     with _lock:
         if _held_bins is None or _held_bins[0] != key:
-            r, theta = pixel_polar(img.n, img.extent)
-            mask = (r >= r_min) & (r <= r_max)
-            if not mask.any():
+            mask = _annulus_mask(img.n, img.extent, r_min, r_max)
+            rows, cols = np.nonzero(mask)
+            if not rows.size:
                 raise ValueError("annulus contains no pixels on this grid")
-            idx = np.minimum((theta[mask] / TWO_PI * nbins).astype(int), nbins - 1)
+            x, y = _pixel_xy(img.n, img.extent)
+            theta = _folded_angle(y[rows, 0], x[0, cols])  # on the annulus pixels only
+            idx = np.minimum((theta / TWO_PI * nbins).astype(int), nbins - 1)
             mask.setflags(write=False)
             idx.setflags(write=False)
             _held_bins = (key, mask, idx)

@@ -97,10 +97,11 @@ RENDER_BYTES_PER_PIXEL = 32 + 32 + 8 * lgmodes.MAX_KEPT_RENDERS
 def _check_stack_memory(cfg: RunConfig, l: int) -> None:
     """Refuse a charge over MAX_CHARGE, or a render over MODE_STACK_BUDGET.
 
-    Per pixel, a render holds the factors of the source alphabet, at most
-    two rings and one cos/sin pair (the l = 0 register; one ring fewer at
-    l != 0), 32 B; its result, a fringe and the fringe's two-row product,
-    32 B; and up to lgmodes.MAX_KEPT_RENDERS kept intensities, 8 B each:
+    Per pixel, a render holds at most: the factors of the source alphabet,
+    at most two rings and one cos/sin pair (the l = 0 register; one ring
+    fewer at l != 0), 32 B; its result, a fringe and the sin row's product
+    the fringe adds, 24 B, budgeted at 32 B; and up to
+    lgmodes.MAX_KEPT_RENDERS kept intensities, 8 B each. That bounds it by
     128 B at any l, so n <= 4,096.
     """
     if abs(l) > MAX_CHARGE:

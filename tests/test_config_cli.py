@@ -375,9 +375,10 @@ def needed_bytes(error: ConfigError) -> int:
 
 
 def test_render_memory_budget_boundary():
-    # the factors of the l = 0 register (two rings, one cos/sin pair), the
-    # result, a fringe and its two-row product, and the kept intensities, at
-    # 8 B each: 128 B per pixel at any l, so 2 GiB allows n = 4096
+    # an upper bound, at 8 B per row: the factors of the l = 0 register (two
+    # rings, one cos/sin pair), four rows for the result, a fringe and the sin
+    # row's product it adds (three used), and the kept intensities: 128 B per
+    # pixel at any l, so 2 GiB allows n = 4096
     per_pixel = 4 * 8 + 4 * 8 + 8 * lgmodes.MAX_KEPT_RENDERS
     assert per_pixel == pipelines.RENDER_BYTES_PER_PIXEL == 128
     for l in (0, 3):

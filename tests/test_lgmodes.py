@@ -416,6 +416,20 @@ def test_field_image_validation():
         FieldImage(np.full((16, 16), np.nan), 4.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -0.0])
+@pytest.mark.parametrize("where", [0, 137, -1])
+def test_field_image_rejects_one_bad_pixel(bad, where):
+    # the check is two reductions, min >= 0 and max < inf: one NaN, infinity
+    # or negative pixel anywhere fails it, and -0.0 is not negative
+    pixels = np.random.default_rng(3).random((17, 17))
+    pixels.reshape(-1)[where] = bad
+    if bad == 0.0:
+        assert FieldImage(pixels, 4.0).pixels.reshape(-1)[where] == 0.0
+    else:
+        with pytest.raises(NumericalError):
+            FieldImage(pixels, 4.0)
+
+
 # -- held factors, renders and bins ------------------------------------------------
 
 # a base key, then keys that each differ from it in one field only, so a

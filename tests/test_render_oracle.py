@@ -1,11 +1,37 @@
 """render_from_density against the textbook three-operand einsum of lg_amplitude
-fields, and pixel_polar's angle fold against np.mod, on generated inputs."""
+fields, pixel_polar's angle fold against np.mod, and the quadrant-built grid
+geometry against a full-grid evaluation, on generated inputs."""
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from hesim.lgmodes import LGMode, default_extent, lg_amplitude, pixel_polar, render_from_density
+from hesim import lgmodes
+from hesim.lgmodes import (
+    FieldImage,
+    LGMode,
+    angular_profile,
+    annulus_end,
+    default_extent,
+    lg_amplitude,
+    mode_stack,
+    pair_terms,
+    pixel_polar,
+    render_from_density,
+)
+
+
+def pixel_centers(n, extent):
+    """The documented pixel centers: x = (col - (n-1)/2) * extent/n as a row,
+    y = ((n-1)/2 - row) * extent/n as a column."""
+    step, c = extent / n, (n - 1) / 2.0
+    return ((np.arange(n) - c) * step)[None, :], ((c - np.arange(n)) * step)[:, None]
+
+
+def same_bits(a, b):
+    # int64 views compare every bit, the sign of zero included
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def einsum_render(rho, alphabet, n, extent, waist):
@@ -50,13 +76,72 @@ def test_render_matches_einsum_oracle(l, data, full, rank_one, seed, scale):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(n=st.integers(16, 600), extent=st.floats(1e-3, 1e3))
 def test_pixel_polar_fold_matches_np_mod_bit_for_bit(n, extent):
-    # the documented pixel centers: x = (col - (n-1)/2) * extent/n, y = ((n-1)/2 - row) * extent/n
-    step, c = extent / n, (n - 1) / 2.0
-    x = ((np.arange(n) - c) * step)[None, :]
-    y = ((c - np.arange(n)) * step)[:, None]
+    x, y = pixel_centers(n, extent)
     r, theta = pixel_polar(n, extent)
-    expected = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-    # int64 views compare every bit, the sign of zero included
-    assert np.array_equal(theta.view(np.int64), expected.view(np.int64))
-    assert np.array_equal(r.view(np.int64), np.hypot(x, y).view(np.int64))
+    assert same_bits(theta, np.mod(np.arctan2(y, x), 2.0 * np.pi))
+    assert same_bits(r, np.hypot(x, y))
     assert theta.min() >= 0.0 and theta.max() < 2.0 * np.pi
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.sampled_from((16, 17, 129, 256, 257, 513)),
+    extent=st.floats(1e-3, 1e3),
+    l=st.integers(0, 12),
+    waist_frac=st.floats(0.02, 0.5),
+    lo=st.floats(0.0, 0.75),
+    width=st.floats(1e-6, 0.5),
+    nbins=st.integers(8, 144),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrant_geometry_matches_the_full_grid(n, extent, l, waist_frac, lo, width, nbins, seed):
+    # r, the rings, the annulus and the angular bins are built from one grid
+    # quadrant and the annulus pixels; here each is evaluated on the full
+    # grid instead. Odd n share the center row and column between mirrored
+    # halves, and the small n put most pixels in numpy's SIMD tail loops
+    x, y = pixel_centers(n, extent)
+    r = np.hypot(x, y)
+    theta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
+    assert same_bits(pixel_polar(n, extent)[0], r)
+
+    # the factors and a render of a coherent block on them, with the
+    # fringe as the (2, n, n) product summed over its stack axis
+    waist = waist_frac * extent
+    alphabet = (-1, 0, 1) if l == 0 else (-l, l)
+    factors = mode_stack(alphabet, n, extent, waist)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = np.zeros((len(alphabet),) * 2, dtype=complex)
+    rho[np.ix_([0, -1], [0, -1])] = a @ a.conj().T  # coherent on the outer +-m pair
+    rho[len(alphabet) // 2, len(alphabet) // 2] += rng.random()
+    expected = None
+    for m, (d, c) in pair_terms(rho, alphabet).items():
+        ring = lg_amplitude(r, 0.0, LGMode(m, waist)).real ** 2
+        assert same_bits(factors[m][0], ring)
+        if not (d or c):
+            continue
+        if c:
+            trig = np.stack([np.cos(theta * (2 * m)), np.sin(theta * (2 * m))])
+            assert same_bits(factors[m][1], trig)
+            fringe = np.multiply(trig, [[[2.0 * c.real]], [[-2.0 * c.imag]]]).sum(axis=0) + d
+            term = np.maximum(fringe, 0.0) * ring
+        else:
+            term = ring * d
+        expected = term if expected is None else expected + term
+    assert same_bits(render_from_density(rho, alphabet, (n, extent), waist), expected)
+
+    # the annulus's last pixel, bins and histogram, from the full-grid theta
+    annulus = (lo * extent, (lo + width) * extent)
+    mask = (r >= annulus[0]) & (r <= annulus[1])
+    inside = np.flatnonzero(mask)
+    assert annulus_end(n, extent, annulus) == (int(inside[-1]) + 1 if inside.size else 0)
+    img = FieldImage(rng.random((n, n)), extent)
+    if not inside.size:
+        with pytest.raises(ValueError, match="no pixels"):
+            angular_profile(img, nbins, annulus)
+        return
+    idx = np.minimum((theta[mask] / (2.0 * np.pi) * nbins).astype(int), nbins - 1)
+    hist = angular_profile(img, nbins, annulus)
+    _, held_mask, held_idx = lgmodes._held_bins
+    assert np.array_equal(held_mask, mask) and np.array_equal(held_idx, idx)
+    assert same_bits(hist.bins, np.bincount(idx, weights=img.pixels[mask], minlength=nbins))
