@@ -279,7 +279,12 @@ def _witness_pairs(fringes: dict, l: int) -> dict:
 
 @dataclass
 class AngularScan:
-    """Everything the petal pipeline produced for one state."""
+    """Everything the petal pipeline produced for one state.
+
+    images holds the heralded image of each basis for a whole-image scan,
+    and is empty for a scan drawn with ``through``: each image is dropped
+    once its profile is taken.
+    """
 
     fits: dict
     histograms: dict
@@ -317,16 +322,19 @@ def angular_basis_scan(
 
     The idler is analyzed in A, D, R and L; the signal always in D. The
     images draw from ``keys``, a scan_keys row (None: the one of det.seed
-    and tag). through is passed to each heralded_image. At
-    lgmodes.annulus_end of the grid and annulus, each image is drawn only
-    up to the last pixel the profiles read: the images hold zeros after it,
-    and every histogram, fit and W is the one a full draw gives.
+    and tag). Each image is profiled as soon as it is drawn, and the four
+    histograms are fitted in one petal_fit batch. through is passed to each
+    heralded_image. At lgmodes.annulus_end of the grid and annulus, each
+    image is drawn only up to the last pixel the profiles read, and every
+    histogram, fit and W is the one a full draw gives. Such a cut image is
+    zeros past the annulus end, so a scan with through keeps no image
+    (images is empty); a scan without keeps its four.
     """
     if annulus is None:
         annulus = lgmodes.default_annulus(waist, l)
     if keys is None:
         keys = scan_keys(det.seed, l, tag)[0]
-    fits, hists, images = {}, {}, {}
+    hists, images = {}, {}
     for basis, key in zip(SCAN_BASES, keys):
         img = detection.heralded_image(
             state,
@@ -339,10 +347,11 @@ def angular_basis_scan(
             key=key,
             through=through,
         )
-        hist = lgmodes.angular_profile(img, nbins, annulus)
-        fits[basis] = petal_fit(hist, l)
-        hists[basis] = hist
-        images[basis] = img
+        hists[basis] = lgmodes.angular_profile(img, nbins, annulus)
+        if through is None:
+            images[basis] = img
+        del img  # not held while the next image is drawn
+    fits = dict(zip(SCAN_BASES, petal_fit(list(hists.values()), l)))
     pair_vis = _witness_pairs(fits, l)
     return AngularScan(fits, hists, images, pair_vis, pair_vis["DA"] + pair_vis["RL"])
 

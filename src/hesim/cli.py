@@ -63,9 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
             "entangled photon pair and run the measurement chain on it."
         ),
     )
+    # the options every subcommand takes, added once and shared as a parent
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in COMMANDS:
-        _add_common(sub.add_parser(name, help=text, allow_abbrev=False))
+        sub.add_parser(name, help=text, allow_abbrev=False, parents=[common])
     return parser
 
 

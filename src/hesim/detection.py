@@ -63,8 +63,12 @@ at 0. Only the bootstrap scans of hybrid-witness truncate, at
 lgmodes.annulus_end, one past the last pixel an angular profile reads. No
 stream key changes, and no histogram, fit, W or sigma moves. The first
 scan and the unanalyzed image are written to disk, so they are drawn whole.
+A truncated image is zeros past the cut and is read only by its profile,
+so analysis.angular_basis_scan keeps no image of a truncated scan: it
+profiles each image as it is drawn and drops it before the next draw.
 """
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 
@@ -240,12 +244,41 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 
-def _hash_consts(n: int, init: int, mult: int) -> np.ndarray:
-    """The first n values of the running hash constant, as a column."""
-    out = [init]
-    for _ in range(n - 1):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)[:, None]
+@functools.cache
+def _hash_consts(length: int) -> tuple:
+    """The running hash constants of a length-word entropy, as _seed_keys
+    reads them: one read-only (const, next const) pair of (pool size, 1)
+    uint32 columns per step, row d for pool word d. The steps are the
+    pool's first hash, one step per source word, and the output hash. While
+    one of the first pool-size words mixes into the others, those take the
+    step's constants in order, and the source word's own row is unused. The
+    constants depend only on the step, so every stream shares them.
+    """
+
+    def running(n, init, mult):
+        out = [init]
+        for _ in range(n - 1):
+            out.append(out[-1] * mult & 0xFFFFFFFF)
+        return np.array(out, dtype=np.uint32)
+
+    def pair(consts, at):
+        at = np.asarray(at)
+        cols = consts[at][:, None], consts[at + 1][:, None]
+        for col in cols:
+            col.setflags(write=False)
+        return cols
+
+    c = running(_POOL + _POOL * (_POOL - 1) + _POOL * (length - _POOL) + 1, _INIT_A, _MULT_A)
+    schedule = [pair(c, range(_POOL))]
+    k = _POOL
+    for src in range(_POOL):
+        schedule.append(pair(c, [k + d - (d > src) if d != src else k for d in range(_POOL)]))
+        k += _POOL - 1
+    for _ in range(_POOL, length):
+        schedule.append(pair(c, range(k, k + _POOL)))
+        k += _POOL
+    schedule.append(pair(running(_POOL + 1, _INIT_B, _MULT_B), range(_POOL)))
+    return tuple(schedule)
 
 
 def _hashmix(value, const, next_const):
@@ -266,25 +299,22 @@ def _seed_keys(words: np.ndarray) -> np.ndarray:
 
     Row k of ``words`` (N x length, uint32, length >= the pool size) is the
     entropy of stream k. The steps are numpy's mix_entropy and
-    generate_state(2, uint64), run down the columns; the hash constant
-    depends only on the step, so every row shares it.
+    generate_state(2, uint64), run down the columns with the constants of
+    _hash_consts.
     """
     length = words.shape[1]
     cols = words.T
-    steps = _POOL + _POOL * (_POOL - 1) + _POOL * (length - _POOL)
-    c = _hash_consts(steps + 1, _INIT_A, _MULT_A)
-    pool = _hashmix(cols[:_POOL], c[:_POOL], c[1 : _POOL + 1])
-    k = _POOL
-    # each source word mixes into every other pool word; it is not changed meanwhile
+    schedule = _hash_consts(length)
+    pool = _hashmix(cols[:_POOL], *schedule[0])
+    # each source word mixes into every other pool word and is not changed
+    # meanwhile: every row is mixed, and the source row put back
     for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k : k + 3], c[k + 1 : k + 4]))
-        k += 3
+        held = pool[src].copy()
+        pool = _mix(pool, _hashmix(held, *schedule[1 + src]))
+        pool[src] = held
     for src in range(_POOL, length):
-        pool = _mix(pool, _hashmix(cols[src], c[k : k + 4], c[k + 1 : k + 5]))
-        k += 4
-    b = _hash_consts(_POOL + 1, _INIT_B, _MULT_B)
-    out = _hashmix(pool, b[:_POOL], b[1:]).astype(np.uint64)
+        pool = _mix(pool, _hashmix(cols[src], *schedule[1 + src]))
+    out = _hashmix(pool, *schedule[-1]).astype(np.uint64)
     return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
 
 

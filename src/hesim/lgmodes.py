@@ -38,9 +38,9 @@ full grid, or for the angular bins on the annulus pixels only.
 Renders repeat: every bootstrap draw of a witness row renders the same four
 density blocks on one grid. So the module holds the render factors of the
 last grid, the intensities of blocks rendered more than once on them, and
-the pixel mask and bin index of the last angular annulus, all read-only and
-with the bits a fresh computation gives. One lock guards the holders
-against a caller that renders from several threads.
+the flat pixel index and bin index of the last angular annulus, all
+read-only and with the bits a fresh computation gives. One lock guards the
+holders against a caller that renders from several threads.
 """
 
 import functools
@@ -235,7 +235,7 @@ class _HeldStack:
 
 _lock = threading.Lock()
 _held_stack = None
-_held_bins = None  # ((n, extent, r_min, r_max, nbins), mask, bin index)
+_held_bins = None  # ((n, extent, r_min, r_max, nbins), flat pixel index, bin index)
 
 
 def mode_stack(alphabet, n: int, extent: float, waist: float) -> dict:
@@ -350,7 +350,9 @@ class AngularHistogram:
 def angular_profile(img: FieldImage, nbins: int, annulus: tuple) -> AngularHistogram:
     """Sum image pixels into polar-angle bins restricted to an annulus.
 
-    The pixel mask and bin index of the last (grid, annulus, nbins) are held.
+    The flat (C-order) index of the annulus pixels and their bin index are
+    held for the last (grid, annulus, nbins); the pixels are read with take,
+    in the order a boolean mask reads them.
     """
     global _held_bins
     r_min, r_max = float(annulus[0]), float(annulus[1])
@@ -361,18 +363,18 @@ def angular_profile(img: FieldImage, nbins: int, annulus: tuple) -> AngularHisto
     key = (img.n, img.extent, r_min, r_max, nbins)
     with _lock:
         if _held_bins is None or _held_bins[0] != key:
-            mask = _annulus_mask(img.n, img.extent, r_min, r_max)
-            rows, cols = np.nonzero(mask)
-            if not rows.size:
+            flat = np.flatnonzero(_annulus_mask(img.n, img.extent, r_min, r_max))
+            if not flat.size:
                 raise ValueError("annulus contains no pixels on this grid")
+            rows, cols = np.divmod(flat, img.n)
             x, y = _pixel_xy(img.n, img.extent)
             theta = _folded_angle(y[rows, 0], x[0, cols])  # on the annulus pixels only
             idx = np.minimum((theta / TWO_PI * nbins).astype(int), nbins - 1)
-            mask.setflags(write=False)
+            flat.setflags(write=False)
             idx.setflags(write=False)
-            _held_bins = (key, mask, idx)
-        _, mask, idx = _held_bins
-    bins = np.bincount(idx, weights=img.pixels[mask], minlength=nbins)
+            _held_bins = (key, flat, idx)
+        _, flat, idx = _held_bins
+    bins = np.bincount(idx, weights=img.pixels.take(flat), minlength=nbins)
     return AngularHistogram(bins)
 
 
@@ -472,7 +474,7 @@ def fold_phase(theta: float, period: float) -> float:
     return 0.0 if folded == period else folded
 
 
-def fringe_fit(angles, values, freq: int) -> Fringe:
+def fringe_fit(angles, values, freq: int):
     """Least-squares fringe m + a cos(freq t) + b sin(freq t), read as a Fringe.
 
     base = m and V = hypot(a, b) / m, with a delta-method stderr from the
@@ -480,18 +482,35 @@ def fringe_fit(angles, values, freq: int) -> Fringe:
     clipped to 1. One rule marks a fringe degenerate, for sweeps and petals
     alike: m <= 0 or V < 1e-12. An angle set that cannot separate the three
     terms raises NumericalError.
+
+    ``values`` is one fringe's values (a Fringe is returned) or a (k, len)
+    array of k fringes at the same angles (a list of k Fringes). The design
+    matrix and its inverse normal matrix are built once for the batch; each
+    row is its own lstsq solve, because one solve over k right-hand sides
+    moves the last bits of the coefficients.
     """
     angles = np.asarray(angles, dtype=float)
     values = np.asarray(values, dtype=float)
     design = np.column_stack([np.ones_like(angles), np.cos(freq * angles), np.sin(freq * angles)])
-    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-    if rank < 3:
-        raise NumericalError("angle set cannot resolve a fringe (rank-deficient fit)")
+    inv_normal = None
+    fits = []
+    for row in values.reshape(-1, values.shape[-1]):
+        coef, _, rank, _ = np.linalg.lstsq(design, row, rcond=None)
+        if rank < 3:
+            raise NumericalError("angle set cannot resolve a fringe (rank-deficient fit)")
+        if inv_normal is None:
+            inv_normal = np.linalg.inv(design.T @ design)
+        fits.append(_read_fringe(freq, design, inv_normal, row, coef))
+    return fits[0] if values.ndim == 1 else fits
+
+
+def _read_fringe(freq: int, design, inv_normal, values, coef) -> Fringe:
+    """The Fringe of one least-squares solve (see fringe_fit)."""
     m, a, b = coef
     if m <= 0:
         return Fringe(freq, 0.0, math.nan, 0.0, math.nan, ("degenerate",))
     resid = values - design @ coef
-    cov = float(resid @ resid) / max(len(values) - 3, 1) * np.linalg.inv(design.T @ design)
+    cov = float(resid @ resid) / max(len(values) - 3, 1) * inv_normal
     amp = math.hypot(a, b)
     # delta method for V = sqrt(a^2 + b^2) / m; at a level so small that
     # 1/m^2 overflows, or the variance does, the stderr is unknown (nan)
@@ -512,15 +531,25 @@ def fringe_fit(angles, values, freq: int) -> Fringe:
     return Fringe(freq, float(v), theta0, float(m), stderr, flags)
 
 
-def petal_fit(hist: AngularHistogram, l: int) -> Fringe:
-    """Fit the 2l-petal fringe to an angular histogram (see fringe_fit)."""
+def petal_fit(hist, l: int):
+    """Fit the 2l-petal fringe to an angular histogram (see fringe_fit).
+
+    ``hist`` is one AngularHistogram (a Fringe is returned) or a list of
+    them with one bin count (a list of Fringes, from one fringe_fit batch).
+    """
     l = int(l)
     if l < 1:
         raise ValueError("petal fit needs l >= 1")
-    if hist.nbins <= 4 * l:
+    single = isinstance(hist, AngularHistogram)
+    hists = [hist] if single else list(hist)
+    nbins = {h.nbins for h in hists}
+    if len(nbins) != 1:
+        raise ValueError(f"petal fit needs histograms of one bin count, got {sorted(nbins)}")
+    if hists[0].nbins <= 4 * l:
         # at 4l bins cos(2l theta) vanishes at every bin center
         raise ValueError(f"need more than {4 * l} bins to resolve 2l={2 * l} petals")
-    return fringe_fit(hist.bin_centers, hist.bins, 2 * l)
+    fits = fringe_fit(hists[0].bin_centers, np.stack([h.bins for h in hists]), 2 * l)
+    return fits[0] if single else fits
 
 
 # -- serialization -----------------------------------------------------------

@@ -14,7 +14,6 @@ floats; this module alone owns the JSON format (``_write_json``).
   images into the witness W.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -363,9 +362,8 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
         keys = dict(zip(seeds.tolist(), scan_keys(seeds, l, "scan")))
 
         def one(seed: int) -> dict:
-            det_i = dataclasses.replace(det, seed=seed)
             sc = angular_basis_scan(
-                state, l, det_i, grid, waist,
+                state, l, det, grid, waist,
                 annulus=annulus, nbins=cfg.analysis.nbins, through=end, keys=keys[seed],
             )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}

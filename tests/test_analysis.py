@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hesim import detection
 from hesim.analysis import (
     BELL_VISIBILITY_BOUND,
+    SCAN_BASES,
     TOMO_SETTINGS,
     _witness_pairs,
     angular_basis_scan,
@@ -415,9 +417,41 @@ def test_scan_cut_at_the_annulus_end_is_bit_identical(l, n, p_white, accidental)
     assert cut.pair_vis == full.pair_vis
     for basis, hist in full.histograms.items():
         assert cut.histograms[basis].bins.tobytes() == hist.bins.tobytes(), basis
-        drawn, tail = np.split(cut.images[basis].pixels.reshape(-1), [end])
-        assert drawn.tobytes() == full.images[basis].pixels.reshape(-1)[:end].tobytes(), basis
-        assert not tail.any(), basis
+
+
+def test_a_cut_scan_holds_no_image():
+    # a cut image is zeros past the annulus end and nothing reads it, so each
+    # is dropped once profiled; a whole scan keeps its four for the PGMs
+    state, det, grid, annulus, end = cut_case(*CUT_CASES[1])
+    full, cut = (
+        angular_basis_scan(state, 2, det, grid, 1.0, annulus=annulus, through=through)
+        for through in (None, end)
+    )
+    assert cut.images == {}
+    assert list(full.images) == list(SCAN_BASES)
+    assert list(cut.histograms) == list(full.histograms) == list(SCAN_BASES)
+
+
+def test_a_cut_bootstrap_holds_one_image_at_a_time():
+    # an image is n^2 doubles. A draw holds its mean image and the counts of
+    # its drawn pixels, under two images' worth; the four images of a scan,
+    # held until the scan ends, would take the peak past three
+    n = 256
+    state, det, grid, annulus, end = cut_case(3, n, 0.0, 0.0)
+
+    def one(seed):
+        det_i = dataclasses.replace(det, seed=seed)
+        sc = angular_basis_scan(state, 3, det_i, grid, 1.0, annulus=annulus, through=end)
+        return {"W": sc.W}
+
+    bootstrap_errors(one, n_iter=2, seed=det.seed)  # the render factors and kept renders
+    tracemalloc.start()
+    try:
+        bootstrap_errors(one, n_iter=4, seed=det.seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
 
 
 @pytest.mark.parametrize("l, n, p_white, accidental", CUT_CASES[1:])

@@ -1,5 +1,6 @@
 """Config loading and the command line wrapper."""
 
+import argparse
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from hesim import lgmodes, pipelines
-from hesim.cli import main
+from hesim.cli import COMMANDS, build_parser, main
 from hesim.config import MAX_BOOTSTRAP, MAX_SWEEP_POINTS, RunConfig
 from hesim.errors import ConfigError
 from hesim.pipelines import _check_stack_memory
@@ -368,6 +369,40 @@ def test_cli_rejects_abbreviated_options(tmp_path, argv):
         main(["hybrid-witness", *argv, "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+# every subcommand's options: (option strings, dest, choices, help)
+SUBCOMMAND_OPTIONS = [
+    (["-h", "--help"], "help", None, "show this help message and exit"),
+    (["--config"], "config", None, "JSON run configuration"),
+    (["--out"], "out", None, "output directory (default out/<command>)"),
+    (["--seed"], "seed", None, "override the detector RNG seed"),
+    (["--l"], "charge", None, "override the pump OAM charge"),
+    (["--noise"], "noise", None, "override the white-noise weight p in [0, 1]"),
+    (["--expected"], "expected", None, "record expected means instead of Poisson-sampled counts"),
+    (
+        ["--format"],
+        "formats",
+        ("pgm", "csv", "json"),
+        "write only these artifact kinds (repeatable; default all)",
+    ),
+    (["--dry-run"], "dry_run", None, "print the resolved configuration and exit without running"),
+]
+
+
+def test_every_subcommand_takes_the_common_options(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # the help text wraps at the terminal width
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == [name for name, _ in COMMANDS]
+    assert [a.help for a in sub._choices_actions] == [text for _, text in COMMANDS]
+    for name, command in sub.choices.items():
+        got = [(a.option_strings, a.dest, a.choices, a.help) for a in command._actions]
+        assert got == SUBCOMMAND_OPTIONS, name
+        text = command.format_help()
+        assert text.startswith(f"usage: hesim {name} [-h] [--config CONFIG]"), name
+        for *_, help_text in SUBCOMMAND_OPTIONS:
+            assert help_text in text, (name, help_text)
 
 
 def needed_bytes(error: ConfigError) -> int:

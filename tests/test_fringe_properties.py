@@ -1,6 +1,7 @@
 """The one fringe fit on generated fringes: it recovers V and theta0, follows
 a rotation of the pattern, ignores the scale of the values, and reads a flat
-sweep and a flat histogram alike. Also: angular_profile keeps the annulus total."""
+sweep and a flat histogram alike, and a batch fits each row as a fit alone
+does. Also: angular_profile keeps the annulus total."""
 
 import math
 
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 
 from hesim.analysis import fit_visibility
+from hesim.errors import NumericalError
 from hesim.lgmodes import (
     AngularHistogram,
     FieldImage,
+    Fringe,
     angular_profile,
     fringe_fit,
     petal_fit,
@@ -142,3 +145,67 @@ def test_angular_profile_keeps_the_annulus_total(n, nbins, inner, width, seed):
     hist = angular_profile(FieldImage(pixels, extent), nbins, annulus)
     assert hist.nbins == nbins
     assert hist.bins.sum() == close(pixels[inside].sum())
+
+
+def fringe_bits(fit) -> bytes:
+    """V, theta0, base and stderr as bytes, so NaNs compare and -0.0 differs."""
+    return np.array([fit.V, fit.theta0, fit.base, fit.stderr]).tobytes()
+
+
+# a petal fringe with noise, a flat level, a level of 0 or below, an overshoot
+# past V = 1 (clipped), and a histogram of bare noise
+row_kinds = st.sampled_from(("fringe", "flat", "nonpositive", "clipped", "noise"))
+
+
+def batch_row(kind, l, nbins, v, phase, level, seed):
+    angles, rng = turn(nbins), np.random.default_rng(seed)
+    if kind == "flat":
+        return np.full(nbins, level)
+    if kind == "nonpositive":
+        return np.full(nbins, -level * rng.integers(0, 2))  # 0.0 or -level
+    if kind == "noise":
+        return rng.exponential(level, nbins)
+    vis = v + 1.0 if kind == "clipped" else v
+    noise = 0.01 * level * rng.standard_normal(nbins)
+    return fringe_values(angles, 2 * l, vis, phase * np.pi / l, level) + noise
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    l=st.integers(1, 6),
+    nbins=st.sampled_from((36, 72, 90)),
+    rows=st.lists(
+        st.tuples(row_kinds, visibilities, phases, levels, st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_a_batched_petal_fit_is_the_fits_one_by_one(l, nbins, rows):
+    hists = [AngularHistogram(batch_row(kind, l, nbins, *rest)) for kind, *rest in rows]
+    batch = petal_fit(hists, l)
+    assert isinstance(batch, list) and len(batch) == len(hists)
+    for hist, fit in zip(hists, batch):
+        alone = petal_fit(hist, l)
+        assert fringe_bits(fit) == fringe_bits(alone)
+        assert (fit.freq, fit.flags) == (alone.freq, alone.flags)
+    kinds = [kind for kind, *_ in rows]
+    for kind, fit in zip(kinds, batch):
+        if kind in ("flat", "nonpositive"):
+            assert fit.degenerate
+        if kind == "clipped":
+            assert "clipped" in fit.flags and fit.V == 1.0
+
+
+def test_fringe_fit_batch_shapes_and_rank():
+    angles = turn(72)
+    values = np.stack([fringe_values(angles, 4, 0.5, 0.2, 1.0), np.full(72, 2.0)])
+    assert isinstance(fringe_fit(angles, values[0], 4), Fringe)  # 1-D: one Fringe
+    assert [fringe_bits(f) for f in fringe_fit(angles, values[:1], 4)] == [
+        fringe_bits(fringe_fit(angles, values[0], 4))
+    ]
+    assert fringe_fit(angles, values[:0], 4) == []
+    # one angle repeated: the cos and sin columns are constants, as the mean's is
+    with pytest.raises(NumericalError, match="rank-deficient"):
+        fringe_fit(np.full(72, 0.3), values, 4)
+    with pytest.raises(ValueError, match="one bin count"):
+        petal_fit([AngularHistogram(np.ones(72)), AngularHistogram(np.ones(36))], 1)
