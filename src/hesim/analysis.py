@@ -195,14 +195,14 @@ def tomography_counts(state, det: DetectorModel, l: int = 0, tag: str = "tomo") 
     """Coincidence counts for the 16 canonical projection pairs.
 
     Each setting's ket comes from SETTING_KETS. The Born probabilities are
-    taken one coincidence_row per idler setting, and the 16 counts are
-    drawn as one table; count k keeps the tag (tag, k) of its place in
-    TOMO_SETTINGS.
+    taken one coincidence_row per idler setting, over the stacked
+    amplitudes of its signal kets, and the 16 counts are drawn as one
+    table; count k keeps the tag (tag, k) of its place in TOMO_SETTINGS.
     """
     probs = [0.0] * 16
     for li in dict.fromkeys(li for li, _ in TOMO_SETTINGS):
         cells = [(k, ls) for k, (i, ls) in enumerate(TOMO_SETTINGS) if i == li]
-        signals = [SETTING_KETS[SETTINGS[ls]] for _, ls in cells]
+        signals = np.array([SETTING_KETS[SETTINGS[ls]].amplitudes for _, ls in cells])
         row = coincidence_row(state, SETTING_KETS[SETTINGS[li]], signals)
         for (k, _), prob in zip(cells, row):
             probs[k] = prob
@@ -237,6 +237,7 @@ def tomography_linear(counts16) -> DensityMatrix:
 # one petal period pi/l. Only the value mod a half period matters downstream,
 # so a swapped R/L or mirrored D convention reads out identically.
 _BASIS_OFFSETS = {"A": 0.0, "D": 0.5, "R": 0.25, "L": 0.75}
+SCAN_BASES = ("A", "D", "R", "L")
 
 
 def _contrast(x: Fringe, y: Fringe, anchor: float, l: int) -> float:
@@ -269,7 +270,7 @@ def _witness_pairs(fringes: dict, l: int) -> dict:
     to first order, because every read-out sits at a stationary point of
     its curve.
     """
-    first = next((b for b in ("A", "D", "R", "L") if math.isfinite(fringes[b].theta0)), None)
+    first = next((b for b in SCAN_BASES if math.isfinite(fringes[b].theta0)), None)
     ref = 0.0 if first is None else fringes[first].theta0 - _BASIS_OFFSETS[first] * (np.pi / l)
     return {
         "DA": _contrast(fringes["A"], fringes["D"], ref, l),
@@ -293,17 +294,23 @@ class AngularScan:
     W: float
 
 
-SCAN_BASES = ("A", "D", "R", "L")
+def witness_keys(seed: int, l: int, n_bootstrap: int = 0) -> tuple:
+    """(scans, none): the Philox key of every heralded image of a witness
+    run, the one place their layout is written.
 
-
-def scan_keys(seeds, l: int, tag: str = "scan") -> np.ndarray:
-    """The (N, 4, 2) Philox keys of the SCAN_BASES images of N scans, one
-    per seed (an int, or a uint64 column), from one stream_keys pass. The
-    image of a basis keys on (seed, "heralded_image", l, str((tag, basis)))."""
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    names = np.array([str((tag, b)) for b in SCAN_BASES])
-    k = np.arange(4 * len(seeds))
-    return stream_keys(seeds[k // 4], "heralded_image", l, names[k % 4]).reshape(-1, 4, 2)
+    scans is (1 + n_bootstrap, 4, 2): row 0 keys the SCAN_BASES images of
+    the first scan on ``seed``, row i + 1 those of bootstrap scan i on
+    bootstrap_seeds(seed, n_bootstrap)[i]. none keys the unanalyzed image
+    on ``seed``. An image keys on (its scan's seed, "heralded_image", l,
+    str(("scan", basis))), with basis "none" for the unanalyzed one. One
+    bootstrap_seeds pass, then one stream_keys pass keys every image.
+    """
+    seeds = np.empty(1 + n_bootstrap, dtype=np.uint64)  # float64 would drop a seed's low bits
+    seeds[0] = seed
+    seeds[1:] = bootstrap_seeds(seed, n_bootstrap)
+    names = np.array([str(("scan", b)) for b in SCAN_BASES] * len(seeds) + [str(("scan", "none"))])
+    keys = stream_keys(np.append(np.repeat(seeds, 4), seeds[0]), "heralded_image", l, names)
+    return keys[:-1].reshape(-1, 4, 2), keys[-1]
 
 
 def angular_basis_scan(
@@ -314,17 +321,17 @@ def angular_basis_scan(
     waist: float,
     annulus=None,
     nbins: int = 72,
-    tag: str = "scan",
     through: int | None = None,
-    keys=None,
+    *,
+    keys,
 ) -> AngularScan:
     """Heralded image -> angular profile -> petal fit, per idler basis.
 
     The idler is analyzed in A, D, R and L; the signal always in D. The
-    images draw from ``keys``, a scan_keys row (None: the one of det.seed
-    and tag). Each image is profiled as soon as it is drawn, and the four
-    histograms are fitted in one petal_fit batch. through is passed to each
-    heralded_image. At lgmodes.annulus_end of the grid and annulus, each
+    images draw from ``keys``, the (4, 2) SCAN_BASES keys of one scan (a
+    witness_keys row). Each image is profiled as soon as it is drawn, and
+    the four histograms are fitted in one petal_fit batch. through is
+    passed to each heralded_image. At lgmodes.annulus_end of the grid and annulus, each
     image is drawn only up to the last pixel the profiles read, and every
     histogram, fit and W is the one a full draw gives. Such a cut image is
     zeros past the annulus end, so a scan with through keeps no image
@@ -332,8 +339,6 @@ def angular_basis_scan(
     """
     if annulus is None:
         annulus = lgmodes.default_annulus(waist, l)
-    if keys is None:
-        keys = scan_keys(det.seed, l, tag)[0]
     hists, images = {}, {}
     for basis, key in zip(SCAN_BASES, keys):
         img = detection.heralded_image(
@@ -344,7 +349,7 @@ def angular_basis_scan(
             waist,
             det,
             l,
-            key=key,
+            key,
             through=through,
         )
         hists[basis] = lgmodes.angular_profile(img, nbins, annulus)
@@ -385,7 +390,7 @@ def witness_expectation(state, l: int) -> dict:
         raise ValueError("hybrid witness needs l >= 1")
     alphabet = state.subsystems[state.axis(SIGNAL_OAM)].labels
     fringes = {}
-    for basis in ("A", "D", "R", "L"):
+    for basis in SCAN_BASES:
         block, _ = conditional_oam(state, SETTINGS[basis], SETTINGS["D"])
         fringes[basis] = _oam_fringe(block, alphabet, l)
     pairs = _witness_pairs(fringes, l)
@@ -422,16 +427,16 @@ def bootstrap_seeds(seed: int, n_iter: int) -> np.ndarray:
     return stream_keys(seed, "bootstrap", np.arange(n_iter))[:, 0]
 
 
-def bootstrap_errors(pipeline, n_iter: int, seed: int) -> BootstrapResult:
-    """Parametric bootstrap: rerun a sampled pipeline with derived seeds.
+def bootstrap_errors(pipeline, inputs) -> BootstrapResult:
+    """Parametric bootstrap: run a sampled pipeline once per input.
 
-    ``pipeline`` maps an integer seed to a {statistic: value} dict. Iteration
-    i runs on bootstrap_seeds(seed, n_iter)[i], a pure function of (seed,
-    i), so the result is reproducible.
+    ``pipeline`` maps one input to a {statistic: value} dict. The caller
+    keys the inputs, such as a witness_keys scan row per iteration or
+    bootstrap_seeds, so the result is a pure function of them.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be at least 1")
-    results = [pipeline(s) for s in bootstrap_seeds(seed, n_iter).tolist()]
+    results = [pipeline(x) for x in inputs]
+    if not results:
+        raise ValueError("a bootstrap needs at least one input")
     names = results[0].keys()
     samples = {k: np.array([r[k] for r in results], dtype=float) for k in names}
-    return BootstrapResult(samples, n_iter)
+    return BootstrapResult(samples, len(results))

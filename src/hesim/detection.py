@@ -18,7 +18,7 @@ idler side and cos(chi) H - sin(chi) V on the signal side. Named basis kets
 All sampling is routed through counter-based Philox streams keyed by
 (seed, purpose, indices), so counts are pure functions of their inputs and
 never depend on call order. stream_keys derives every key with the
-in-repo hash, for a whole count table, image scan or bootstrap in one
+in-repo hash, for a whole count table or a witness run's images in one
 pass. The hash is the one numpy.random seeds a bit generator with,
 reimplemented here and run by column. A Philox stream needs nothing but
 its key (Salmon et al., SC'11): an image draws from
@@ -41,11 +41,14 @@ the determinism contract; changing one moves every draw made from it:
   linear_analyzer_ket's two-normalisation chain, angle by angle; a
   count's mean keys on those bits, and a property test holds the two
   paths equal;
-* an image of a scan keys on (seed, "heralded_image", l, str((tag,
-  basis))) (analysis.scan_keys, one pass for many scans), and the
-  witness's unanalyzed image on str(("scan", "none")) in its place;
-* bootstrap iteration i runs on the first word of the key of (seed,
-  "bootstrap", i) (analysis.bootstrap_seeds).
+* an image of a witness run keys on (scan seed, "heralded_image", l,
+  str(("scan", basis))), basis "none" for the unanalyzed image. The first
+  scan's seed is the run's; bootstrap scan i's is the first word of the
+  key of (seed, "bootstrap", i) (analysis.bootstrap_seeds).
+  analysis.witness_keys is this one layout: it keys every image of a run
+  in one bootstrap_seeds pass and one stream_keys pass. Below it keys are
+  only passed down; heralded_image, angular_basis_scan and
+  bootstrap_errors derive none.
 
 The Poisson draw of an image depends on every bit of its mean image. The
 render memo in lgmodes returns the bits a fresh render gives, so it never
@@ -406,13 +409,13 @@ def _arm_ket(setting) -> Ket:
 def coincidence_row(state, idler, signals) -> list:
     """Joint Born probabilities of one idler setting with each signal setting.
 
-    The signal OAM register is traced out. Settings may be AnalyzerSetting
-    values or polarization kets, which are used as given (not normalised
-    again); look basis labels up in SETTINGS. ``signals`` may also be an
-    (N, 2) complex amplitude array, such as dial_amplitudes gives, used as
-    given as a ket's amplitudes are. The whole row is one stacked
-    contraction over the signal amplitudes S (N x 2), and that arithmetic
-    is what its counts key on:
+    The signal OAM register is traced out. The idler may be an
+    AnalyzerSetting or a polarization ket, used as given (not normalised
+    again); look basis labels up in SETTINGS. ``signals`` is the (N, 2)
+    complex amplitude array S of the signal settings, such as
+    dial_amplitudes gives or SETTING_KETS amplitudes stacked, used as given
+    as a ket's amplitudes are. The whole row is one stacked contraction
+    over S, and that arithmetic is what its counts key on:
 
     * a mixed state has its idler projected once. Each cell's bra <s| meets
       the residual rho in np.matmul(S.conj()[:, None, :], rho), the
@@ -429,14 +432,9 @@ def coincidence_row(state, idler, signals) -> list:
     ulp.
     """
     idler = _arm_ket(idler)
-    if isinstance(signals, np.ndarray):
-        if signals.dtype != complex or signals.ndim != 2 or signals.shape[1] != 2:
-            raise ConfigError(
-                f"signal amplitudes must be (N, 2) complex, got {signals.dtype} {signals.shape}"
-            )
-        S = signals
-    else:
-        S = np.array([_arm_ket(s).amplitudes for s in signals], dtype=complex).reshape(-1, 2)
+    S = signals
+    if not isinstance(S, np.ndarray) or S.dtype != complex or S.ndim != 2 or S.shape[1] != 2:
+        raise ConfigError(f"signal amplitudes must be an (N, 2) complex array, got {S!r}")
     n = len(S)
     # one (1 x 2) @ (2 x ...) product per cell, as the per-cell chain makes it
     bras = S.conj()[:, None, :]
@@ -464,7 +462,7 @@ def oam_block(state, analyzers: dict):
     """(block, weight) left by polarization analyzers: block is the normalised
     OAM density matrix (None on a null outcome), weight the product of the
     projection probabilities. analyzers maps subsystem names to settings or
-    kets, read as coincidence_row reads them, and projects them in order."""
+    kets, read as coincidence_row reads its idler, and projects them in order."""
     weight = 1.0
     for name, setting in analyzers.items():
         state, p = project(state, _arm_ket(setting), subsystem=name)
@@ -508,7 +506,7 @@ def heralded_image(
     waist: float,
     det: DetectorModel,
     l: int,
-    key=None,
+    key,
     through: int | None = None,
 ) -> lgmodes.FieldImage:
     """Coincidence image of the signal arm conditioned on the idler.
@@ -517,8 +515,8 @@ def heralded_image(
     is spread over the pixels in proportion to the rendered intensity, and
     the accidental rate is spread flat. With det.sampled each pixel is an
     independent Poisson draw from the Philox stream ``key``, a stream_keys
-    row (None: the key of (det.seed, "heralded_image", l, "image"));
-    otherwise the expected means themselves are returned.
+    row such as analysis.witness_keys gives; otherwise the expected means
+    themselves are returned and ``key`` is unused.
 
     through, a count in [0, n*n], draws only the first ``through`` pixels
     in C order and leaves the rest at 0; those pixels get the counts a full
@@ -555,8 +553,6 @@ def heralded_image(
         return lgmodes.FieldImage(lam, extent, meta=meta)
     if lam.max(initial=0.0) > MEAN_OVERFLOW:
         raise NumericalError("per-pixel mean overflows the counter model")
-    if key is None:
-        key = stream_keys(det.seed, "heralded_image", l, "image")[0]
     gen = np.random.Generator(np.random.Philox(key=key))
     flat = lam.reshape(-1)  # a view: the counts go in the mean's buffer
     flat[:through] = gen.poisson(flat[:through])

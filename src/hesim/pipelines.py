@@ -25,16 +25,15 @@ from .analysis import (
     BELL_VISIBILITY_BOUND,
     angular_basis_scan,
     bootstrap_errors,
-    bootstrap_seeds,
     chsh,
     chsh_table,
     fit_visibility,
-    scan_keys,
     sweep_dial,
     sweep_series,
     tomography_counts,
     tomography_linear,
     witness_expectation,
+    witness_keys,
 )
 from .config import RunConfig
 from .detection import SETTINGS, oam_block
@@ -333,15 +332,14 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
     state = build_source(cfg)
     det = cfg.detector
     waist = cfg.grid.waist
+    n_boot = cfg.analysis.n_bootstrap if det.sampled and cfg.analysis.n_bootstrap >= 2 else 0
+    scans, key_none = witness_keys(det.seed, l, n_boot)
 
     scan = angular_basis_scan(
         state, l, det, grid, waist,
-        annulus=annulus, nbins=cfg.analysis.nbins, tag="scan",
+        annulus=annulus, nbins=cfg.analysis.nbins, keys=scans[0],
     )
-    key_none = detection.stream_keys(det.seed, "heralded_image", l, str(("scan", "none")))[0]
-    img_none = detection.heralded_image(
-        state, None, SETTINGS["D"], grid, waist, det, l, key=key_none
-    )
+    img_none = detection.heralded_image(state, None, SETTINGS["D"], grid, waist, det, l, key_none)
     if "pgm" in fmt:
         for basis, img in {**scan.images, "none": img_none}.items():
             lgmodes.write_pgm(img, os.path.join(outdir, f"heralded_{basis}.pgm"))
@@ -355,20 +353,16 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
 
     w_sigma = None
     boot = None
-    if det.sampled and cfg.analysis.n_bootstrap >= 2:
+    if n_boot:
 
-        # every draw's four image keys in one pass, not one pass per scan
-        seeds = bootstrap_seeds(det.seed, cfg.analysis.n_bootstrap)
-        keys = dict(zip(seeds.tolist(), scan_keys(seeds, l, "scan")))
-
-        def one(seed: int) -> dict:
+        def one(keys) -> dict:
             sc = angular_basis_scan(
                 state, l, det, grid, waist,
-                annulus=annulus, nbins=cfg.analysis.nbins, through=end, keys=keys[seed],
+                annulus=annulus, nbins=cfg.analysis.nbins, through=end, keys=keys,
             )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 
-        boot = bootstrap_errors(one, cfg.analysis.n_bootstrap, det.seed)
+        boot = bootstrap_errors(one, scans[1:])
         w_sigma = boot.sigma("W")
 
     petals = {

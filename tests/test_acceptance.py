@@ -23,6 +23,7 @@ from hesim.analysis import (
     tomography_counts,
     tomography_linear,
     witness_expectation,
+    witness_keys,
 )
 from hesim.cli import main
 from hesim.config import RunConfig
@@ -110,7 +111,7 @@ def test_criterion_3_petal_geometry():
     for l in (1, 2, 3):
         scan = angular_basis_scan(
             bell_state(l), l, replace(det, sampled=False), (256, default_extent(1.0, l)), 1.0,
-            nbins=72,
+            nbins=72, keys=witness_keys(det.seed, l)[0][0],
         )
         period = 180.0 / l
         spacing = 360.0 / (2 * l)

@@ -17,6 +17,7 @@ from hesim.analysis import (
     _witness_pairs,
     angular_basis_scan,
     bootstrap_errors,
+    bootstrap_seeds,
     chsh,
     chsh_table,
     fit_visibility,
@@ -24,6 +25,7 @@ from hesim.analysis import (
     tomography_counts,
     tomography_linear,
     witness_expectation,
+    witness_keys,
 )
 from hesim.detection import SETTINGS, DetectorModel
 from hesim.errors import NumericalError
@@ -282,7 +284,10 @@ def test_pair_visibility_does_not_depend_on_the_pair_rate():
     grid = (64, default_extent(1.0, l))
     default = expectation_detector()
     tiny = dataclasses.replace(default, pair_rate=1e-300)
-    scans = [angular_basis_scan(bell_state(l), l, det, grid, 1.0) for det in (default, tiny)]
+    keys = witness_keys(default.seed, l)[0][0]
+    scans = [
+        angular_basis_scan(bell_state(l), l, det, grid, 1.0, keys=keys) for det in (default, tiny)
+    ]
     assert scans[0].pair_vis["DA"] > 0.99 and scans[0].pair_vis["RL"] > 0.95
     for pair in ("DA", "RL"):
         assert scans[1].pair_vis[pair] == pytest.approx(scans[0].pair_vis[pair], rel=1e-9)
@@ -341,7 +346,8 @@ def test_scan_petal_shifts_follow_quarter_and_half_periods():
     det = expectation_detector()
     for l in (1, 2, 3):
         scan = angular_basis_scan(
-            bell_state(l), l, det, (256, default_extent(1.0, l)), 1.0
+            bell_state(l), l, det, (256, default_extent(1.0, l)), 1.0,
+            keys=witness_keys(det.seed, l)[0][0],
         )
         t0 = {b: math.degrees(f.theta0) for b, f in scan.fits.items()}
         period = 180.0 / l
@@ -364,8 +370,8 @@ def test_image_route_bound_over_random_product_states():
             idler = rng.normal(size=2) + 1j * rng.normal(size=2)
             sig = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = Ket(subs, np.kron(idler, sig))
-            scan = angular_basis_scan(state, l, det, grid, 1.0)
-            assert scan.W <= 1.0, l
+            keys = witness_keys(det.seed, l)[0][0]
+            assert angular_basis_scan(state, l, det, grid, 1.0, keys=keys).W <= 1.0, l
 
 
 def test_sampled_image_route_bound_over_random_product_states():
@@ -383,10 +389,12 @@ def test_sampled_image_route_bound_over_random_product_states():
 
             def witness(seed):
                 det_i = dataclasses.replace(det, seed=seed)
-                return {"W": angular_basis_scan(state, l, det_i, grid, 1.0).W}
+                keys = witness_keys(seed, l)[0][0]
+                return {"W": angular_basis_scan(state, l, det_i, grid, 1.0, keys=keys).W}
 
             w = witness(det.seed)["W"]
-            sigma = bootstrap_errors(witness, n_iter=20, seed=det.seed).sigma("W")
+            seeds = bootstrap_seeds(det.seed, 20).tolist()
+            sigma = bootstrap_errors(witness, seeds).sigma("W")
             assert w <= 1.0 + 3.0 * sigma, (l, i, w, sigma)
 
 
@@ -409,8 +417,9 @@ CUT_CASES = [(3, 256, 0.0, 0.0), (2, 129, 0.3, 50.0), (1, 96, 0.2, 0.0)]
 def test_scan_cut_at_the_annulus_end_is_bit_identical(l, n, p_white, accidental):
     state, det, grid, annulus, end = cut_case(l, n, p_white, accidental)
     assert 0 < end < n * n
+    keys = witness_keys(det.seed, l)[0][0]
     full, cut = (
-        angular_basis_scan(state, l, det, grid, 1.0, annulus=annulus, through=through)
+        angular_basis_scan(state, l, det, grid, 1.0, annulus=annulus, through=through, keys=keys)
         for through in (None, end)
     )
     assert cut.W == full.W
@@ -423,8 +432,9 @@ def test_a_cut_scan_holds_no_image():
     # a cut image is zeros past the annulus end and nothing reads it, so each
     # is dropped once profiled; a whole scan keeps its four for the PGMs
     state, det, grid, annulus, end = cut_case(*CUT_CASES[1])
+    keys = witness_keys(det.seed, 2)[0][0]
     full, cut = (
-        angular_basis_scan(state, 2, det, grid, 1.0, annulus=annulus, through=through)
+        angular_basis_scan(state, 2, det, grid, 1.0, annulus=annulus, through=through, keys=keys)
         for through in (None, end)
     )
     assert cut.images == {}
@@ -441,13 +451,15 @@ def test_a_cut_bootstrap_holds_one_image_at_a_time():
 
     def one(seed):
         det_i = dataclasses.replace(det, seed=seed)
-        sc = angular_basis_scan(state, 3, det_i, grid, 1.0, annulus=annulus, through=end)
+        keys = witness_keys(seed, 3)[0][0]
+        sc = angular_basis_scan(state, 3, det_i, grid, 1.0, annulus=annulus, through=end, keys=keys)
         return {"W": sc.W}
 
-    bootstrap_errors(one, n_iter=2, seed=det.seed)  # the render factors and kept renders
+    # warm-up: the render factors and kept renders
+    bootstrap_errors(one, bootstrap_seeds(det.seed, 2).tolist())
     tracemalloc.start()
     try:
-        bootstrap_errors(one, n_iter=4, seed=det.seed)
+        bootstrap_errors(one, bootstrap_seeds(det.seed, 4).tolist())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -461,12 +473,16 @@ def test_bootstrap_cut_at_the_annulus_end_keeps_its_samples(l, n, p_white, accid
     def pipeline(through):
         def one(seed):
             det_i = dataclasses.replace(det, seed=seed)
-            sc = angular_basis_scan(state, l, det_i, grid, 1.0, annulus=annulus, through=through)
+            keys = witness_keys(seed, l)[0][0]
+            sc = angular_basis_scan(
+                state, l, det_i, grid, 1.0, annulus=annulus, through=through, keys=keys
+            )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 
         return one
 
-    full, cut = (bootstrap_errors(pipeline(t), n_iter=4, seed=det.seed) for t in (None, end))
+    seeds = bootstrap_seeds(det.seed, 4).tolist()
+    full, cut = (bootstrap_errors(pipeline(t), seeds) for t in (None, end))
     for name, samples in full.samples.items():
         assert cut.samples[name].tobytes() == samples.tobytes(), name
 
@@ -507,24 +523,25 @@ def chsh_pipeline(pair_rate):
 def test_bootstrap_sigma_scales_with_counts():
     sigmas = {}
     for rate in (1e3, 1e4, 1e5):
-        boot = bootstrap_errors(chsh_pipeline(rate), n_iter=100, seed=9)
+        boot = bootstrap_errors(chsh_pipeline(rate), bootstrap_seeds(9, 100).tolist())
         sigmas[rate] = boot.sigma("S")
     assert sigmas[1e3] / sigmas[1e4] == pytest.approx(math.sqrt(10), rel=0.2)
     assert sigmas[1e4] / sigmas[1e5] == pytest.approx(math.sqrt(10), rel=0.2)
 
 
 def test_bootstrap_single_iteration_has_no_spread():
-    boot = bootstrap_errors(chsh_pipeline(1e4), n_iter=1, seed=0)
+    boot = bootstrap_errors(chsh_pipeline(1e4), bootstrap_seeds(0, 1).tolist())
     assert math.isnan(boot.sigma("S"))
     assert boot.mean("S") > 0
 
 
 def test_bootstrap_reproducible():
-    a = bootstrap_errors(chsh_pipeline(1e4), n_iter=12, seed=5)
-    b = bootstrap_errors(chsh_pipeline(1e4), n_iter=12, seed=5)
+    a = bootstrap_errors(chsh_pipeline(1e4), bootstrap_seeds(5, 12).tolist())
+    b = bootstrap_errors(chsh_pipeline(1e4), bootstrap_seeds(5, 12).tolist())
     assert np.array_equal(a.samples["S"], b.samples["S"])
+    assert a.n_iter == 12
     with pytest.raises(ValueError):
-        bootstrap_errors(chsh_pipeline(1e4), n_iter=0, seed=5)
+        bootstrap_errors(chsh_pipeline(1e4), [])
 
 
 # -- report ------------------------------------------------------------------------

@@ -33,6 +33,12 @@ def proj_ket(setting, name):
     return analyzer_state(setting, name=name)
 
 
+def signal_row(signals) -> np.ndarray:
+    """Signal settings or kets as the (N, 2) amplitude array coincidence_row takes."""
+    amps = [proj_ket(s, SIGNAL_POL).amplitudes for s in signals]
+    return np.array(amps, dtype=complex).reshape(-1, 2)
+
+
 def cell_prob(state, idler, signal) -> float:
     """One cell on its own: a pure state contracted from the highest axis
     down, a mixed one projected idler first, then signal."""
@@ -87,7 +93,8 @@ signals = st.one_of(
 @given(state=sources(), idler=idlers, row=st.lists(signals, min_size=1, max_size=6))
 def test_row_matches_cell_by_cell_chain(state, idler, row):
     # counts key on float(mean), so the row must give the very same bits
-    assert coincidence_row(state, idler, row) == [cell_prob(state, idler, s) for s in row]
+    cells = [cell_prob(state, idler, s) for s in row]
+    assert coincidence_row(state, idler, signal_row(row)) == cells
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -95,8 +102,8 @@ def test_row_matches_cell_by_cell_chain(state, idler, row):
 def test_idler_marginal_ignores_the_signal_basis(state, idler, chi1, chi2):
     pairs = [(chi1, chi1 + np.pi / 2), (chi2, chi2 + np.pi / 2)]
     row = coincidence_row(
-        state, idler, [linear_analyzer_ket(c, "signal") for pair in pairs for c in pair]
-        + [SETTINGS["R"], SETTINGS["L"]],
+        state, idler, signal_row([linear_analyzer_ket(c, "signal") for pair in pairs for c in pair]
+        + [SETTINGS["R"], SETTINGS["L"]]),
     )
     marginals = [row[0] + row[1], row[2] + row[3], row[4] + row[5]]
     assert max(marginals) - min(marginals) <= 1e-12
@@ -120,8 +127,7 @@ def test_a_cell_does_not_depend_on_how_many_settings_share_its_row(source, data,
     # a row of one and a row of 360 may run through different BLAS kernels
     state = data.draw(source)
     _, dial = sweep_dial(1.0)
-    tail = np.array([proj_ket(s, SIGNAL_POL).amplitudes for s in extra], dtype=complex)
-    row = np.concatenate([dial, tail.reshape(-1, 2)])
+    row = np.concatenate([dial, signal_row(extra)])
     assert coincidence_row(state, idler, row) == [
         coincidence_row(state, idler, row[k : k + 1])[0] for k in range(len(row))
     ]
@@ -133,7 +139,8 @@ def test_a_cell_does_not_depend_on_how_many_settings_share_its_row(source, data,
 def test_a_stacked_dial_row_is_its_ket_row(source, data, idler, dial):
     state = data.draw(source)
     stacked = coincidence_row(state, idler, dial_amplitudes(dial, "signal"))
-    kets = coincidence_row(state, idler, [linear_analyzer_ket(a, "signal") for a in dial])
+    ket_row = signal_row([linear_analyzer_ket(a, "signal") for a in dial])
+    kets = coincidence_row(state, idler, ket_row)
     assert len(stacked) == len(dial)
     assert np.array(stacked).view(np.uint64).tolist() == np.array(kets).view(np.uint64).tolist()
 

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from hesim.analysis import CHSH_SETTINGS_DEG, angular_basis_scan, scan_keys, sweep_dial
+from hesim.analysis import (
+    CHSH_SETTINGS_DEG,
+    SCAN_BASES,
+    angular_basis_scan,
+    bootstrap_errors,
+    bootstrap_seeds,
+    sweep_dial,
+    witness_keys,
+)
 from hesim.detection import (
     SETTING_KETS,
     SETTINGS,
@@ -157,12 +165,17 @@ def test_dial_amplitudes_shape_and_refusals():
         coincidence_row(bell_state(), SETTINGS["H"], amp.real)
 
 
+def signal_row(settings) -> np.ndarray:
+    """The (N, 2) signal amplitudes of settings or kets, stacked as coincidence_row takes them."""
+    return np.array([_arm_ket(s).amplitudes for s in settings], dtype=complex).reshape(-1, 2)
+
+
 def test_coincidence_table_against_kron_oracle():
     state = bell_state()
     bell = np.zeros(4, dtype=complex)
     bell[0], bell[3] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     for a, va in POL.items():
-        row = coincidence_row(state, SETTINGS[a], [SETTINGS[b] for b in POL])
+        row = coincidence_row(state, SETTINGS[a], signal_row([SETTINGS[b] for b in POL]))
         for (b, vb), got in zip(POL.items(), row):
             expected = abs(np.vdot(np.kron(va, vb), bell)) ** 2
             assert got == pytest.approx(expected, abs=1e-10), (a, b)
@@ -170,23 +183,26 @@ def test_coincidence_table_against_kron_oracle():
 
 def test_coincidence_spot_values():
     state = bell_state()
-    assert coincidence_row(state, SETTINGS["H"], [SETTINGS["H"]]) == [pytest.approx(0.5, abs=1e-12)]
-    assert coincidence_row(state, SETTINGS["D"], [SETTINGS["D"], SETTINGS["A"]]) == [
+    assert coincidence_row(state, SETTINGS["H"], signal_row([SETTINGS["H"]])) == [
+        pytest.approx(0.5, abs=1e-12)
+    ]
+    assert coincidence_row(state, SETTINGS["D"], signal_row([SETTINGS["D"], SETTINGS["A"]])) == [
         pytest.approx(0.0, abs=1e-12),
         pytest.approx(0.5, abs=1e-12),
     ]
-    assert coincidence_row(state, SETTINGS["H"], []) == []
+    assert coincidence_row(state, SETTINGS["H"], signal_row([])) == []
     with pytest.raises(ConfigError):  # labels are looked up in SETTINGS by the caller
-        coincidence_row(state, "H", ["H"])
+        coincidence_row(state, "H", signal_row([SETTINGS["H"]]))
+    with pytest.raises(ConfigError):  # signals are one amplitude array, not a list of settings
+        coincidence_row(state, SETTINGS["H"], [SETTINGS["H"]])
 
 
 def test_werner_correlation_visibility_is_one_minus_p():
     for p in (0.0, 0.1, 0.31):
         rho = apply_noise(down_convert(pump_state(3, alphabet=OAM3)), p)
         idler = pol_ket("V", name="idler")
-        probs = coincidence_row(
-            rho, idler, [linear_analyzer_ket(np.radians(x), "signal") for x in np.arange(0, 180, 7.5)]
-        )
+        signals = [linear_analyzer_ket(np.radians(x), "signal") for x in np.arange(0, 180, 7.5)]
+        probs = coincidence_row(rho, idler, signal_row(signals))
         vis = (max(probs) - min(probs)) / (max(probs) + min(probs))
         assert vis == pytest.approx(1.0 - p, abs=1e-10)
 
@@ -197,7 +213,9 @@ def test_no_signaling_idler_marginal():
     for chi in np.radians(np.arange(0, 180, 12.5)):
         total = sum(
             coincidence_row(
-                rho, SETTINGS["D"], [linear_analyzer_ket(c, "signal") for c in (chi, chi + np.pi / 2)]
+                rho,
+                SETTINGS["D"],
+                signal_row([linear_analyzer_ket(c, "signal") for c in (chi, chi + np.pi / 2)]),
             )
         )
         base = total if base is None else base
@@ -392,7 +410,8 @@ def test_heralded_none_image_is_uniform():
     )
     state = down_convert(pump_state(1, alphabet=OAM3))
     grid = (256, default_extent(1.0, 1))
-    img_s = heralded_image(state, None, SETTINGS["D"], grid, 1.0, det, 1)
+    key = stream_keys(0, "heralded_image", 1, "image")[0]
+    img_s = heralded_image(state, None, SETTINGS["D"], grid, 1.0, det, 1, key)
     fit_s = petal_fit(angular_profile(img_s, 72, default_annulus(1.0, 1)), 1)
     assert fit_s.V < 0.02
 
@@ -415,7 +434,7 @@ def test_heralded_empty_image_flag():
     state = down_convert(pump_state(1, alpha=1.0, alphabet=OAM3))
     grid = (256, default_extent(1.0, 1))
     img = heralded_image(
-        state, SETTINGS["H"], SETTINGS["D"], grid, 1.0, make_detector(sampled=False), 1
+        state, SETTINGS["H"], SETTINGS["D"], grid, 1.0, make_detector(sampled=False), 1, None
     )
     assert img.meta["joint_probability"] == 0.0
     assert not img.pixels.any()
@@ -430,7 +449,7 @@ def test_expected_image_keeps_the_flat_then_add_bits():
         det = DetectorModel(accidental_rate=acc, seed=3, sampled=False)
         for idler in (None, "R", "A"):
             setting = None if idler is None else SETTINGS[idler]
-            img = heralded_image(state, setting, SETTINGS["D"], grid, 1.0, det, 2)
+            img = heralded_image(state, setting, SETTINGS["D"], grid, 1.0, det, 2, None)
             block, weight = conditional_oam(state, setting, SETTINGS["D"])
             intensity = render_from_density(block, OAM3, grid, 1.0)
             expected_pairs = det.pair_rate * det.scale(2) * det.integration_time * weight
@@ -460,6 +479,11 @@ def oracle_stream(seed, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(former_seed_sequence(seed, tags)))
 
 
+def oracle_key(seed, *tags) -> list:
+    """The Philox key numpy's SeedSequence makes of a seed and tags, as a list."""
+    return former_seed_sequence(seed, tags).generate_state(2, np.uint64).tolist()
+
+
 def test_random_streams_follow_the_determinism_contract():
     # counts key on (seed, "counts", l, mean, tag)
     det = make_detector(seed=9)
@@ -473,18 +497,21 @@ def test_random_streams_follow_the_determinism_contract():
     assert all(lam.tobytes() == lams[0].tobytes() for lam in lams)
     drawn = oracle_stream(9, "heralded_image", 2, "7").poisson(lams[0]).astype(float)
     assert heralded(2, "R", sampled=True, seed=9, tag="7").pixels.tobytes() == drawn.tobytes()
-    # a scan keys the image of each basis on (seed, "heralded_image", l, str((tag, basis)))
+    # a scan draws the image of each basis from the key it is given
     state = down_convert(pump_state(2, alphabet=OAM3))
     grid = (32, default_extent(1.0, 2))
-    scan = angular_basis_scan(state, 2, det, grid, 1.0, nbins=16, tag="s")
+    keys = stream_keys(9, "heralded_image", 2, np.array([str(("s", b)) for b in SCAN_BASES]))
+    scan = angular_basis_scan(state, 2, det, grid, 1.0, nbins=16, keys=keys)
     for basis, img in scan.images.items():
         setting = SETTINGS[basis]
-        lam = heralded_image(state, setting, SETTINGS["D"], grid, 1.0, make_detector(9, False), 2)
+        unsampled = make_detector(9, False)
+        lam = heralded_image(state, setting, SETTINGS["D"], grid, 1.0, unsampled, 2, None)
         drawn = oracle_stream(9, "heralded_image", 2, f"('s', '{basis}')").poisson(lam.pixels)
         assert img.pixels.tobytes() == drawn.astype(float).tobytes(), basis
-    # a batch of scans, one seed each, keys every scan as it keys itself
-    seeds = np.array([9, 2**40 + 7, 2**64 - 1], dtype=np.uint64)
-    assert scan_keys(seeds, 2, "s").tolist() == [scan_keys(int(s), 2, "s")[0].tolist() for s in seeds]
+    # a witness run keys its images on (scan seed, "heralded_image", l, str(("scan", basis)))
+    scans, none = witness_keys(9, 2)
+    for basis, key in zip((*SCAN_BASES, "none"), (*scans[0], none)):
+        assert key.tolist() == oracle_key(9, "heralded_image", 2, str(("scan", basis))), basis
 
 
 def test_heralded_image_through_draws_a_prefix():
@@ -495,7 +522,8 @@ def test_heralded_image_through_draws_a_prefix():
 
         def image(through, sampled=True):
             det = DetectorModel(accidental_rate=acc, seed=11, sampled=sampled)
-            return heralded_image(state, SETTINGS["R"], SETTINGS["D"], grid, 1.0, det, 2, through=through)
+            key = stream_keys(11, "heralded_image", 2, "image")[0]
+            return heralded_image(state, SETTINGS["R"], SETTINGS["D"], grid, 1.0, det, 2, key, through)
 
         full = image(None)
         assert image(n * n).pixels.tobytes() == full.pixels.tobytes()
@@ -598,6 +626,29 @@ def test_stream_keys_are_pinned():
     assert stream_keys(-5, 2.5, "a", -0.0)[0, 0] == 1623809198250117318
 
 
+@pytest.mark.parametrize("n_bootstrap", [0, 1, 25])
+@pytest.mark.parametrize("seed", [0, 2**53 + 1, 2**63, 2**64 - 1])
+def test_witness_keys_match_the_former_seed_sequence(seed, n_bootstrap):
+    # one pass keys every image of a witness run: the first scan and the
+    # unanalyzed image on the seed, bootstrap scan i on bootstrap seed i.
+    # 2**53 + 1 is the first seed a float64 seed column would round
+    seeds = bootstrap_seeds(seed, n_bootstrap).tolist()
+    assert seeds == [oracle_key(seed, "bootstrap", i)[0] for i in range(n_bootstrap)]
+    for l in (1, 3):
+        scans, none = witness_keys(seed, l, n_bootstrap)
+        assert scans.dtype == np.uint64 and scans.shape == (1 + n_bootstrap, 4, 2)
+        for row, s in zip(scans, [seed, *seeds]):
+            tags = [str(("scan", b)) for b in SCAN_BASES]
+            assert row.tolist() == [oracle_key(s, "heralded_image", l, t) for t in tags]
+        assert none.tolist() == oracle_key(seed, "heralded_image", l, str(("scan", "none")))
+        # a bootstrap scan keys as the first scan of a run on its own seed
+        for i, s in enumerate(seeds):
+            assert scans[i + 1].tolist() == witness_keys(s, l)[0][0].tolist()
+    if n_bootstrap == 0:  # a run without bootstrap rows has nothing to bootstrap
+        with pytest.raises(ValueError):
+            bootstrap_errors(lambda keys: {"W": 1.0}, scans[1:])
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(-(2**70), 2**70)),
@@ -660,7 +711,7 @@ def test_heralded_images_do_not_signal(l, phi, alpha, p_white, space):
 
     def image(idler, signal):
         idler = None if idler is None else SETTINGS[idler]
-        return heralded_image(state, idler, SETTINGS[signal], grid, 1.0, det, l).pixels
+        return heralded_image(state, idler, SETTINGS[signal], grid, 1.0, det, l, None).pixels
 
     def assert_same(images, reference):
         for img in images:

@@ -23,7 +23,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hesim.analysis import angular_basis_scan, witness_expectation
+from hesim.analysis import angular_basis_scan, witness_expectation, witness_keys
 from hesim.config import RunConfig
 from hesim.detection import DetectorModel
 from hesim.lgmodes import default_annulus, default_extent
@@ -44,7 +44,7 @@ def image_route_residuals(l, phi, alpha, p_white, space, nbins, n):
     grid = (n, default_extent(1.0, l))
     scan = angular_basis_scan(
         state, l, DetectorModel(sampled=False), grid, 1.0,
-        annulus=default_annulus(1.0, l), nbins=nbins,
+        annulus=default_annulus(1.0, l), nbins=nbins, keys=witness_keys(0, l)[0][0],
     )
     born = witness_expectation(state, l)
     x = 2.0 * l * math.pi / nbins

@@ -202,7 +202,8 @@ def test_noise_strength_sets_sweep_visibility():
     rho = apply_noise(down_convert(pump_state(3, alphabet=OAM3)), p)
     idler = pol_ket("V", name="idler")
     angles = np.radians(np.arange(0, 360, 15.0))
-    probs = coincidence_row(rho, idler, [linear_analyzer_ket(a, "signal") for a in angles])
+    signals = np.array([linear_analyzer_ket(a, "signal").amplitudes for a in angles])
+    probs = coincidence_row(rho, idler, signals)
     vis = (max(probs) - min(probs)) / (max(probs) + min(probs))
     assert vis == pytest.approx(1.0 - p, abs=1e-10)
 
