@@ -319,26 +319,24 @@ def angular_basis_scan(
     det: DetectorModel,
     grid,
     waist: float,
-    annulus=None,
-    nbins: int = 72,
-    through: int | None = None,
     *,
+    annulus,
+    nbins: int,
     keys,
+    through: int | None = None,
 ) -> AngularScan:
     """Heralded image -> angular profile -> petal fit, per idler basis.
 
     The idler is analyzed in A, D, R and L; the signal always in D. The
     images draw from ``keys``, the (4, 2) SCAN_BASES keys of one scan (a
-    witness_keys row). Each image is profiled as soon as it is drawn, and
-    the four histograms are fitted in one petal_fit batch. through is
-    passed to each heralded_image. At lgmodes.annulus_end of the grid and annulus, each
-    image is drawn only up to the last pixel the profiles read, and every
-    histogram, fit and W is the one a full draw gives. Such a cut image is
-    zeros past the annulus end, so a scan with through keeps no image
-    (images is empty); a scan without keeps its four.
+    witness_keys row). Each image is profiled in nbins bins over annulus as
+    soon as it is drawn, and the four histograms are fitted in one petal_fit
+    batch. through is passed to each heralded_image. At lgmodes.annulus_end
+    of the grid and annulus, each image is drawn only up to the last pixel
+    the profiles read, and every histogram, fit and W is the one a full draw
+    gives. Such a cut image is zeros past the annulus end, so a scan with
+    through keeps no image (images is empty); a scan without keeps its four.
     """
-    if annulus is None:
-        annulus = lgmodes.default_annulus(waist, l)
     hists, images = {}, {}
     for basis, key in zip(SCAN_BASES, keys):
         img = detection.heralded_image(

@@ -93,8 +93,9 @@ class AnalysisConfig:
         self.chsh_settings = tuple(number(x, "analysis.chsh_settings") for x in self.chsh_settings)
         if len(self.chsh_settings) != 4:
             raise ConfigError("analysis.chsh_settings needs exactly 4 angles")
+        # one draw has no spread, so a bootstrap takes two or more
         self.n_bootstrap = number(
-            self.n_bootstrap, "analysis.n_bootstrap", 1, MAX_BOOTSTRAP, integer=True
+            self.n_bootstrap, "analysis.n_bootstrap", 2, MAX_BOOTSTRAP, integer=True
         )
         # 8 to MAX_SWEEP_POINTS sweep points; kept as given, the report echoes it
         finest, coarsest = 360.0 / MAX_SWEEP_POINTS, 360.0 / 7

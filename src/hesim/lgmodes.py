@@ -67,6 +67,10 @@ class LGMode:
             raise ValueError("waist must be positive")
 
 
+# the largest |l| whose LG normalisation sqrt(2 / (pi |l|!)) a float holds
+MAX_CHARGE = next(l for l in range(1 << 16) if math.factorial(l + 1) > math.nextafter(math.inf, 0))
+
+
 def _envelope(r, l: int, waist: float) -> np.ndarray:
     """The real radial envelope of charge l, shared by +l and -l."""
     r = np.asarray(r, dtype=float)
@@ -221,6 +225,10 @@ def pair_terms(block: np.ndarray, alphabet) -> dict:
 
 
 MAX_KEPT_RENDERS = 8  # per held stack: kept intensities, and blocks tracked as rendered once
+# bytes a render holds per pixel, at most: the alphabet's factors (two rings and
+# a cos/sin pair at l = 0), 32 B; its result, a fringe and the sin row's product
+# it adds, 24 B, budgeted at 32 B; MAX_KEPT_RENDERS kept intensities, 8 B each
+RENDER_BYTES_PER_PIXEL = 32 + 32 + 8 * MAX_KEPT_RENDERS
 
 
 @dataclass

@@ -39,37 +39,9 @@ from .config import RunConfig
 from .detection import SETTINGS, oam_block
 from .errors import ConfigError
 from .jones import pump_state
+from .lgmodes import MAX_CHARGE, RENDER_BYTES_PER_PIXEL
 from .quantum import Ket, fidelity, oam_subsystem, partial_trace, pol_ket, project
 from .spdc import apply_noise, down_convert
-
-
-def _grid(cfg: RunConfig, l: int):
-    """(n, extent) of the render grid; refuses a charge whose LG field overflows on it."""
-    n, extent = cfg.grid.n, cfg.grid.extent
-    if extent is None:
-        extent = lgmodes.default_extent(cfg.grid.waist, max(abs(l), 1))
-    if not lgmodes.finite_on_grid(l, n, extent, cfg.grid.waist):
-        raise ConfigError(f"pump.l={l} overflows the LG amplitude at the corners of the {n}x{n} grid")
-    return (n, extent)
-
-
-def _annulus(cfg: RunConfig, l: int, grid) -> tuple:
-    """(annulus, end): the petal-analysis annulus for charge l, checked
-    against the bins and the grid, and its lgmodes.annulus_end on the grid."""
-    if cfg.analysis.nbins <= 4 * l:
-        raise ConfigError(
-            f"analysis.nbins={cfg.analysis.nbins} must exceed 4*l={4 * l} "
-            f"to resolve {2 * l} petals"
-        )
-    annulus = cfg.analysis.annulus or lgmodes.default_annulus(cfg.grid.waist, l)
-    n, extent = grid
-    end = lgmodes.annulus_end(n, extent, annulus)
-    if not end:
-        raise ConfigError(
-            f"analysis annulus {annulus} holds no pixel center of the "
-            f"{n}x{n} grid of extent {extent:g}"
-        )
-    return annulus, end
 
 
 def _alphabet(l: int) -> tuple:
@@ -86,30 +58,44 @@ def _pump(cfg: RunConfig, l: int):
     return pump_state(l, cfg.pump.phi, cfg.pump.alpha, alphabet=_alphabet(l))
 
 
-MODE_STACK_BUDGET = 2 * 1024**3  # bytes one render may hold
-# the largest |l| whose LG normalisation sqrt(2 / (pi |l|!)) a float holds
-MAX_CHARGE = next(l for l in range(1 << 16) if math.factorial(l + 1) > math.nextafter(math.inf, 0))
-RENDER_BYTES_PER_PIXEL = 32 + 32 + 8 * lgmodes.MAX_KEPT_RENDERS
+RENDER_BUDGET = 2 * 1024**3  # bytes one render may hold: n <= 4,096 at 128 B per pixel
 
 
-def _check_stack_memory(cfg: RunConfig, l: int) -> None:
-    """Refuse a charge over MAX_CHARGE, or a render over MODE_STACK_BUDGET.
+def _render_plan(cfg: RunConfig, l: int) -> tuple:
+    """(grid, annulus, end) of an image bench at charge l, or a ConfigError.
 
-    Per pixel, a render holds at most: the factors of the source alphabet,
-    at most two rings and one cos/sin pair (the l = 0 register; one ring
-    fewer at l != 0), 32 B; its result, a fringe and the sin row's product
-    the fringe adds, 24 B, budgeted at 32 B; and up to
-    lgmodes.MAX_KEPT_RENDERS kept intensities, 8 B each. That bounds it by
-    128 B at any l, so n <= 4,096.
+    Rules, in order: a charge over MAX_CHARGE, a render over RENDER_BUDGET, an
+    LG field that overflows at the grid's corners, and at l >= 1 too few bins
+    for 2l petals, then an annulus with no pixel center. grid is (n, extent),
+    end the annulus's lgmodes.annulus_end on it; None and 0 at l = 0.
     """
     if abs(l) > MAX_CHARGE:
         raise ConfigError(f"pump.l={l} is over {MAX_CHARGE}: its LG normalisation overflows a float")
-    need = RENDER_BYTES_PER_PIXEL * cfg.grid.n**2
-    if need > MODE_STACK_BUDGET:
+    n, extent = cfg.grid.n, cfg.grid.extent
+    need = RENDER_BYTES_PER_PIXEL * n**2
+    if need > RENDER_BUDGET:
         raise ConfigError(
-            f"grid.n={cfg.grid.n} needs {need:,} bytes to render "
-            f"({RENDER_BYTES_PER_PIXEL} bytes per pixel), over the cap of {MODE_STACK_BUDGET:,}"
+            f"grid.n={n} needs {need:,} bytes to render "
+            f"({RENDER_BYTES_PER_PIXEL} bytes per pixel), over the cap of {RENDER_BUDGET:,}"
         )
+    if extent is None:
+        extent = lgmodes.default_extent(cfg.grid.waist, max(abs(l), 1))
+    if not lgmodes.finite_on_grid(l, n, extent, cfg.grid.waist):
+        raise ConfigError(f"pump.l={l} overflows the LG amplitude at the corners of the {n}x{n} grid")
+    if l < 1:
+        return (n, extent), None, 0
+    if cfg.analysis.nbins <= 4 * l:
+        raise ConfigError(
+            f"analysis.nbins={cfg.analysis.nbins} must exceed 4*l={4 * l} to resolve {2 * l} petals"
+        )
+    annulus = cfg.analysis.annulus or lgmodes.default_annulus(cfg.grid.waist, l)
+    end = lgmodes.annulus_end(n, extent, annulus)
+    if not end:
+        raise ConfigError(
+            f"analysis annulus {annulus} holds no pixel center of the "
+            f"{n}x{n} grid of extent {extent:g}"
+        )
+    return (n, extent), annulus, end
 
 
 def build_source(cfg: RunConfig, l: int | None = None):
@@ -195,9 +181,7 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     """
     fmt = output_formats(formats, {"pgm", "json"})
     l = cfg.pump.l
-    _check_stack_memory(cfg, l)
-    grid = _grid(cfg, l)
-    annulus = _annulus(cfg, l, grid)[0] if l >= 1 else None
+    grid, annulus, _ = _render_plan(cfg, l)
     os.makedirs(outdir, exist_ok=True)
     pump = _pump(cfg, l)
     waist = cfg.grid.waist
@@ -324,15 +308,13 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
     l = cfg.pump.l
     if l < 1:
         raise ConfigError("hybrid witness needs a pump charge l >= 1")
-    _check_stack_memory(cfg, l)
-    grid = _grid(cfg, l)
-    annulus, end = _annulus(cfg, l, grid)
+    grid, annulus, end = _render_plan(cfg, l)
     cfg.detector.scale(l)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg)
     det = cfg.detector
     waist = cfg.grid.waist
-    n_boot = cfg.analysis.n_bootstrap if det.sampled and cfg.analysis.n_bootstrap >= 2 else 0
+    n_boot = cfg.analysis.n_bootstrap if det.sampled else 0
     scans, key_none = witness_keys(det.seed, l, n_boot)
 
     scan = angular_basis_scan(

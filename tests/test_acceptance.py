@@ -29,7 +29,7 @@ from hesim.cli import main
 from hesim.config import RunConfig
 from hesim.detection import SETTINGS, DetectorModel
 from hesim.jones import pump_state
-from hesim.lgmodes import angular_maxima, default_extent
+from hesim.lgmodes import angular_maxima, default_annulus, default_extent
 from hesim.pipelines import run_hybrid_witness
 from hesim.quantum import (
     DensityMatrix,
@@ -111,7 +111,7 @@ def test_criterion_3_petal_geometry():
     for l in (1, 2, 3):
         scan = angular_basis_scan(
             bell_state(l), l, replace(det, sampled=False), (256, default_extent(1.0, l)), 1.0,
-            nbins=72, keys=witness_keys(det.seed, l)[0][0],
+            annulus=default_annulus(1.0, l), nbins=72, keys=witness_keys(det.seed, l)[0][0],
         )
         period = 180.0 / l
         spacing = 360.0 / (2 * l)

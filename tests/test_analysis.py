@@ -286,7 +286,10 @@ def test_pair_visibility_does_not_depend_on_the_pair_rate():
     tiny = dataclasses.replace(default, pair_rate=1e-300)
     keys = witness_keys(default.seed, l)[0][0]
     scans = [
-        angular_basis_scan(bell_state(l), l, det, grid, 1.0, keys=keys) for det in (default, tiny)
+        angular_basis_scan(
+            bell_state(l), l, det, grid, 1.0, annulus=default_annulus(1.0, l), nbins=72, keys=keys
+        )
+        for det in (default, tiny)
     ]
     assert scans[0].pair_vis["DA"] > 0.99 and scans[0].pair_vis["RL"] > 0.95
     for pair in ("DA", "RL"):
@@ -347,7 +350,7 @@ def test_scan_petal_shifts_follow_quarter_and_half_periods():
     for l in (1, 2, 3):
         scan = angular_basis_scan(
             bell_state(l), l, det, (256, default_extent(1.0, l)), 1.0,
-            keys=witness_keys(det.seed, l)[0][0],
+            annulus=default_annulus(1.0, l), nbins=72, keys=witness_keys(det.seed, l)[0][0],
         )
         t0 = {b: math.degrees(f.theta0) for b, f in scan.fits.items()}
         period = 180.0 / l
@@ -366,12 +369,16 @@ def test_image_route_bound_over_random_product_states():
     for l in (1, 2, 3):
         subs = TWO_QUBIT_SUBS + (oam_subsystem((-l, l), name="signal_oam"),)
         grid = (128, default_extent(1.0, l))
+        annulus = default_annulus(1.0, l)
         for _ in range(60):
             idler = rng.normal(size=2) + 1j * rng.normal(size=2)
             sig = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = Ket(subs, np.kron(idler, sig))
             keys = witness_keys(det.seed, l)[0][0]
-            assert angular_basis_scan(state, l, det, grid, 1.0, keys=keys).W <= 1.0, l
+            scan = angular_basis_scan(
+                state, l, det, grid, 1.0, annulus=annulus, nbins=72, keys=keys
+            )
+            assert scan.W <= 1.0, l
 
 
 def test_sampled_image_route_bound_over_random_product_states():
@@ -382,6 +389,7 @@ def test_sampled_image_route_bound_over_random_product_states():
     for l in (1, 2, 3):
         subs = TWO_QUBIT_SUBS + (oam_subsystem((-l, l), name="signal_oam"),)
         grid = (128, default_extent(1.0, l))
+        annulus = default_annulus(1.0, l)
         for i in range(10):
             idler = rng.normal(size=2) + 1j * rng.normal(size=2)
             sig = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -390,7 +398,10 @@ def test_sampled_image_route_bound_over_random_product_states():
             def witness(seed):
                 det_i = dataclasses.replace(det, seed=seed)
                 keys = witness_keys(seed, l)[0][0]
-                return {"W": angular_basis_scan(state, l, det_i, grid, 1.0, keys=keys).W}
+                scan = angular_basis_scan(
+                    state, l, det_i, grid, 1.0, annulus=annulus, nbins=72, keys=keys
+                )
+                return {"W": scan.W}
 
             w = witness(det.seed)["W"]
             seeds = bootstrap_seeds(det.seed, 20).tolist()
@@ -419,7 +430,9 @@ def test_scan_cut_at_the_annulus_end_is_bit_identical(l, n, p_white, accidental)
     assert 0 < end < n * n
     keys = witness_keys(det.seed, l)[0][0]
     full, cut = (
-        angular_basis_scan(state, l, det, grid, 1.0, annulus=annulus, through=through, keys=keys)
+        angular_basis_scan(
+            state, l, det, grid, 1.0, annulus=annulus, nbins=72, through=through, keys=keys
+        )
         for through in (None, end)
     )
     assert cut.W == full.W
@@ -434,7 +447,9 @@ def test_a_cut_scan_holds_no_image():
     state, det, grid, annulus, end = cut_case(*CUT_CASES[1])
     keys = witness_keys(det.seed, 2)[0][0]
     full, cut = (
-        angular_basis_scan(state, 2, det, grid, 1.0, annulus=annulus, through=through, keys=keys)
+        angular_basis_scan(
+            state, 2, det, grid, 1.0, annulus=annulus, nbins=72, through=through, keys=keys
+        )
         for through in (None, end)
     )
     assert cut.images == {}
@@ -452,7 +467,9 @@ def test_a_cut_bootstrap_holds_one_image_at_a_time():
     def one(seed):
         det_i = dataclasses.replace(det, seed=seed)
         keys = witness_keys(seed, 3)[0][0]
-        sc = angular_basis_scan(state, 3, det_i, grid, 1.0, annulus=annulus, through=end, keys=keys)
+        sc = angular_basis_scan(
+            state, 3, det_i, grid, 1.0, annulus=annulus, nbins=72, through=end, keys=keys
+        )
         return {"W": sc.W}
 
     # warm-up: the render factors and kept renders
@@ -475,7 +492,7 @@ def test_bootstrap_cut_at_the_annulus_end_keeps_its_samples(l, n, p_white, accid
             det_i = dataclasses.replace(det, seed=seed)
             keys = witness_keys(seed, l)[0][0]
             sc = angular_basis_scan(
-                state, l, det_i, grid, 1.0, annulus=annulus, through=through, keys=keys
+                state, l, det_i, grid, 1.0, annulus=annulus, nbins=72, through=through, keys=keys
             )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 

@@ -13,7 +13,7 @@ from hesim import lgmodes, pipelines
 from hesim.cli import COMMANDS, build_parser, main
 from hesim.config import MAX_BOOTSTRAP, MAX_SWEEP_POINTS, RunConfig
 from hesim.errors import ConfigError
-from hesim.pipelines import _check_stack_memory
+from hesim.pipelines import _render_plan
 
 
 # -- config ------------------------------------------------------------------------
@@ -93,6 +93,8 @@ def test_unknown_keys_rejected_at_both_levels():
         {"analysis": {"nbins": 10**10}},
         # bootstrap draws past the cap: their seeds are keyed in one pass
         {"analysis": {"n_bootstrap": MAX_BOOTSTRAP + 1}},
+        # one bootstrap draw has no spread
+        {"analysis": {"n_bootstrap": 1}},
     ],
 )
 def test_bad_values_rejected(patch):
@@ -341,6 +343,10 @@ def test_cli_bad_config_exits_2(tmp_path):
             ["hybrid-witness"],
             id="bootstrap-witness",
         ),
+        # a one-draw bootstrap once ran to sigma null and no bootstrap block
+        pytest.param(
+            {"analysis": {"n_bootstrap": 1}}, ["hybrid-witness"], id="bootstrap-one-witness"
+        ),
     ],
 )
 def test_cli_rejects_before_writing(tmp_path, config, argv):
@@ -349,6 +355,59 @@ def test_cli_rejects_before_writing(tmp_path, config, argv):
     out = tmp_path / "never"
     assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# the rules of pipelines._render_plan, in the order it applies them
+PLAN_RULES = (
+    "LG normalisation overflows",
+    "bytes to render",
+    "at the corners",
+    "must exceed 4*l",
+    "holds no pixel center",
+)
+
+
+@pytest.mark.parametrize("bench", ["pump-gallery", "hybrid-witness"])
+@pytest.mark.parametrize(
+    "rule, both, mended",
+    [
+        # 171! overflows; 128 B x 5000^2 is over 2 GiB
+        pytest.param(
+            0, ({"grid": {"n": 5000}}, 171), ({"grid": {"n": 5000}}, 170), id="charge-memory"
+        ),
+        # 128 B x 4097^2 is over 2 GiB; l = 166 overflows at the frame's corners
+        pytest.param(
+            1, ({"grid": {"n": 4097}}, 166), ({"grid": {"n": 4096}}, 166), id="memory-corners"
+        ),
+        # a frame whose corners sit closer in holds l = 166, but 72 bins
+        # cannot resolve its 332 petals
+        pytest.param(
+            2,
+            ({"grid": {"n": 64}, "analysis": {"nbins": 72}}, 166),
+            ({"grid": {"n": 64, "extent": 20.0}, "analysis": {"nbins": 72}}, 166),
+            id="corners-bins",
+        ),
+        pytest.param(
+            3,
+            ({"analysis": {"nbins": 8, "annulus": [50, 60]}}, 3),
+            ({"analysis": {"nbins": 72, "annulus": [50, 60]}}, 3),
+            id="bins-annulus",
+        ),
+    ],
+)
+def test_render_plan_names_the_earlier_of_two_broken_rules(
+    tmp_path, capsys, bench, rule, both, mended
+):
+    # each config breaks two neighbouring rules; with the earlier one mended,
+    # the later one is named
+    for (config, l), named in ((both, rule), (mended, rule + 1)):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "never"
+        assert main([bench, "--l", str(l), "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert [text in err for text in PLAN_RULES] == [k == named for k in range(5)], err
 
 
 # every stream keys on the seed modulo 2**64, so a seed outside 64 bits once
@@ -415,35 +474,37 @@ def test_render_memory_budget_boundary():
     # row's product it adds (three used), and the kept intensities: 128 B per
     # pixel at any l, so 2 GiB allows n = 4096
     per_pixel = 4 * 8 + 4 * 8 + 8 * lgmodes.MAX_KEPT_RENDERS
-    assert per_pixel == pipelines.RENDER_BYTES_PER_PIXEL == 128
+    assert per_pixel == lgmodes.RENDER_BYTES_PER_PIXEL == 128
     for l in (0, 3):
-        _check_stack_memory(RunConfig.from_dict({"grid": {"n": 4096}}), l)
+        _render_plan(RunConfig.from_dict({"grid": {"n": 4096}}), l)
         with pytest.raises(ConfigError) as exc:
-            _check_stack_memory(RunConfig.from_dict({"grid": {"n": 4097}}), l)
+            _render_plan(RunConfig.from_dict({"grid": {"n": 4097}}), l)
         assert needed_bytes(exc.value) == per_pixel * 4097**2
 
 
 def test_charge_bound_is_where_the_lg_normalisation_overflows():
-    top = pipelines.MAX_CHARGE
+    top = lgmodes.MAX_CHARGE
     assert np.isfinite(lgmodes.lg_amplitude(1.0, 0.0, lgmodes.LGMode(top)))
     with pytest.raises(OverflowError):
         lgmodes.lg_amplitude(1.0, 0.0, lgmodes.LGMode(top + 1))
-    cfg = RunConfig.from_dict({})
-    _check_stack_memory(cfg, top)
+    # a frame whose corners sit close enough in, with bins for 2 * top petals
+    cfg = RunConfig.from_dict({"grid": {"n": 64, "extent": 20.0}, "analysis": {"nbins": 1000}})
+    _render_plan(cfg, top)
     with pytest.raises(ConfigError, match="normalisation"):
-        _check_stack_memory(cfg, top + 1)
+        _render_plan(cfg, top + 1)
 
 
 def test_charge_bound_at_the_frame_corner():
+    # 1000 bins resolve the petals of every charge up to MAX_CHARGE
     for n in (64, 256):
-        cfg = RunConfig.from_dict({"grid": {"n": n}})
-        assert pipelines._grid(cfg, 165)[0] == n
-        for l in range(166, pipelines.MAX_CHARGE + 1):
+        cfg = RunConfig.from_dict({"grid": {"n": n}, "analysis": {"nbins": 1000}})
+        assert _render_plan(cfg, 165)[0][0] == n
+        for l in range(166, lgmodes.MAX_CHARGE + 1):
             with pytest.raises(ConfigError, match="corners"):
-                pipelines._grid(cfg, l)
+                _render_plan(cfg, l)
     # a frame whose corners sit closer in holds the highest charge
-    small = RunConfig.from_dict({"grid": {"n": 64, "extent": 20.0}})
-    assert pipelines._grid(small, pipelines.MAX_CHARGE) == (64, 20.0)
+    small = RunConfig.from_dict({"grid": {"n": 64, "extent": 20.0}, "analysis": {"nbins": 1000}})
+    assert _render_plan(small, lgmodes.MAX_CHARGE)[0] == (64, 20.0)
 
 
 def render_peaks(l: int, n: int = 256) -> tuple:
@@ -478,10 +539,10 @@ def render_peaks(l: int, n: int = 256) -> tuple:
 
 def test_render_peak_within_memory_budget(monkeypatch):
     n = 256
-    monkeypatch.setattr(pipelines, "MODE_STACK_BUDGET", 0)
+    monkeypatch.setattr(pipelines, "RENDER_BUDGET", 0)
     for l in (3, 0):
         with pytest.raises(ConfigError) as exc:
-            _check_stack_memory(RunConfig.from_dict({"grid": {"n": n}}), l)
+            _render_plan(RunConfig.from_dict({"grid": {"n": n}}), l)
         # the memo's Python objects add a few kB at any n
         assert max(render_peaks(l, n)) <= needed_bytes(exc.value) + 64 * 1024
 

@@ -58,7 +58,7 @@ SLOTS = {
     "analysis.nbins": (setting("analysis", "nbins"), (True, 8, MAX_SWEEP_POINTS, False, False)),
     "analysis.n_bootstrap": (
         setting("analysis", "n_bootstrap"),
-        (True, 1, MAX_BOOTSTRAP, False, False),
+        (True, 2, MAX_BOOTSTRAP, False, False),
     ),
     "analysis.annulus inner": (
         (

@@ -501,7 +501,9 @@ def test_random_streams_follow_the_determinism_contract():
     state = down_convert(pump_state(2, alphabet=OAM3))
     grid = (32, default_extent(1.0, 2))
     keys = stream_keys(9, "heralded_image", 2, np.array([str(("s", b)) for b in SCAN_BASES]))
-    scan = angular_basis_scan(state, 2, det, grid, 1.0, nbins=16, keys=keys)
+    scan = angular_basis_scan(
+        state, 2, det, grid, 1.0, annulus=default_annulus(1.0, 2), nbins=16, keys=keys
+    )
     for basis, img in scan.images.items():
         setting = SETTINGS[basis]
         unsampled = make_detector(9, False)

@@ -38,7 +38,7 @@ from hesim.lgmodes import (
     write_histogram_csv,
     write_pgm,
 )
-from hesim.pipelines import _annulus, run_pump_gallery
+from hesim.pipelines import _render_plan, run_pump_gallery
 from hesim.quantum import partial_trace, pol_ket
 
 OAM3 = tuple(range(-3, 4))
@@ -687,11 +687,11 @@ def test_annulus_end_covers_the_profile_mask(n, extent, lo, width):
     pixels = np.random.default_rng(n).random((n, n)) + 1.0
     if end == 0:
         with pytest.raises(ConfigError):
-            _annulus(cfg, 1, (n, extent))
+            _render_plan(cfg, 1)
         with pytest.raises(ValueError):
             angular_profile(FieldImage(pixels, extent), 16, annulus)
         return
-    assert _annulus(cfg, 1, (n, extent)) == (annulus, end)
+    assert _render_plan(cfg, 1) == ((n, extent), annulus, end)
     # the profile reads no pixel from end on, and reads pixel end - 1
     full = angular_profile(FieldImage(pixels, extent), 16, annulus).bins
     pixels.reshape(-1)[end:] = 0.0
