@@ -70,9 +70,10 @@ class GridConfig:
 
 
 MAX_SWEEP_POINTS = 36_000  # per fringe sweep or angular histogram: 0.01 degree at the finest
-# bootstrap draws: each reruns a four-image scan, about 15 ms at the default
-# grid, so the cap is some 25 minutes of draws. The one pass that keys every
-# draw's seed grows with the count; at the cap it peaks near 12 MB
+# bootstrap draws: each reruns a four-image scan, about 4.5 ms at the default
+# grid on a 2-core Xeon host, so the cap is some 8 minutes of draws. The one
+# pass that keys every draw's seed grows with the count; at the cap it peaks
+# near 12 MB
 MAX_BOOTSTRAP = 100_000
 
 

@@ -51,12 +51,16 @@ the determinism contract; changing one moves every draw made from it:
   bootstrap_errors derive none.
 
 The Poisson draw of an image depends on every bit of its mean image. The
-render memo in lgmodes returns the bits a fresh render gives, so it never
-moves a draw. With no accidentals, a noiseless source's sampled images also
-depend on the rounding on nodal pixels: the render clips a fringe that
-rounds below 0 to a mean of 0, which takes no draw from the stream, while a
-tiny positive mean does, so one such pixel shifts the draws of every pixel
-after it.
+render memo in lgmodes returns the bits a fresh render gives, and so does
+quantum.project, which memoizes each state's projections: a repeated
+analyzer on the same state returns the first projection's tuple, whose
+read-only residual every caller shares. So neither memo moves a draw. A
+witness run heralds the same bases on one state in every scan, so it
+projects once per analyzer, not once per image. With no accidentals, a
+noiseless source's sampled images also depend on the rounding on nodal
+pixels: the render clips a fringe that rounds below 0 to a mean of 0,
+which takes no draw from the stream, while a tiny positive mean does, so
+one such pixel shifts the draws of every pixel after it.
 
 The converse makes truncated draws exact. Generator.poisson draws an array
 in C order from its one Philox stream, so a pixel's count depends only on
@@ -480,7 +484,9 @@ def conditional_oam(state, idler, signal_pol):
     Returns (rho_oam, weight): weight is the joint projection probability
     and equals trace(rho_oam). idler may be None, meaning no idler analyzer;
     the conditional is then the incoherent sum over any orthonormal idler
-    basis (H/V is used).
+    basis (H/V is used). The projections come from the state's memo
+    (quantum.project), so a repeated call projects nothing again; the
+    returned block is a new array each time.
     """
     if idler is None:
         total = None

@@ -94,9 +94,13 @@ def _flat_index(subsystems, label) -> int:
 
 
 class _State:
-    """Subsystem bookkeeping shared by Ket and DensityMatrix."""
+    """Subsystem bookkeeping shared by Ket and DensityMatrix.
 
-    __slots__ = ("_subsystems",)
+    ``_projections`` holds project's results on this state, made on first
+    use; a state's array is read-only, so a result never goes stale.
+    """
+
+    __slots__ = ("_subsystems", "_projections")
 
     @property
     def subsystems(self) -> tuple:
@@ -260,6 +264,11 @@ def project(state, proj: Ket, subsystem: str | None = None):
     conditional state of the remaining subsystems. A null outcome
     (probability below NULL_TOL) or a projection that consumes every
     subsystem returns residual ``None``.
+
+    Projections are memoized per state, keyed by the subsystem and the bits
+    of ``proj``'s amplitudes, after every check: a repeat returns the same
+    tuple, whose bits are those a fresh projection gives, and shares its
+    read-only residual.
     """
     if subsystem is None:
         subsystem = proj.subsystems[0].name
@@ -274,7 +283,18 @@ def project(state, proj: Ket, subsystem: str | None = None):
             f"projection alphabet {proj.subsystems[0].labels} does not match subsystem "
             f"{target.name!r} with {target.labels}"
         )
-    v = proj.amplitudes
+    try:
+        memo = state._projections
+    except AttributeError:
+        memo = state._projections = {}
+    key = (subsystem, proj.amplitudes.tobytes())
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _project(state, proj.amplitudes, ax)
+    return out
+
+
+def _project(state, v: np.ndarray, ax: int):
     remaining = state.subsystems[:ax] + state.subsystems[ax + 1 :]
     if isinstance(state, Ket):
         t = state.amplitudes.reshape(state.dims)

@@ -243,8 +243,10 @@ def test_criterion_6_separable_state_guards():
     print("criterion 6 (separable guards): PASS")
 
 
-def test_criterion_7_command_determinism(tmp_path, monkeypatch):
-    """Identical runs produce byte-identical artifacts, whatever the thread count."""
+def test_criterion_7_command_determinism(tmp_path):
+    """Identical runs produce byte-identical artifacts, also when other
+    commands ran before in the same process: neither the render memo nor a
+    state's projection memo carries anything from one run to the next."""
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"analysis": {"n_bootstrap": 5}}))
 
@@ -258,7 +260,8 @@ def test_criterion_7_command_determinism(tmp_path, monkeypatch):
     second = run(tmp_path / "b")
     assert second == first
 
-    monkeypatch.setenv("HE_SIM_THREADS", "3")
+    assert main(["pump-gallery", "--l", "2", "--out", str(tmp_path / "g")]) == 0
+    assert main(["hybrid-witness", "--l", "1", "--expected", "--out", str(tmp_path / "e")]) == 0
     third = run(tmp_path / "c")
     assert third == first
     print("criterion 7 (command determinism): PASS")

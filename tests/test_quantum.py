@@ -1,12 +1,17 @@
 """State-algebra tests: explicit matrix oracles first, then the API."""
 
+import math
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hesim.quantum import (
     DensityMatrix,
     InvalidCompositionError,
     Ket,
+    Subsystem,
     fidelity,
     oam_subsystem,
     partial_trace,
@@ -146,6 +151,97 @@ def test_project_density_matrix_conditional():
     residual, p = project(dm, Ket((pol_subsystem("idler"),), D))
     assert p == pytest.approx(0.5, abs=1e-12)
     assert residual.matrix[0, 1] == pytest.approx(-0.5, abs=1e-12)
+
+
+# the subsystems of a two-photon source, and each one's dimension under
+# another alphabet
+HYBRID = (
+    pol_subsystem("idler"),
+    pol_subsystem("signal_pol"),
+    oam_subsystem((-2, 0, 2), "signal_oam"),
+)
+OTHER_ALPHABET = {
+    "idler": Subsystem("idler", ("R", "L")),
+    "signal_pol": Subsystem("signal_pol", ("R", "L")),
+    "signal_oam": oam_subsystem((-1, 0, 1), "signal_oam"),
+}
+
+
+def projection_bits(out):
+    """Everything project returns, as bytes: residual type, subsystems, array, probability."""
+    residual, p = out
+    if residual is None:
+        return None, p.hex()
+    arr = residual.matrix if isinstance(residual, DensityMatrix) else residual.amplitudes
+    return type(residual), residual.subsystems, arr.tobytes(), p.hex()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mixed=st.booleans(),
+    order=st.permutations([s.name for s in HYBRID]),
+    zero_at=st.integers(0, 1),
+)
+def test_project_memo_gives_fresh_bits_and_keeps_every_check(seed, mixed, order, zero_at):
+    rng = np.random.default_rng(seed)
+    dim = math.prod(s.dim for s in HYBRID)
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if mixed:
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mat = g @ g.conj().T
+        mat = mat / np.trace(mat).real
+
+    def make():
+        """A fresh state with the bits of every other one make returns."""
+        return DensityMatrix(HYBRID, mat) if mixed else Ket(HYBRID, amp)
+
+    def kets(sub):
+        """Two random projectors on ``sub``, and one that differs from the
+        first only in a zero amplitude's sign."""
+        raw = [rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim) for _ in range(2)]
+        raw[0][zero_at] = 0.0
+        signed = raw[0].copy()
+        signed[zero_at] = complex(-0.0, -0.0)
+        out = [Ket((sub,), a, fix_phase=False) for a in (*raw, signed)]
+        assert out[0].amplitudes.tobytes() != out[2].amplitudes.tobytes()
+        assert np.array_equal(out[0].amplitudes, out[2].amplitudes)
+        return out
+
+    projectors = {s.name: kets(s) for s in HYBRID}
+    warm = make()
+    first = {
+        (name, k): project(warm, proj)
+        for name in order
+        for k, proj in enumerate(projectors[name])
+    }
+    for (name, k), out in first.items():
+        proj = projectors[name][k]
+        again = project(warm, proj, subsystem=name)
+        assert again is out
+        assert projection_bits(again) == projection_bits(project(make(), proj))
+        # a residual's own projections are memoized on it the same way
+        residual = again[0]
+        if residual is not None:
+            rest = residual.names()[-1]
+            later = projectors[rest][0]
+            assert project(residual, later) is project(residual, later)
+            fresh = project(project(make(), proj)[0], later)
+            assert projection_bits(project(residual, later)) == projection_bits(fresh)
+    # the idler's projector bits, on the other polarization subsystem
+    twin = Ket((HYBRID[1],), projectors["idler"][0].amplitudes, fix_phase=False)
+    assert projection_bits(project(warm, twin)) == projection_bits(project(make(), twin))
+    for name in order:
+        plain = projectors[name][0]
+        assert first[name, 0] is not first[name, 1]
+        assert first[name, 0] is not first[name, 2]
+        wrong = Ket((OTHER_ALPHABET[name],), plain.amplitudes, fix_phase=False)
+        with pytest.raises(InvalidCompositionError, match="alphabet"):
+            project(warm, wrong)
+        with pytest.raises(KeyError, match="no subsystem"):
+            project(warm, plain, subsystem=name + "_missing")
+    with pytest.raises(InvalidCompositionError, match="single subsystem"):
+        project(warm, Ket(HYBRID[:2], np.eye(4)[0]), subsystem="idler")
 
 
 # -- fidelity and noise -----------------------------------------------------------
