@@ -27,6 +27,7 @@ from .detection import (
     dial_amplitudes,
     linear_analyzer_ket,
     sample_counts,
+    str_word,
     stream_keys,
 )
 from .errors import NumericalError
@@ -303,12 +304,15 @@ def witness_keys(seed: int, l: int, n_bootstrap: int = 0) -> tuple:
     bootstrap_seeds(seed, n_bootstrap)[i]. none keys the unanalyzed image
     on ``seed``. An image keys on (its scan's seed, "heralded_image", l,
     str(("scan", basis))), with basis "none" for the unanalyzed one. One
-    bootstrap_seeds pass, then one stream_keys pass keys every image.
+    bootstrap_seeds pass, then one stream_keys pass keys every image; the
+    five names are hashed once each (str_word), and their words passed as
+    the column, which stream_keys keys as it keys the strs.
     """
     seeds = np.empty(1 + n_bootstrap, dtype=np.uint64)  # float64 would drop a seed's low bits
     seeds[0] = seed
     seeds[1:] = bootstrap_seeds(seed, n_bootstrap)
-    names = np.array([str(("scan", b)) for b in SCAN_BASES] * len(seeds) + [str(("scan", "none"))])
+    words = np.array([str_word(str(("scan", b))) for b in (*SCAN_BASES, "none")], dtype=np.uint32)
+    names = np.append(np.tile(words[:4], len(seeds)), words[4])
     keys = stream_keys(np.append(np.repeat(seeds, 4), seeds[0]), "heralded_image", l, names)
     return keys[:-1].reshape(-1, 4, 2), keys[-1]
 

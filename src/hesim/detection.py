@@ -51,16 +51,21 @@ the determinism contract; changing one moves every draw made from it:
   bootstrap_errors derive none.
 
 The Poisson draw of an image depends on every bit of its mean image. The
-render memo in lgmodes returns the bits a fresh render gives, and so does
-quantum.project, which memoizes each state's projections: a repeated
-analyzer on the same state returns the first projection's tuple, whose
-read-only residual every caller shares. So neither memo moves a draw. A
-witness run heralds the same bases on one state in every scan, so it
-projects once per analyzer, not once per image. With no accidentals, a
-noiseless source's sampled images also depend on the rounding on nodal
-pixels: the render clips a fringe that rounds below 0 to a mean of 0,
-which takes no draw from the stream, while a tiny positive mean does, so
-one such pixel shifts the draws of every pixel after it.
+render memo in lgmodes keeps the count mean of a repeated heralded block,
+in place of its intensity: keyed by the block and the bits of its event
+count and accidental floor, read-only, with its sum (expected_counts) and
+its max (the MEAN_OVERFLOW check, run on every image). A kept mean has the
+bits, sum and max a fresh one gives; an image drawn from it takes its
+counts in a buffer of its own, so no draw writes into it. quantum.project
+memoizes each state's projections too: a repeated analyzer on the same
+state returns the first projection's tuple, whose read-only residual every
+caller shares. So neither memo moves a draw. A witness run heralds the same
+bases on one state in every scan, so it projects once per analyzer, not
+once per image, and makes each of its five means at most twice. With no
+accidentals, a noiseless source's sampled images also depend on the
+rounding on nodal pixels: the render clips a fringe that rounds below 0 to
+a mean of 0, which takes no draw from the stream, while a tiny positive
+mean does, so one such pixel shifts the draws of every pixel after it.
 
 The converse makes truncated draws exact. Generator.poisson draws an array
 in C order from its one Philox stream, so a pixel's count depends only on
@@ -325,6 +330,11 @@ def _seed_keys(words: np.ndarray) -> np.ndarray:
     return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
 
 
+def str_word(text: str) -> int:
+    """The key word of a str: the CRC-32 of its UTF-8 bytes."""
+    return zlib.crc32(text.encode())
+
+
 def _part_words(part) -> np.ndarray:
     """The uint32 words of one key part, one row per stream (one for a constant)."""
     if isinstance(part, int):  # an int of any size, which no int64 array holds
@@ -336,8 +346,7 @@ def _part_words(part) -> np.ndarray:
     if col.ndim == 1 and col.dtype.kind in "iu":
         return col.astype(np.uint32)[:, None]  # modulo 2**32
     if col.ndim == 1 and col.dtype.kind == "U":
-        crcs = [zlib.crc32(s.encode()) for s in col.tolist()]
-        return np.array(crcs, dtype=np.uint32)[:, None]
+        return np.array([str_word(s) for s in col.tolist()], dtype=np.uint32)[:, None]
     raise TypeError(f"cannot key on {part!r}")
 
 
@@ -345,14 +354,14 @@ def stream_keys(seed, *parts) -> np.ndarray:
     """The (N, 2) uint64 Philox keys of N streams, derived in one pass.
 
     ``seed`` is an int, or a uint64 column with one seed per stream. Each
-    part is a constant, which every stream shares, or a column: a 1-D
-    numpy array with one entry per stream. The columns set N; with none, N
-    is 1. A str becomes its CRC-32, an int its value modulo 2**32 and a
-    float its IEEE-754 bits as two words, high word first. Stream k hashes
-    its seed's low and high words, two zero words, then each part's words
-    at row k. The hash is numpy.random's, so the key is the one numpy seeds
-    a Philox with from entropy seed % 2**64 and those part words as the
-    spawn key, bit for bit (tested).
+    part is a constant, which every stream shares, or a column: a 1-D numpy
+    array with one entry per stream. The columns set N; with none, N is 1.
+    A str becomes its CRC-32 (str_word), an int its value modulo 2**32 and
+    a float its IEEE-754 bits as two words, high word first. Stream k
+    hashes its seed's low and high words, two zero words, then each part's
+    words at row k. The hash is numpy.random's, so the key is the one numpy
+    seeds a Philox with from entropy seed % 2**64 and those part words as
+    the spawn key, bit for bit (tested).
     """
     n = next((len(p) for p in (seed, *parts) if isinstance(p, np.ndarray)), 1)
     if not isinstance(seed, np.ndarray):
@@ -529,6 +538,10 @@ def heralded_image(
     draw gives them (see the module docstring). The mean image, its
     expected_counts and the overflow check still cover every pixel, and an
     unsampled image is returned whole. None draws every pixel.
+
+    The mean comes from lgmodes.render_from_density, which keeps it for a
+    repeated block (module docstring); the returned pixels are the
+    caller's own either way.
     """
     n, extent = int(grid[0]), float(grid[1])
     if through is None:
@@ -541,26 +554,22 @@ def heralded_image(
 
     acc_per_px = det.accidental_rate * det.integration_time / (n * n)
     if weight <= 1e-15 and acc_per_px == 0.0:
+        meta["expected_counts"] = 0.0
         return lgmodes.FieldImage(np.zeros((n, n)), extent, meta=meta)
 
-    intensity = lgmodes.render_from_density(block, alphabet, grid, waist)
-    total = intensity.sum()
-    expected_pairs = det.pair_rate * det.scale(l) * det.integration_time * weight
-    if total > 0:
-        # acc + expected * intensity / total, with the same roundings, in place
-        lam = np.multiply(intensity, expected_pairs)
-        lam /= total
-        lam += acc_per_px
-    else:
-        lam = np.full((n, n), acc_per_px)
-    meta["expected_counts"] = float(lam.sum())
-
+    count = det.pair_rate * det.scale(l) * det.integration_time * weight
+    mean = lgmodes.render_from_density(block, alphabet, grid, waist, count=count, floor=acc_per_px)
+    meta["expected_counts"] = mean.expected_counts
+    lam = mean.pixels
+    # a kept mean is read-only and shared: the image gets a buffer of its own
+    fresh = lam.flags.writeable
     if not det.sampled:
-        return lgmodes.FieldImage(lam, extent, meta=meta)
-    if lam.max(initial=0.0) > MEAN_OVERFLOW:
+        return lgmodes.FieldImage(lam if fresh else lam.copy(), extent, meta=meta)
+    if mean.peak > MEAN_OVERFLOW:
         raise NumericalError("per-pixel mean overflows the counter model")
     gen = np.random.Generator(np.random.Philox(key=key))
-    flat = lam.reshape(-1)  # a view: the counts go in the mean's buffer
-    flat[:through] = gen.poisson(flat[:through])
+    counts = lam if fresh else np.empty((n, n))  # a fresh mean takes its counts in place
+    flat = counts.reshape(-1)
+    flat[:through] = gen.poisson(lam.reshape(-1)[:through])
     flat[through:] = 0.0
-    return lgmodes.FieldImage(lam, extent, meta=meta)
+    return lgmodes.FieldImage(counts, extent, meta=meta)

@@ -36,17 +36,22 @@ evaluation gives. The angle is not symmetric this way and is taken on the
 full grid, or for the angular bins on the annulus pixels only.
 
 Renders repeat: every bootstrap draw of a witness row renders the same four
-density blocks on one grid. So the module holds the render factors of the
-last grid, the intensities of blocks rendered more than once on them, and
-the flat pixel index and bin index of the last angular annulus, all
-read-only and with the bits a fresh computation gives. One lock guards the
-holders against a caller that renders from several threads.
+density blocks on one grid, each made into the same mean count image. So
+the module holds the render factors of the last grid; the results of
+renders repeated on them, 8 B per pixel each: a heralded image's count
+mean, kept in place of its intensity with its sum and max, or the
+intensity of a render made without a count; and the flat pixel index and
+bin index of the last angular annulus. All are read-only and have the bits
+a fresh computation gives. One lock guards the holders against a caller
+that renders from several threads.
 """
 
 import functools
 import math
+import struct
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,10 +229,11 @@ def pair_terms(block: np.ndarray, alphabet) -> dict:
     return terms
 
 
-MAX_KEPT_RENDERS = 8  # per held stack: kept intensities, and blocks tracked as rendered once
+MAX_KEPT_RENDERS = 8  # per held stack: kept results, and renders tracked as made once
 # bytes a render holds per pixel, at most: the alphabet's factors (two rings and
 # a cos/sin pair at l = 0), 32 B; its result, a fringe and the sin row's product
-# it adds, 24 B, budgeted at 32 B; MAX_KEPT_RENDERS kept intensities, 8 B each
+# it adds, 24 B, budgeted at 32 B; MAX_KEPT_RENDERS kept count means (or
+# intensities, for renders without a count), 8 B each
 RENDER_BYTES_PER_PIXEL = 32 + 32 + 8 * MAX_KEPT_RENDERS
 
 
@@ -237,8 +243,8 @@ class _HeldStack:
 
     key: tuple
     factors: dict
-    seen: set = field(default_factory=set)  # density blocks rendered once
-    kept: dict = field(default_factory=dict)  # density block -> read-only intensity
+    seen: set = field(default_factory=set)  # render keys made once
+    kept: dict = field(default_factory=dict)  # render key -> read-only result
 
 
 _lock = threading.Lock()
@@ -278,15 +284,46 @@ def mode_stack(alphabet, n: int, extent: float, waist: float) -> dict:
         return _held_stack.factors
 
 
-def render_from_density(rho_oam: np.ndarray, alphabet, grid, waist: float) -> np.ndarray:
+class CountMean(NamedTuple):
+    """A heralded image's mean count per pixel, with its sum and its largest value."""
+
+    pixels: np.ndarray
+    expected_counts: float
+    peak: float
+
+
+def _count_mean(intensity: np.ndarray, count: float, floor: float) -> CountMean:
+    """floor + count * intensity / intensity.sum(), made in intensity's buffer:
+    scaled by count, divided by the sum, then floor added; floor everywhere
+    when the sum is not positive."""
+    total = intensity.sum()
+    if total > 0:
+        intensity *= count
+        intensity /= total
+        intensity += floor
+    else:
+        intensity.fill(floor)
+    return CountMean(intensity, float(intensity.sum()), float(intensity.max(initial=0.0)))
+
+
+def render_from_density(
+    rho_oam: np.ndarray, alphabet, grid, waist: float, *, count: float | None = None, floor: float = 0.0
+) -> "np.ndarray | CountMean":
     """Intensity of an OAM-space density operator on the pixel grid:
     sum_m R_m^2 (d_m + 2 Re(c_m exp(2 i m theta))), from pair_terms.
 
     rho_oam may be unnormalised (its trace carries the event rate); the
     returned array integrates to trace * (flux captured by this grid). Each
     fringe is clipped at 0 before its ring multiplies it, so rounding on a
-    node leaves no negative pixel. The second render of a block on the held
-    factors keeps its intensity, read-only, for later renders of that block.
+    node leaves no negative pixel.
+
+    With a count, the intensity is made into a heralded image's mean count
+    image instead: the count of events spread in proportion to it, plus a
+    flat floor per pixel (see _count_mean), returned as a CountMean.
+
+    The second render of a block on the held factors, with the same count
+    and floor bits, keeps its result read-only for later renders of them:
+    a CountMean's pixels, or the intensity.
     """
     n, extent = int(grid[0]), float(grid[1])
     rho = np.asarray(rho_oam, dtype=complex)
@@ -296,16 +333,17 @@ def render_from_density(rho_oam: np.ndarray, alphabet, grid, waist: float) -> np
         raise ValueError(f"density block {rho.shape} does not match alphabet size {k}")
     terms = {m: dc for m, dc in pair_terms(rho, alphabet).items() if any(dc)}
     factors = mode_stack(alphabet, n, extent, waist)
-    block = rho.tobytes()
+    # the bits of count and floor, not their values: -0.0 == 0.0 gives other bits
+    key = (rho.tobytes(), None if count is None else struct.pack("<2d", count, floor))
     keep = False
     with _lock:
         held = _held_stack
         if held is not None and held.factors is factors:
-            if block in held.kept:
-                return held.kept[block]
-            keep = block in held.seen and len(held.kept) < MAX_KEPT_RENDERS
+            if key in held.kept:
+                return held.kept[key]
+            keep = key in held.seen and len(held.kept) < MAX_KEPT_RENDERS
             if not keep and len(held.seen) < MAX_KEPT_RENDERS:
-                held.seen.add(block)
+                held.seen.add(key)
     out = None if terms else np.zeros((n, n))
     for m, (d, c) in terms.items():
         ring, trig = factors[m]
@@ -319,12 +357,13 @@ def render_from_density(rho_oam: np.ndarray, alphabet, grid, waist: float) -> np
         else:
             term = ring * d
         out = term if out is None else np.add(out, term, out=out)
+    result = out if count is None else _count_mean(out, count, floor)
     if keep:
         out.setflags(write=False)
         with _lock:
-            held.seen.discard(block)
-            out = held.kept.setdefault(block, out)
-    return out
+            held.seen.discard(key)
+            result = held.kept.setdefault(key, result)
+    return result
 
 
 # -- angular analysis --------------------------------------------------------

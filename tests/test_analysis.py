@@ -458,9 +458,11 @@ def test_a_cut_scan_holds_no_image():
 
 
 def test_a_cut_bootstrap_holds_one_image_at_a_time():
-    # an image is n^2 doubles. A draw holds its mean image and the counts of
-    # its drawn pixels, under two images' worth; the four images of a scan,
-    # held until the scan ends, would take the peak past three
+    # an image is n^2 doubles. A draw reads its kept mean image, which the
+    # memo holds at the same 8 B per pixel before and after, and holds its
+    # image buffer and the counts of its drawn pixels, under two images'
+    # worth; the four images of a scan, held until the scan ends, would
+    # take the peak past three
     n = 256
     state, det, grid, annulus, end = cut_case(3, n, 0.0, 0.0)
 
@@ -472,7 +474,7 @@ def test_a_cut_bootstrap_holds_one_image_at_a_time():
         )
         return {"W": sc.W}
 
-    # warm-up: the render factors and kept renders
+    # warm-up: the render factors and kept count means
     bootstrap_errors(one, bootstrap_seeds(det.seed, 2).tolist())
     tracemalloc.start()
     try:

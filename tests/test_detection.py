@@ -1,13 +1,16 @@
 """Analyzer settings, coincidence probabilities, and the counting model."""
 
+import dataclasses
 import math
 import zlib
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from hesim import lgmodes
 from hesim.analysis import (
     CHSH_SETTINGS_DEG,
     SCAN_BASES,
@@ -18,6 +21,7 @@ from hesim.analysis import (
     witness_keys,
 )
 from hesim.detection import (
+    MEAN_OVERFLOW,
     SETTING_KETS,
     SETTINGS,
     AnalyzerSetting,
@@ -437,6 +441,7 @@ def test_heralded_empty_image_flag():
         state, SETTINGS["H"], SETTINGS["D"], grid, 1.0, make_detector(sampled=False), 1, None
     )
     assert img.meta["joint_probability"] == 0.0
+    assert img.meta["expected_counts"] == 0.0
     assert not img.pixels.any()
 
 
@@ -472,6 +477,68 @@ def test_heralded_sampling_determinism():
     c = heralded(2, "D", sampled=True, seed=5, tag="y")
     assert np.array_equal(a.pixels, b.pixels)
     assert not np.array_equal(a.pixels, c.pixels)
+
+
+def fresh_image(*args):
+    """heralded_image with no held render factors or kept means: a fresh mean."""
+    with mock.patch.object(lgmodes, "_held_stack", None):
+        return heralded_image(*args)
+
+
+detector_rates = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1.0, 1e6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    pair_rate=detector_rates,
+    accidental=detector_rates,
+    other=st.sampled_from(["pair_rate", "accidental_rate"]),
+    other_rate=detector_rates,
+    idler=st.sampled_from([None, "A", "R"]),
+    through=st.sampled_from([None, 0, 500, 32 * 32]),
+)
+@example(pair_rate=-0.0, accidental=-0.0, other="accidental_rate", other_rate=0.0, idler="A", through=None)
+def test_a_kept_count_mean_gives_a_fresh_ones_bits(pair_rate, accidental, other, other_rate, idler, through):
+    # the third image of a block is drawn from its kept mean, the second from
+    # the mean as it is kept; both give the bits, expected_counts and draws
+    # of a fresh mean, and neither draw writes into the kept mean
+    state = apply_noise(down_convert(pump_state(2, phi=0.4, alpha=0.3, alphabet=OAM3)), 0.1)
+    grid = (32, default_extent(1.0, 2))
+    setting = None if idler is None else SETTINGS[idler]
+    key = stream_keys(5, "heralded_image", 2, "kept")[0]
+    lgmodes.mode_stack((0,), 16, 1.0, 1.0)  # start from factors with nothing kept
+
+    def images(det):
+        # the drawn images, then the kept mean after the draws: the unsampled
+        # image of the same count and floor
+        for d in (det, dataclasses.replace(det, sampled=False)):
+            args = (state, setting, SETTINGS["D"], grid, 1.0, d, 2, key, through)
+            fresh = fresh_image(*args)
+            for _ in range(3):
+                img = heralded_image(*args)
+                assert img.pixels.tobytes() == fresh.pixels.tobytes()
+                assert img.meta == fresh.meta
+                assert img.pixels.flags.writeable
+                img.pixels.fill(-1.0)  # the caller's own buffer, shared with no kept mean
+
+    det = DetectorModel(pair_rate=pair_rate, accidental_rate=accidental, seed=5)
+    images(det)
+    # the same block at another rate, even one equal but for its sign bit,
+    # has a count mean of its own
+    images(dataclasses.replace(det, **{other: other_rate}))
+
+
+def test_a_kept_count_mean_is_checked_for_overflow():
+    state = down_convert(pump_state(2, alphabet=OAM3))
+    grid = (32, default_extent(1.0, 2))
+    det = DetectorModel(pair_rate=1e15, seed=5)
+    args = (state, SETTINGS["A"], SETTINGS["D"], grid, 1.0)
+    lgmodes.mode_stack((0,), 16, 1.0, 1.0)
+    for _ in range(3):  # kept on the second call; an unsampled image is not checked
+        img = heralded_image(*args, dataclasses.replace(det, sampled=False), 2, None)
+    assert img.pixels.max() > MEAN_OVERFLOW
+    with pytest.raises(NumericalError, match="overflows"):
+        heralded_image(*args, det, 2, stream_keys(5, "heralded_image", 2, "x")[0])
 
 
 def oracle_stream(seed, *tags) -> np.random.Generator:
@@ -643,6 +710,11 @@ def test_witness_keys_match_the_former_seed_sequence(seed, n_bootstrap):
             tags = [str(("scan", b)) for b in SCAN_BASES]
             assert row.tolist() == [oracle_key(s, "heralded_image", l, t) for t in tags]
         assert none.tolist() == oracle_key(seed, "heralded_image", l, str(("scan", "none")))
+        # the words of the five names, hashed once, key as the column of one str per image
+        names = np.array(tags * (1 + n_bootstrap) + [str(("scan", "none"))])
+        column = np.repeat(np.array([seed, *seeds, seed], dtype=np.uint64), 4)[:-3]
+        by_str = stream_keys(column, "heralded_image", l, names)
+        assert by_str.tobytes() == scans.tobytes() + none.tobytes()
         # a bootstrap scan keys as the first scan of a run on its own seed
         for i, s in enumerate(seeds):
             assert scans[i + 1].tolist() == witness_keys(s, l)[0][0].tolist()
