@@ -64,12 +64,13 @@ def _counts(probs, det: DetectorModel, l: int, tag, *columns) -> list:
     draws from the stream keyed (det.seed, "counts", l, mean, tag, column
     entries at k); ``tag`` is a str or a tuple of constant parts, each
     column an int array. The means come from one mean_counts call, the keys
-    from one stream_keys pass, and one generator is reset to each key."""
+    from one stream_keys pass, turned into Python ints once, and one
+    generator is reset to each key (detection.reset_stream)."""
     means = det.mean_counts(probs, l)
     if not det.sampled:
         return means.tolist()
     tag = tag if isinstance(tag, tuple) else (tag,)
-    keys = stream_keys(det.seed, "counts", l, means, *tag, *columns)
+    keys = stream_keys(det.seed, "counts", l, means, *tag, *columns).tolist()
     gen = np.random.Generator(np.random.Philox(0))
     return [float(sample_counts(gen, mean, key)) for mean, key in zip(means.tolist(), keys)]
 
@@ -328,6 +329,7 @@ def angular_basis_scan(
     nbins: int,
     keys,
     through: int | None = None,
+    gen: np.random.Generator | None = None,
 ) -> AngularScan:
     """Heralded image -> angular profile -> petal fit, per idler basis.
 
@@ -335,7 +337,8 @@ def angular_basis_scan(
     images draw from ``keys``, the (4, 2) SCAN_BASES keys of one scan (a
     witness_keys row). Each image is profiled in nbins bins over annulus as
     soon as it is drawn, and the four histograms are fitted in one petal_fit
-    batch. through is passed to each heralded_image. At lgmodes.annulus_end
+    batch. through and gen, the caller's generator for a whole witness run,
+    are passed to each heralded_image. At lgmodes.annulus_end
     of the grid and annulus, each image is drawn only up to the last pixel
     the profiles read, and every histogram, fit and W is the one a full draw
     gives. Such a cut image is zeros past the annulus end, so a scan with
@@ -353,6 +356,7 @@ def angular_basis_scan(
             l,
             key,
             through=through,
+            gen=gen,
         )
         hists[basis] = lgmodes.angular_profile(img, nbins, annulus)
         if through is None:

@@ -21,12 +21,16 @@ never depend on call order. stream_keys derives every key with the
 in-repo hash, for a whole count table or a witness run's images in one
 pass. The hash is the one numpy.random seeds a bit generator with,
 reimplemented here and run by column. A Philox stream needs nothing but
-its key (Salmon et al., SC'11): an image draws from
-Generator(Philox(key=...)), and sample_counts resets one generator to each
-count's key. So a change to numpy's seeding cannot move a draw; only
-Philox and Generator.poisson can (CI pins numpy 2.4.6). The tests hold the
-hash to numpy's seeding as an oracle and pin literal keys. The keys are
-the determinism contract; changing one moves every draw made from it:
+its key (Salmon et al., SC'11), so no draw builds a generator of its own:
+the caller owns one Generator(Philox), one per count table or witness run,
+and sample_counts and heralded_image reset it to each count's or image's
+key at counter 0 with an empty buffer, the state a fresh
+Generator(Philox(key=...)) starts in (reset_stream). So a change to
+numpy's seeding cannot move a draw; only Philox and Generator.poisson can
+(CI pins numpy 2.4.6). The tests hold the hash to numpy's seeding as an
+oracle, pin literal keys, and hold every reset draw to a fresh stream's.
+The keys are the determinism contract; changing one moves every draw made
+from it:
 
 * a count keys on (seed, "counts", l, mean, tag, cell indices): a sweep's
   cell k on (tag, k), a CHSH cell on (tag, i, j), a tomography count on
@@ -54,18 +58,23 @@ The Poisson draw of an image depends on every bit of its mean image. The
 render memo in lgmodes keeps the count mean of a repeated heralded block,
 in place of its intensity: keyed by the block and the bits of its event
 count and accidental floor, read-only, with its sum (expected_counts) and
-its max (the MEAN_OVERFLOW check, run on every image). A kept mean has the
-bits, sum and max a fresh one gives; an image drawn from it takes its
-counts in a buffer of its own, so no draw writes into it. quantum.project
-memoizes each state's projections too: a repeated analyzer on the same
-state returns the first projection's tuple, whose read-only residual every
-caller shares. So neither memo moves a draw. A witness run heralds the same
-bases on one state in every scan, so it projects once per analyzer, not
-once per image, and makes each of its five means at most twice. With no
-accidentals, a noiseless source's sampled images also depend on the
-rounding on nodal pixels: the render clips a fringe that rounds below 0 to
-a mean of 0, which takes no draw from the stream, while a tiny positive
-mean does, so one such pixel shifts the draws of every pixel after it.
+its max (the MEAN_OVERFLOW check, run on every image). A kept block is
+looked up before it is parsed, since it was parsed when it was kept. A
+kept mean has the bits, sum and max a fresh one gives; an image drawn from
+it takes its counts in a buffer of its own, so no draw writes into it.
+Drawn counts are non-negative and finite by construction, so they enter
+lgmodes.FieldImage through FieldImage.drawn, which checks their shape but
+not their values a second time; every other image is checked in full.
+quantum.project memoizes each state's projections too: a repeated analyzer
+on the same state returns the first projection's tuple, whose read-only
+residual every caller shares. So neither memo moves a draw. A witness
+run heralds the same bases on one state in every scan, so it projects
+once per analyzer, not once per image, and makes each of its five means
+at most twice. With no accidentals, a noiseless source's sampled images
+also depend on the rounding on nodal pixels: the render clips a fringe
+that rounds below 0 to a mean of 0, which takes no draw from the stream,
+while a tiny positive mean does, so one such pixel shifts the draws of
+every pixel after it.
 
 The converse makes truncated draws exact. Generator.poisson draws an array
 in C order from its one Philox stream, so a pixel's count depends only on
@@ -377,29 +386,41 @@ def stream_keys(seed, *parts) -> np.ndarray:
     return _seed_keys(words)
 
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-_ZERO4.setflags(write=False)
+_ZERO4 = (0, 0, 0, 0)  # a fresh stream's counter and buffer
 
 
-def sample_counts(gen: np.random.Generator, mean: float, key) -> int:
-    """One Poisson draw of coincidence counts from the Philox stream ``key``.
+def reset_stream(gen: np.random.Generator, key) -> np.random.Generator:
+    """``gen``, its Philox bit generator reset to the stream ``key``.
 
-    ``gen`` is any Generator on a Philox bit generator; its state is reset
-    to ``key`` at counter 0 with an empty buffer, the state a fresh stream
-    starts in, so one generator serves a whole table: each draw is the one
-    a fresh Generator(Philox(key=key)) makes.
+    ``key`` is a pair of words, such as a stream_keys row or its tolist().
+    Philox gets the key and a zero counter as Python ints, an empty buffer
+    and no held uint32: the state a fresh Generator(Philox(key=key)) starts
+    in. So each draw after the reset is the one that fresh stream makes,
+    whatever ``gen`` drew before (tested). The state setter reads Python
+    ints about twice as fast as numpy words.
     """
-    if mean > MEAN_OVERFLOW:
-        raise NumericalError(f"expected counts {mean:.3e} overflow the counter model")
+    k0, k1 = key
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": key},
+        "state": {"counter": _ZERO4, "key": (int(k0), int(k1))},
         "buffer": _ZERO4,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return int(gen.poisson(mean))
+    return gen
+
+
+def sample_counts(gen: np.random.Generator, mean: float, key) -> int:
+    """One Poisson draw of coincidence counts from the Philox stream ``key``.
+
+    ``gen`` is the caller's Generator on a Philox bit generator, one for a
+    whole table: reset_stream resets it to ``key``, so the draw is the one
+    a fresh Generator(Philox(key=key)) makes.
+    """
+    if mean > MEAN_OVERFLOW:
+        raise NumericalError(f"expected counts {mean:.3e} overflow the counter model")
+    return int(reset_stream(gen, key).poisson(mean))
 
 
 # the ket each named setting transmits, built once: every heralded image
@@ -523,6 +544,8 @@ def heralded_image(
     l: int,
     key,
     through: int | None = None,
+    *,
+    gen: np.random.Generator | None = None,
 ) -> lgmodes.FieldImage:
     """Coincidence image of the signal arm conditioned on the idler.
 
@@ -531,7 +554,11 @@ def heralded_image(
     the accidental rate is spread flat. With det.sampled each pixel is an
     independent Poisson draw from the Philox stream ``key``, a stream_keys
     row such as analysis.witness_keys gives; otherwise the expected means
-    themselves are returned and ``key`` is unused.
+    themselves are returned and ``key`` is unused. ``gen`` is the caller's
+    Generator on a Philox bit generator, one for a whole witness run, reset
+    to ``key`` before the draw (reset_stream); without one, the image makes
+    its own. The drawn counts enter the image through FieldImage.drawn,
+    checked once.
 
     through, a count in [0, n*n], draws only the first ``through`` pixels
     in C order and leaves the rest at 0; those pixels get the counts a full
@@ -567,9 +594,10 @@ def heralded_image(
         return lgmodes.FieldImage(lam if fresh else lam.copy(), extent, meta=meta)
     if mean.peak > MEAN_OVERFLOW:
         raise NumericalError("per-pixel mean overflows the counter model")
-    gen = np.random.Generator(np.random.Philox(key=key))
+    if gen is None:
+        gen = np.random.Generator(np.random.Philox(0))
     counts = lam if fresh else np.empty((n, n))  # a fresh mean takes its counts in place
     flat = counts.reshape(-1)
-    flat[:through] = gen.poisson(lam.reshape(-1)[:through])
+    flat[:through] = reset_stream(gen, key).poisson(lam.reshape(-1)[:through])
     flat[through:] = 0.0
-    return lgmodes.FieldImage(counts, extent, meta=meta)
+    return lgmodes.FieldImage.drawn(counts, extent, meta)

@@ -122,11 +122,27 @@ class FieldImage:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self._check(values=True)
+
+    @classmethod
+    def drawn(cls, counts: np.ndarray, extent: float, meta: dict) -> "FieldImage":
+        """An image of Poisson-drawn counts, the one image whose pixel values
+        are not checked again: Generator.poisson's counts (and the zeros past
+        a cut draw) are non-negative and finite by construction, so only the
+        full min and max pass is skipped, and the shape and extent are
+        checked as the constructor checks them. detection.heralded_image
+        alone makes one."""
+        img = cls.__new__(cls)
+        img.pixels, img.extent, img.meta = counts, extent, meta
+        img._check(values=False)
+        return img
+
+    def _check(self, values: bool) -> None:
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2 or px.shape[0] != px.shape[1] or px.shape[0] < 16:
             raise ValueError(f"image must be square and at least 16x16, got {px.shape}")
         # two reductions: a NaN fails both comparisons, -0.0 passes the first
-        if not (px.min() >= 0.0 and px.max() < np.inf):
+        if values and not (px.min() >= 0.0 and px.max() < np.inf):
             raise NumericalError("image has negative or non-finite pixels")
         if self.extent <= 0:
             raise ValueError("extent must be positive")
@@ -323,7 +339,9 @@ def render_from_density(
 
     The second render of a block on the held factors, with the same count
     and floor bits, keeps its result read-only for later renders of them:
-    a CountMean's pixels, or the intensity.
+    a CountMean's pixels, or the intensity. A kept result is looked up
+    before pair_terms parses the block: it was parsed when it was kept,
+    and a block pair_terms refuses is never kept.
     """
     n, extent = int(grid[0]), float(grid[1])
     rho = np.asarray(rho_oam, dtype=complex)
@@ -331,16 +349,19 @@ def render_from_density(
     k = len(alphabet)
     if rho.shape != (k, k):
         raise ValueError(f"density block {rho.shape} does not match alphabet size {k}")
-    terms = {m: dc for m, dc in pair_terms(rho, alphabet).items() if any(dc)}
     factors = mode_stack(alphabet, n, extent, waist)
     # the bits of count and floor, not their values: -0.0 == 0.0 gives other bits
     key = (rho.tobytes(), None if count is None else struct.pack("<2d", count, floor))
-    keep = False
     with _lock:
         held = _held_stack
-        if held is not None and held.factors is factors:
-            if key in held.kept:
-                return held.kept[key]
+        if held is None or held.factors is not factors:
+            held = None
+        elif key in held.kept:
+            return held.kept[key]
+    terms = {m: dc for m, dc in pair_terms(rho, alphabet).items() if any(dc)}
+    keep = False
+    if held is not None:  # a parsed block is tracked, and kept on its second render
+        with _lock:
             keep = key in held.seen and len(held.kept) < MAX_KEPT_RENDERS
             if not keep and len(held.seen) < MAX_KEPT_RENDERS:
                 held.seen.add(key)
@@ -434,7 +455,9 @@ def angular_maxima(hist: AngularHistogram) -> np.ndarray:
     pixel-area jitter puts percent-level wiggles on petal shoulders that a
     bare neighbor comparison would count as extra maxima. Returned angles are
     refined below one bin: a parabola through the peak and its neighbors, or
-    the midpoint of an exactly tied plateau.
+    the midpoint of an exactly tied plateau. The bin walks read the smoothed
+    bins as a list of Python floats, whose comparisons and arithmetic are
+    the float64 ones.
     """
     b = hist.bins
     n = b.size
@@ -445,9 +468,10 @@ def angular_maxima(hist: AngularHistogram) -> np.ndarray:
     # plateau-aware candidates: maximal circular runs of one value, strictly
     # above both sides, represented by the run's first bin
     candidates = []
-    starts = np.nonzero(sm != np.roll(sm, 1))[0]
-    if starts.size == 0:
+    starts = np.nonzero(sm != np.roll(sm, 1))[0].tolist()
+    if not starts:
         return hist.bin_centers[:0]
+    sm = sm.tolist()
     for s in starts:
         v = sm[s]
         e = s
@@ -609,16 +633,21 @@ PGM_BLOCK_PX = 1 << 16  # pixels write_pgm formats at a time
 def _pgm_words() -> np.ndarray:
     """The "%d " text of every value 0..PGM_MAXVAL, one read-only
     little-endian uint64 word each: first character in the lowest byte, the
-    unused high bytes NUL. Built on first use, not at import."""
-    rest = np.arange(PGM_MAXVAL + 1, dtype=np.uint32)
-    words = np.full(rest.shape, ord(" "), dtype=np.uint64)
-    for j in range(len(str(PGM_MAXVAL))):
-        # the next digit from the right goes in front of the text so far,
-        # while any digits are left (0 keeps its one)
-        digit = (rest % 10 + ord("0")).astype(np.uint64)
-        words = np.where((rest > 0) | (j == 0), (words << 8) | digit, words)
-        rest //= 10
-    words = words.astype("<u8")
+    unused high bytes NUL. Built on first use, not at import, one slice of
+    values per text length: a value of k digits holds them in bytes 0 to
+    k - 1, most significant first, and the space in byte k."""
+    text = np.zeros((PGM_MAXVAL + 1, 8), dtype=np.uint8)
+    lo = 0
+    for length in range(1, len(str(PGM_MAXVAL)) + 1):
+        hi = min(10**length, PGM_MAXVAL + 1)
+        rest = np.arange(lo, hi, dtype=np.uint32)
+        chars = text[lo:hi]
+        chars[:, length] = ord(" ")
+        for j in reversed(range(length)):
+            chars[:, j] = rest % 10 + ord("0")
+            rest //= 10
+        lo = hi
+    words = text.view("<u8").reshape(-1)
     words.setflags(write=False)
     return words
 

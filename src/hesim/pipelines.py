@@ -316,12 +316,15 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
     waist = cfg.grid.waist
     n_boot = cfg.analysis.n_bootstrap if det.sampled else 0
     scans, key_none = witness_keys(det.seed, l, n_boot)
+    gen = np.random.Generator(np.random.Philox(0))  # reset to each image's key
 
     scan = angular_basis_scan(
         state, l, det, grid, waist,
-        annulus=annulus, nbins=cfg.analysis.nbins, keys=scans[0],
+        annulus=annulus, nbins=cfg.analysis.nbins, keys=scans[0], gen=gen,
     )
-    img_none = detection.heralded_image(state, None, SETTINGS["D"], grid, waist, det, l, key_none)
+    img_none = detection.heralded_image(
+        state, None, SETTINGS["D"], grid, waist, det, l, key_none, gen=gen
+    )
     if "pgm" in fmt:
         for basis, img in {**scan.images, "none": img_none}.items():
             lgmodes.write_pgm(img, os.path.join(outdir, f"heralded_{basis}.pgm"))
@@ -340,7 +343,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
         def one(keys) -> dict:
             sc = angular_basis_scan(
                 state, l, det, grid, waist,
-                annulus=annulus, nbins=cfg.analysis.nbins, through=end, keys=keys,
+                annulus=annulus, nbins=cfg.analysis.nbins, through=end, keys=keys, gen=gen,
             )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 

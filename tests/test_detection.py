@@ -765,6 +765,80 @@ def test_one_generator_draws_a_shuffled_table_as_fresh_streams():
         assert sample_counts(gen, means[k], keys[k]) == fresh
 
 
+
+def philox_state(gen) -> dict:
+    """The whole state of a generator's Philox, its arrays as lists."""
+    state = gen.bit_generator.state
+    words = {k: v.tolist() for k, v in state["state"].items()}
+    return {**state, "state": words, "buffer": state["buffer"].tolist()}
+
+
+# draws that leave a generator mid-stream: a used buffer, a held uint32, an
+# advanced counter
+STIRS = {
+    "random": lambda gen: gen.random(),
+    "integers": lambda gen: gen.integers(0, 2**32, dtype=np.uint32),
+    "standard_normal": lambda gen: gen.standard_normal(3),
+    "poisson": lambda gen: gen.poisson([7.5, 1e4]),
+}
+top_bit_words = st.integers(2**63, 2**64 - 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    keys=st.lists(st.tuples(top_bit_words, top_bit_words), min_size=1, max_size=4),
+    stirs=st.lists(st.sampled_from(sorted(STIRS)), min_size=1, max_size=3),
+    through=st.sampled_from([None, 0, 1, 500, 32 * 32]),
+    mean=st.sampled_from([0.0, 0.3, 9.999, 10.0, 73.2, 1e9]),
+)
+def test_a_reset_generator_draws_as_a_fresh_stream(keys, stirs, through, mean):
+    # heralded_image and sample_counts share one generator that other draws
+    # leave mid-stream; each draw is the one a fresh Generator(Philox(key=k))
+    # makes, and leaves the generator in that fresh stream's state. Every key
+    # word has its top bit set, which a float or an int64 does not keep
+    state = apply_noise(down_convert(pump_state(2, phi=0.4, alpha=0.3, alphabet=OAM3)), 0.1)
+    grid = (32, default_extent(1.0, 2))
+    det = DetectorModel(accidental_rate=5.0, seed=5)
+    args = (state, SETTINGS["R"], SETTINGS["D"], grid, 1.0)
+    lam = heralded_image(*args, dataclasses.replace(det, sampled=False), 2, None).pixels.reshape(-1)
+    cut = lam.size if through is None else through
+    gen = np.random.Generator(np.random.Philox(0))
+    for i, key in enumerate(keys):
+        row = np.array(key, dtype=np.uint64)
+        # a stream_keys row, or its tolist() as analysis._counts passes it
+        image_key, count_key = (row, list(key)) if i % 2 == 0 else (list(key), row)
+        for name in stirs:
+            STIRS[name](gen)
+        fresh = np.random.Generator(np.random.Philox(key=row))
+        img = heralded_image(*args, det, 2, image_key, through, gen=gen)
+        drawn = np.zeros(lam.size)
+        drawn[:cut] = fresh.poisson(lam[:cut])
+        assert img.pixels.tobytes() == drawn.tobytes()
+        assert philox_state(gen) == philox_state(fresh)
+        for name in stirs:
+            STIRS[name](gen)
+        fresh = np.random.Generator(np.random.Philox(key=row))
+        assert sample_counts(gen, mean, count_key) == int(fresh.poisson(mean))
+        assert philox_state(gen) == philox_state(fresh)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_a_bad_mean_makes_no_image(bad):
+    # a drawn image skips FieldImage's value check, but its mean does not
+    # pass the draw: Generator.poisson refuses a negative or NaN mean. An
+    # unsampled image is its mean, checked in full by FieldImage
+    lam = np.full((32, 32), 2.0)
+    lam[3, 4] = bad
+    mean = lgmodes.CountMean(lam, 2048.0, 2.0)
+    state = down_convert(pump_state(2, alphabet=OAM3))
+    args = (state, SETTINGS["A"], SETTINGS["D"], (32, default_extent(1.0, 2)), 1.0)
+    key = stream_keys(5, "heralded_image", 2, "bad")[0]
+    with mock.patch.object(lgmodes, "render_from_density", return_value=mean):
+        with pytest.raises(NumericalError, match="negative or non-finite"):
+            heralded_image(*args, make_detector(sampled=False), 2, None)
+        with pytest.raises(ValueError, match="lam"):
+            heralded_image(*args, make_detector(), 2, key)
+
 PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
 
 

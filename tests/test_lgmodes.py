@@ -14,7 +14,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from hesim import lgmodes
 from hesim.config import RunConfig
@@ -40,6 +40,7 @@ from hesim.lgmodes import (
 )
 from hesim.pipelines import _render_plan, run_pump_gallery
 from hesim.quantum import partial_trace, pol_ket
+from maxima_oracle import array_angular_maxima
 
 OAM3 = tuple(range(-3, 4))
 GRID = (256, default_extent(1.0, 3))
@@ -194,6 +195,34 @@ def test_two_petal_profile_has_two_maxima():
     assert len(maxima) == 2
     gap = circular_distance(maxima[0], maxima[1], 2 * np.pi)
     assert gap == pytest.approx(np.pi, abs=2 * np.pi / 72 + 1e-9)
+
+
+
+@st.composite
+def maxima_bins(draw) -> np.ndarray:
+    """8 to 199 bins of noise on 0 to 12 petals; about a fifth rounded to a
+    few levels, so the smoothed bins tie and make plateaus."""
+    n = draw(st.integers(8, 199))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = (np.arange(n) + 0.5) * 2 * np.pi / n
+    petals = draw(st.integers(0, 12))
+    bins = 100.0 * (1.0 + 0.8 * np.cos(petals * theta + rng.uniform(0.0, 2 * np.pi)))
+    bins += rng.normal(0.0, draw(st.sampled_from([0.0, 1.0, 10.0, 50.0])), n)
+    if draw(st.integers(0, 4)) == 0:
+        bins = np.round(bins / draw(st.sampled_from([10.0, 50.0, 200.0])))
+    return bins
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(bins=maxima_bins())
+@example(bins=np.full(12, 3.0))  # flat: no maxima
+@example(bins=np.array([0.0, 0, 3, 3, 3, 0, 0, 0, 3, 3, 3, 0]))  # tied plateaus
+@example(bins=np.array([5.0, 1, 1, 1, 1, 1, 1, 1, 1, 5]))  # a plateau across the wrap
+def test_angular_maxima_is_the_array_walk(bins):
+    # the walk over Python floats gives the numpy walk's angles bit for bit
+    hist = AngularHistogram(bins)
+    got, expected = angular_maxima(hist), array_angular_maxima(hist)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_empty_annulus_raises():
@@ -382,6 +411,16 @@ def test_pgm_of_a_subnormal_peak_is_full_scale(tmp_path):
     assert np.all(data == 65535)
 
 
+def test_pgm_words_are_each_values_text():
+    # word v is f"{v} " in its low bytes, NUL-padded to 8
+    words = lgmodes._pgm_words()
+    assert words.dtype == np.dtype("<u8") and words.shape == (lgmodes.PGM_MAXVAL + 1,)
+    assert not words.flags.writeable
+    raw = words.tobytes()
+    for v in range(lgmodes.PGM_MAXVAL + 1):
+        assert raw[8 * v : 8 * v + 8] == f"{v} ".encode().ljust(8, b"\0"), v
+
+
 def test_pgm_header_format(tmp_path):
     img = FieldImage(np.ones((16, 16)), 4.0)
     path = tmp_path / "flat.pgm"
@@ -429,6 +468,23 @@ def test_field_image_rejects_one_bad_pixel(bad, where):
         with pytest.raises(NumericalError):
             FieldImage(pixels, 4.0)
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_only_a_drawn_image_skips_the_value_check(bad):
+    # FieldImage.drawn takes Poisson counts as they are, for their values
+    # cannot fail the check; every other image is checked in full. The shape
+    # and extent are checked either way
+    pixels = np.random.default_rng(3).random((17, 17))
+    pixels[4, 5] = bad
+    with pytest.raises(NumericalError):
+        FieldImage(pixels, 4.0)
+    img = FieldImage.drawn(pixels, 4.0, {"k": 1})
+    assert img.pixels is pixels and img.extent == 4.0 and img.meta == {"k": 1}
+    with pytest.raises(ValueError, match="square"):
+        FieldImage.drawn(np.ones((8, 8)), 4.0, {})
+    with pytest.raises(ValueError, match="extent"):
+        FieldImage.drawn(np.ones((16, 16)), 0.0, {})
 
 # -- held factors, renders and bins ------------------------------------------------
 
@@ -592,6 +648,36 @@ def test_kept_renders_are_capped():
     for rho, a in zip(blocks, kept):
         assert same_bits(a, direct_render(rho, key))
 
+
+
+def test_a_kept_block_is_not_parsed_again():
+    # the memo is read before pair_terms: the first two renders parse the
+    # block (the second keeps it), and the third is returned unparsed
+    key = STACK_KEYS[0]
+    mode_stack(*STACK_KEYS[1])
+    rho = random_block(np.random.default_rng(3), key[0], 1)
+    with mock.patch.object(lgmodes, "pair_terms", wraps=lgmodes.pair_terms) as parse:
+        renders = [render(rho, key) for _ in range(3)]
+    assert parse.call_count == 2
+    assert renders[2] is renders[1] and same_bits(renders[2], direct_render(rho, key))
+
+
+def test_a_stray_coherence_block_raises_on_warm_factors():
+    # a block pair_terms refuses raises on every render, with a kept block
+    # on the same factors, and is neither kept nor tracked
+    key = STACK_KEYS[0]
+    mode_stack(*STACK_KEYS[1])
+    good = random_block(np.random.default_rng(4), key[0], 1)
+    for _ in range(3):
+        render_from_density(good, key[0], key[1:3], key[3], count=100.0)
+    held = lgmodes._held_stack
+    assert len(held.kept) == 1 and not held.seen
+    stray = good.copy()
+    stray[0, 1] = stray[1, 0] = 0.5  # links -1 and 0
+    for _ in range(3):
+        with pytest.raises(NumericalError, match="coherences"):
+            render_from_density(stray, key[0], key[1:3], key[3], count=100.0)
+    assert lgmodes._held_stack is held and len(held.kept) == 1 and not held.seen
 
 def test_concurrent_renders_match_direct():
     # more workers than cores and a short switch interval, so threads swap
