@@ -87,6 +87,26 @@ scan and the unanalyzed image are written to disk, so they are drawn whole.
 A truncated image is zeros past the cut and is read only by its profile,
 so analysis.angular_basis_scan keeps no image of a truncated scan: it
 profiles each image as it is drawn and drops it before the next draw.
+
+A draw also skips the pixels whose count is known. Below a mean of 10,
+numpy's Poisson sampler is Knuth's multiplication method (TAOCP vol. 2,
+3.4.1): it returns 0 for a mean of exactly 0 (either sign) and takes no
+stream word. For a mean m with 0 < m < lgmodes.NEGLIGIBLE_MEAN = 2**-64,
+exp(-m) rounds to 1.0, so its first uniform, always below 1, ends the loop:
+0, after exactly one word. Such a pixel is negligible; every other one, NaN
+and negative means included, is live. So a draw of the pixels from the
+first live one to the last gives the counts of a full draw, with every
+other pixel 0, once the stream has skipped one word per positive mean
+before the first live pixel (lgmodes.LiveSpan, found once per count mean
+and kept with it). Skipping n words of a Philox stream costs what one does
+(the stream is a key and a counter): heralded_image resets the stream,
+advances it by the whole four-word blocks of the lead, draws the rest of
+the lead's words, and then draws the span up to the cut. A bad mean is
+live, so a draw that reaches it still refuses it. With no accidentals the
+corners of an image are negligible: at the witness defaults (l = 3,
+n = 256) a draw skips a leading run of 5,238 to 5,993 pixels and stops
+that many before the end of a whole image. This rests on numpy's sampler,
+which CI pins with the rest of the draws.
 """
 
 import functools
@@ -564,7 +584,11 @@ def heralded_image(
     in C order and leaves the rest at 0; those pixels get the counts a full
     draw gives them (see the module docstring). The mean image, its
     expected_counts and the overflow check still cover every pixel, and an
-    unsampled image is returned whole. None draws every pixel.
+    unsampled image is returned whole. None draws every pixel. Of those
+    pixels only the mean's live span is drawn, after the stream skips the
+    words of the negligible means before it; the pixels outside it are 0,
+    as a draw of them gives (module docstring). A cut at or before the
+    first live pixel draws nothing.
 
     The mean comes from lgmodes.render_from_density, which keeps it for a
     repeated block (module docstring); the returned pixels are the
@@ -596,8 +620,18 @@ def heralded_image(
         raise NumericalError("per-pixel mean overflows the counter model")
     if gen is None:
         gen = np.random.Generator(np.random.Philox(0))
+    # draw [lo, hi): the live span up to the cut; nothing when the cut comes first
+    first, end, lead = mean.span
+    lo = min(first, through)
+    hi = max(lo, min(end, through))
+    reset_stream(gen, key)
     counts = lam if fresh else np.empty((n, n))  # a fresh mean takes its counts in place
     flat = counts.reshape(-1)
-    flat[:through] = reset_stream(gen, key).poisson(lam.reshape(-1)[:through])
-    flat[through:] = 0.0
+    if hi > lo:
+        # the lead words: whole Philox blocks, then the rest of one block
+        gen.bit_generator.advance(lead // 4)
+        gen.bit_generator.random_raw(lead % 4, output=False)
+        flat[lo:hi] = gen.poisson(lam.reshape(-1)[lo:hi])
+    flat[:lo] = 0.0
+    flat[hi:] = 0.0
     return lgmodes.FieldImage.drawn(counts, extent, meta)

@@ -39,11 +39,11 @@ Renders repeat: every bootstrap draw of a witness row renders the same four
 density blocks on one grid, each made into the same mean count image. So
 the module holds the render factors of the last grid; the results of
 renders repeated on them, 8 B per pixel each: a heralded image's count
-mean, kept in place of its intensity with its sum and max, or the
-intensity of a render made without a count; and the flat pixel index and
-bin index of the last angular annulus. All are read-only and have the bits
-a fresh computation gives. One lock guards the holders against a caller
-that renders from several threads.
+mean, kept in place of its intensity with its sum, max and live span, or
+the intensity of a render made without a count; and the flat pixel index
+and bin index of the last angular annulus. All are read-only and have the
+bits a fresh computation gives. One lock guards the holders against a
+caller that renders from several threads.
 """
 
 import functools
@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 
@@ -300,18 +301,52 @@ def mode_stack(alphabet, n: int, extent: float, waist: float) -> dict:
         return _held_stack.factors
 
 
+# below this a Poisson mean is negligible: exp(-m) rounds to 1.0, so numpy's
+# sampler gives 0 for it after one stream word (none at exactly 0)
+NEGLIGIBLE_MEAN = 2.0**-64
+
+
+class LiveSpan(NamedTuple):
+    """The pixels a Poisson draw of a count mean must make, as flat (C-order)
+    indices: first is the first live pixel, end one past the last (both the
+    pixel count if none is live), and lead the positive means before first."""
+
+    first: int
+    end: int
+    lead: int
+
+
+def live_span(pixels: np.ndarray) -> LiveSpan:
+    """The LiveSpan of a mean count image. A pixel is live unless its mean m
+    has 0 <= m < NEGLIGIBLE_MEAN; a NaN or negative mean is live, so a draw
+    that reaches it refuses it. Built in one boolean mask, searched from
+    both ends for its first False."""
+    flat = pixels.reshape(-1)
+    size = flat.size
+    negligible = flat < NEGLIGIBLE_MEAN  # False for NaN
+    np.greater_equal(flat, 0.0, out=negligible, where=negligible)
+    first = int(negligible.argmin())
+    if negligible[first]:
+        return LiveSpan(size, size, int(np.count_nonzero(flat)))
+    end = size - int(negligible[::-1].argmin())
+    return LiveSpan(first, end, int(np.count_nonzero(flat[:first])))
+
+
 class CountMean(NamedTuple):
-    """A heralded image's mean count per pixel, with its sum and its largest value."""
+    """A heralded image's mean count per pixel, with its sum, its largest
+    value and its LiveSpan."""
 
     pixels: np.ndarray
     expected_counts: float
     peak: float
+    span: LiveSpan
 
 
 def _count_mean(intensity: np.ndarray, count: float, floor: float) -> CountMean:
     """floor + count * intensity / intensity.sum(), made in intensity's buffer:
     scaled by count, divided by the sum, then floor added; floor everywhere
-    when the sum is not positive."""
+    when the sum is not positive. Its live span is found once, here, and
+    kept with it: a kept mean's images skip the same pixels."""
     total = intensity.sum()
     if total > 0:
         intensity *= count
@@ -319,7 +354,9 @@ def _count_mean(intensity: np.ndarray, count: float, floor: float) -> CountMean:
         intensity += floor
     else:
         intensity.fill(floor)
-    return CountMean(intensity, float(intensity.sum()), float(intensity.max(initial=0.0)))
+    return CountMean(
+        intensity, float(intensity.sum()), float(intensity.max(initial=0.0)), live_span(intensity)
+    )
 
 
 def render_from_density(
@@ -545,6 +582,11 @@ def fold_phase(theta: float, period: float) -> float:
     return 0.0 if folded == period else folded
 
 
+def _lstsq_failed(err, flag):
+    """np.linalg.lstsq's error rule: the gufunc flags a failed LAPACK solve as invalid."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
 def fringe_fit(angles, values, freq: int):
     """Least-squares fringe m + a cos(freq t) + b sin(freq t), read as a Fringe.
 
@@ -556,32 +598,47 @@ def fringe_fit(angles, values, freq: int):
 
     ``values`` is one fringe's values (a Fringe is returned) or a (k, len)
     array of k fringes at the same angles (a list of k Fringes). The design
-    matrix and its inverse normal matrix are built once for the batch; each
-    row is its own lstsq solve, because one solve over k right-hand sides
-    moves the last bits of the coefficients.
+    matrix and its inverse normal matrix are built once for the batch. Each
+    row is its own least-squares solve, because one solve over k right-hand
+    sides moves the last bits of the coefficients; the k solves are one
+    stacked call of the gufunc np.linalg.lstsq wraps
+    (numpy.linalg._umath_linalg.lstsq), with lstsq's default rcond and its
+    error rule, which makes for each row the LAPACK call lstsq makes of it
+    alone. That gufunc is private to numpy (one gufunc since numpy 2.0),
+    which CI pins; a hypothesis test holds the batch to the per-row lstsq
+    fit (tests/fringe_oracle.py). The residuals and their squared sums are
+    stacked np.matmul products, each row's the matrix-vector and dot
+    products a single row takes.
     """
     angles = np.asarray(angles, dtype=float)
     values = np.asarray(values, dtype=float)
+    rows = values.reshape(-1, values.shape[-1])
+    if not len(rows):
+        return []
     design = np.column_stack([np.ones_like(angles), np.cos(freq * angles), np.sin(freq * angles)])
-    inv_normal = None
-    fits = []
-    for row in values.reshape(-1, values.shape[-1]):
-        coef, _, rank, _ = np.linalg.lstsq(design, row, rcond=None)
-        if rank < 3:
-            raise NumericalError("angle set cannot resolve a fringe (rank-deficient fit)")
-        if inv_normal is None:
-            inv_normal = np.linalg.inv(design.T @ design)
-        fits.append(_read_fringe(freq, design, inv_normal, row, coef))
+    rcond = np.finfo(float).eps * max(design.shape)
+    stacked = rows[:, :, None]
+    with np.errstate(all="ignore", invalid="call", call=_lstsq_failed):
+        coef, _, rank, _ = _umath_linalg.lstsq(design, stacked, rcond, signature="ddd->ddid")
+    if (rank < 3).any():
+        raise NumericalError("angle set cannot resolve a fringe (rank-deficient fit)")
+    inv_normal = np.linalg.inv(design.T @ design)
+    resid = stacked - design @ coef
+    squares = np.matmul(resid.transpose(0, 2, 1), resid)
+    dof = max(rows.shape[1] - 3, 1)
+    sums = squares.reshape(-1).tolist()
+    fits = [_read_fringe(freq, inv_normal, c[:, 0], ssq / dof) for c, ssq in zip(coef, sums)]
     return fits[0] if values.ndim == 1 else fits
 
 
-def _read_fringe(freq: int, design, inv_normal, values, coef) -> Fringe:
-    """The Fringe of one least-squares solve (see fringe_fit)."""
+def _read_fringe(freq: int, inv_normal, coef, variance: float) -> Fringe:
+    """The Fringe of one least-squares solve, given its residual variance
+    (see fringe_fit). The coefficients stay numpy floats: a level of 0 or
+    a tiny one divides as float64 does, with no ZeroDivisionError."""
     m, a, b = coef
     if m <= 0:
         return Fringe(freq, 0.0, math.nan, 0.0, math.nan, ("degenerate",))
-    resid = values - design @ coef
-    cov = float(resid @ resid) / max(len(values) - 3, 1) * inv_normal
+    cov = variance * inv_normal
     amp = math.hypot(a, b)
     # delta method for V = sqrt(a^2 + b^2) / m; at a level so small that
     # 1/m^2 overflows, or the variance does, the stderr is unknown (nan)

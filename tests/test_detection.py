@@ -822,6 +822,157 @@ def test_a_reset_generator_draws_as_a_fresh_stream(keys, stirs, through, mean):
         assert philox_state(gen) == philox_state(fresh)
 
 
+NEGLIGIBLE = 2.0**-64
+JUST_UNDER = math.nextafter(NEGLIGIBLE, 0.0)
+JUST_OVER = math.nextafter(NEGLIGIBLE, 1.0)
+
+
+def span_oracle(lam) -> tuple:
+    """(first, end) of the live pixels of a flat mean, by index search: live
+    unless 0 <= m < 2**-64. Both are the pixel count if none is live."""
+    live = np.flatnonzero(~((lam >= 0.0) & (lam < NEGLIGIBLE)))
+    return (int(live[0]), int(live[-1]) + 1) if live.size else (lam.size, lam.size)
+
+
+def assert_drawn_as_a_fresh_stream(img, gen, lam, key, through):
+    """An image drawn with a cut at ``through`` has the counts a fresh stream
+    draws for lam[:through], and leaves its generator where that stream is
+    after the last live pixel before the cut (at its start if the cut comes
+    at or before the first)."""
+    row = np.array(key, dtype=np.uint64)
+    drawn = np.zeros(lam.size)
+    drawn[:through] = np.random.Generator(np.random.Philox(key=row)).poisson(lam[:through])
+    assert img.pixels.tobytes() == drawn.tobytes(), through
+    first, end = span_oracle(lam)
+    fresh = np.random.Generator(np.random.Philox(key=row))
+    fresh.poisson(lam[: min(end, through) if through > first else 0])
+    assert philox_state(gen) == philox_state(fresh), through
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    keys=st.lists(st.tuples(top_bit_words, top_bit_words), min_size=1, max_size=3),
+    stirs=st.lists(st.sampled_from(sorted(STIRS)), min_size=1, max_size=3),
+    phi=st.floats(0.0, 2 * np.pi),
+    alpha=st.floats(0.0, 1.0),
+    idler=st.sampled_from([None, "A", "R"]),
+)
+def test_a_noiseless_image_draws_as_a_fresh_stream(keys, stirs, phi, alpha, idler):
+    # with no accidentals the corner pixels hold negligible means: the draw
+    # skips the leading run's stream words and stops at the last live pixel,
+    # and gives the counts of a full draw at every cut
+    state = down_convert(pump_state(2, phi=phi, alpha=alpha, alphabet=(-2, 2)))
+    grid = (32, default_extent(1.0, 2))
+    det = DetectorModel(seed=5)
+    setting = None if idler is None else SETTINGS[idler]
+    args = (state, setting, SETTINGS["D"], grid, 1.0)
+    lam = heralded_image(*args, dataclasses.replace(det, sampled=False), 2, None).pixels.reshape(-1)
+    first, end = span_oracle(lam)
+    assert 0 < first < end < lam.size  # both runs are there to skip
+    gen = np.random.Generator(np.random.Philox(0))
+    for key in keys:
+        for through in sorted({0, 1, first, first + 1, 500, end - 1, end, end + 1, lam.size}):
+            for name in stirs:
+                STIRS[name](gen)
+            img = heralded_image(*args, det, 2, list(key), through, gen=gen)
+            assert_drawn_as_a_fresh_stream(img, gen, lam, key, through)
+
+
+def negligible_run(positives: int, length: int) -> list:
+    """A run of negligible means holding ``positives`` positive ones (dust,
+    subnormals, the largest under the bound) among 0.0 and -0.0."""
+    dust = [5e-324, 1e-300, JUST_UNDER, 3e-20]
+    zeros = [0.0, -0.0]
+    run = [zeros[i % 2] for i in range(length)]
+    for i in range(positives):
+        run[(2 * i + 1) % length] = dust[i % len(dust)]
+    return run
+
+
+def image_of(lam, n=16):
+    """heralded_image's arguments with the render returning the read-only
+    mean ``lam``, as a kept mean is, with its live span."""
+    lam = np.array(lam, dtype=float).reshape(n, n)
+    lam.setflags(write=False)
+    mean = lgmodes.CountMean(lam, float(lam.sum()), float(lam.max()), lgmodes.live_span(lam))
+    state = down_convert(pump_state(2, alphabet=OAM3))
+    args = (state, SETTINGS["A"], SETTINGS["D"], (n, default_extent(1.0, 2)), 1.0)
+    return mock.patch.object(lgmodes, "render_from_density", return_value=mean), args
+
+
+LIVE = [JUST_OVER, 0.3, 0.0, 5e-324, 9.999, 10.0, -0.0, 73.2, NEGLIGIBLE, 1e4, JUST_UNDER, 2.5]
+SPAN_MEANS = [0.0, -0.0, 5e-324, 1e-300, JUST_UNDER, NEGLIGIBLE, JUST_OVER, 0.7, 12.5]
+
+
+@pytest.mark.parametrize("lead", range(8))
+def test_a_span_draw_skips_the_lead_words_exactly(lead):
+    # leads of 0 to 7 words: none, part of a Philox block, a whole block,
+    # and a block and a part. Exact zeros in the run take no word
+    head = negligible_run(lead, 2 * lead + 3)
+    tail = negligible_run(5, 40)
+    lam = head + (LIVE * 20)[: 255 - len(head) - len(tail)] + [1.5] + tail
+    first, end = span_oracle(np.array(lam))
+    assert (first, end) == (len(head), 256 - len(tail))
+    assert lgmodes.live_span(np.array(lam)) == (first, end, lead)
+    patch, args = image_of(lam)
+    key = stream_keys(7, "heralded_image", 2, "span", lead)[0]
+    gen = np.random.Generator(np.random.Philox(0))
+    with patch:
+        for through in sorted({0, 1, first, first + 1, 100, end - 1, end, end + 1, 256}):
+            STIRS["integers"](gen)
+            img = heralded_image(*args, make_detector(), 2, key, through, gen=gen)
+            assert_drawn_as_a_fresh_stream(img, gen, np.array(lam), key, through)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    values=st.lists(st.sampled_from(SPAN_MEANS), min_size=256, max_size=256),
+    through=st.integers(0, 256),
+)
+def test_a_span_draw_of_any_mean_is_a_full_draw(values, through):
+    patch, args = image_of(values)
+    key = stream_keys(7, "heralded_image", 2, "any")[0]
+    gen = np.random.Generator(np.random.Philox(0))
+    STIRS["poisson"](gen)
+    with patch:
+        img = heralded_image(*args, make_detector(), 2, key, through, gen=gen)
+    assert_drawn_as_a_fresh_stream(img, gen, np.array(values), key, through)
+
+
+def test_an_all_negligible_mean_draws_nothing():
+    lam = negligible_run(9, 256)
+    assert lgmodes.live_span(np.array(lam)) == (256, 256, 9)
+    patch, args = image_of(lam)
+    key = stream_keys(7, "heralded_image", 2, "none")[0]
+    gen = np.random.Generator(np.random.Philox(0))
+    fresh = philox_state(np.random.Generator(np.random.Philox(key=key)))
+    with patch:
+        for through in (None, 0, 100, 256):
+            STIRS["standard_normal"](gen)
+            img = heralded_image(*args, make_detector(), 2, key, through, gen=gen)
+            assert not img.pixels.any()
+            assert philox_state(gen) == fresh  # reset, and nothing drawn
+
+
+def test_a_bad_mean_in_a_negligible_run_is_refused():
+    # a NaN is live, so it opens the span at pixel 0; a negative mean is
+    # live, so it closes the span in the trailing run. The draw refuses
+    # either, and FieldImage refuses either unsampled
+    body = negligible_run(3, 20) + [0.5] * 200 + negligible_run(3, 36)
+    for at, bad in ((0, np.nan), (240, -1e-30)):
+        lam = list(body)
+        lam[at] = bad
+        span = lgmodes.live_span(np.array(lam))
+        assert (span.first, span.end) == ((0, 220) if at == 0 else (20, 241))
+        patch, args = image_of(lam)
+        key = stream_keys(5, "heralded_image", 2, "bad")[0]
+        with patch:
+            with pytest.raises(ValueError, match="lam"):
+                heralded_image(*args, make_detector(), 2, key)
+            with pytest.raises(NumericalError, match="negative or non-finite"):
+                heralded_image(*args, make_detector(sampled=False), 2, None)
+
+
 @pytest.mark.parametrize("bad", [-1.0, np.nan])
 def test_a_bad_mean_makes_no_image(bad):
     # a drawn image skips FieldImage's value check, but its mean does not
@@ -829,7 +980,7 @@ def test_a_bad_mean_makes_no_image(bad):
     # unsampled image is its mean, checked in full by FieldImage
     lam = np.full((32, 32), 2.0)
     lam[3, 4] = bad
-    mean = lgmodes.CountMean(lam, 2048.0, 2.0)
+    mean = lgmodes.CountMean(lam, 2048.0, 2.0, lgmodes.live_span(lam))
     state = down_convert(pump_state(2, alphabet=OAM3))
     args = (state, SETTINGS["A"], SETTINGS["D"], (32, default_extent(1.0, 2)), 1.0)
     key = stream_keys(5, "heralded_image", 2, "bad")[0]

@@ -1,7 +1,8 @@
 """The one fringe fit on generated fringes: it recovers V and theta0, follows
 a rotation of the pattern, ignores the scale of the values, and reads a flat
 sweep and a flat histogram alike, and a batch fits each row as a fit alone
-does. Also: angular_profile keeps the annulus total."""
+does and as the per-row lstsq fit it replaced (tests/fringe_oracle.py) did.
+Also: angular_profile keeps the annulus total."""
 
 import math
 
@@ -21,6 +22,7 @@ from hesim.lgmodes import (
     petal_fit,
     pixel_polar,
 )
+from fringe_oracle import row_fringe_fit
 
 freqs = st.sampled_from((2, 4, 6, 8, 10, 12))  # a sweep, and petals at l = 1 to 6
 points = st.sampled_from((36, 72, 90))  # a full turn, at 10, 5 and 4 degree steps
@@ -209,3 +211,41 @@ def test_fringe_fit_batch_shapes_and_rank():
         fringe_fit(np.full(72, 0.3), values, 4)
     with pytest.raises(ValueError, match="one bin count"):
         petal_fit([AngularHistogram(np.ones(72)), AngularHistogram(np.ones(36))], 1)
+
+
+def fit_outcome(fit, angles, values, freq):
+    """Each Fringe of a fit as bytes, freq and flags, or the error it raised."""
+    try:
+        fits = fit(angles, values, freq)
+    except NumericalError as err:
+        return repr(err)
+    if isinstance(fits, Fringe):
+        return fringe_bits(fits), fits.freq, fits.flags
+    return [(fringe_bits(f), f.freq, f.flags) for f in fits]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    freq=freqs,
+    angles=st.one_of(
+        points.map(turn),
+        st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=40).map(np.array),
+        st.integers(3, 8).map(lambda n: np.full(n, 0.3)),  # rank-deficient
+    ),
+    rows=st.lists(
+        st.tuples(
+            row_kinds, visibilities, phases, st.one_of(levels, st.sampled_from([1e-300, 1e-310])),
+            st.integers(0, 2**32 - 1),
+        ),
+        max_size=6,
+    ),
+    single=st.booleans(),
+)
+def test_fringe_fit_is_the_per_row_lstsq_fit(freq, angles, rows, single):
+    # one stacked solve and readout give each row's Fringe bit for bit
+    values = np.array([batch_row(kind, freq // 2, angles.size, *rest) for kind, *rest in rows])
+    values = values.reshape(len(rows), angles.size)
+    if single:
+        values = values[0] if len(rows) else np.zeros(angles.size)
+    batched = fit_outcome(fringe_fit, angles, values, freq)
+    assert batched == fit_outcome(row_fringe_fit, angles, values, freq)
