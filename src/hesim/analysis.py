@@ -284,9 +284,9 @@ def _witness_pairs(fringes: dict, l: int) -> dict:
 class AngularScan:
     """Everything the petal pipeline produced for one state.
 
-    images holds the heralded image of each basis for a whole-image scan,
-    and is empty for a scan drawn with ``through``: each image is dropped
-    once its profile is taken.
+    images holds the heralded image of each basis for a whole scan, and is
+    empty for a cut one (whole=False): each image is dropped once its
+    profile is taken.
     """
 
     fits: dict
@@ -328,7 +328,7 @@ def angular_basis_scan(
     annulus,
     nbins: int,
     keys,
-    through: int | None = None,
+    whole: bool = True,
     gen: np.random.Generator | None = None,
 ) -> AngularScan:
     """Heralded image -> angular profile -> petal fit, per idler basis.
@@ -337,13 +337,16 @@ def angular_basis_scan(
     images draw from ``keys``, the (4, 2) SCAN_BASES keys of one scan (a
     witness_keys row). Each image is profiled in nbins bins over annulus as
     soon as it is drawn, and the four histograms are fitted in one petal_fit
-    batch. through and gen, the caller's generator for a whole witness run,
-    are passed to each heralded_image. At lgmodes.annulus_end
-    of the grid and annulus, each image is drawn only up to the last pixel
-    the profiles read, and every histogram, fit and W is the one a full draw
-    gives. Such a cut image is zeros past the annulus end, so a scan with
-    through keeps no image (images is empty); a scan without keeps its four.
+    batch. gen, the caller's generator for a whole witness run, is passed
+    to each heralded_image.
+
+    A scan with whole=False cuts each draw at the lgmodes.annulus_end of
+    its own grid, annulus and nbins: each image is drawn only up to the
+    last pixel its profile reads, and every histogram, fit and W is the one
+    a whole scan gives. Such a cut image is zeros past the annulus end, so a
+    cut scan keeps no image (images is empty); a whole scan keeps its four.
     """
+    through = None if whole else lgmodes.annulus_end(grid[0], grid[1], annulus, nbins)
     hists, images = {}, {}
     for basis, key in zip(SCAN_BASES, keys):
         img = detection.heralded_image(
@@ -359,7 +362,7 @@ def angular_basis_scan(
             gen=gen,
         )
         hists[basis] = lgmodes.angular_profile(img, nbins, annulus)
-        if through is None:
+        if whole:
             images[basis] = img
         del img  # not held while the next image is drawn
     fits = dict(zip(SCAN_BASES, petal_fit(list(hists.values()), l)))

@@ -60,32 +60,33 @@ in place of its intensity: keyed by the block and the bits of its event
 count and accidental floor, read-only, with its sum (expected_counts) and
 its max (the MEAN_OVERFLOW check, run on every image). A kept block is
 looked up before it is parsed, since it was parsed when it was kept. A
-kept mean has the bits, sum and max a fresh one gives; an image drawn from
-it takes its counts in a buffer of its own, so no draw writes into it.
-Drawn counts are non-negative and finite by construction, so they enter
-lgmodes.FieldImage through FieldImage.drawn, which checks their shape but
-not their values a second time; every other image is checked in full.
-quantum.project memoizes each state's projections too: a repeated analyzer
-on the same state returns the first projection's tuple, whose read-only
-residual every caller shares. So neither memo moves a draw. A witness
-run heralds the same bases on one state in every scan, so it projects
-once per analyzer, not once per image, and makes each of its five means
-at most twice. With no accidentals, a noiseless source's sampled images
-also depend on the rounding on nodal pixels: the render clips a fringe
-that rounds below 0 to a mean of 0, which takes no draw from the stream,
-while a tiny positive mean does, so one such pixel shifts the draws of
-every pixel after it.
+kept mean has the bits, sum and max a fresh one gives. Every image, drawn
+or not, takes its pixels in a buffer of its own, so no image writes into
+a mean. Drawn counts are non-negative and finite by construction, so they
+enter lgmodes.FieldImage through FieldImage.drawn, which checks their
+shape but not their values a second time; every other image is checked in
+full. quantum.project memoizes each state's projections too: a repeated
+analyzer on the same state returns the first projection's tuple, whose
+read-only residual every caller shares. So neither memo moves a draw. A
+witness run heralds the same bases on one state in every scan, so it
+projects once per analyzer, not once per image, and makes each of its
+five means at most twice. With no accidentals, a noiseless source's
+sampled images also depend on the rounding on nodal pixels: the render
+clips a fringe that rounds below 0 to a mean of 0, which takes no draw
+from the stream, while a tiny positive mean does, so one such pixel shifts
+the draws of every pixel after it.
 
 The converse makes truncated draws exact. Generator.poisson draws an array
 in C order from its one Philox stream, so a pixel's count depends only on
 its mean and the means before it. So heralded_image(..., through=k) gives
 the first k pixels the counts a full draw gives them, and leaves the rest
-at 0. Only the bootstrap scans of hybrid-witness truncate, at
-lgmodes.annulus_end, one past the last pixel an angular profile reads. No
-stream key changes, and no histogram, fit, W or sigma moves. The first
-scan and the unanalyzed image are written to disk, so they are drawn whole.
-A truncated image is zeros past the cut and is read only by its profile,
-so analysis.angular_basis_scan keeps no image of a truncated scan: it
+at 0. Only the bootstrap scans of hybrid-witness truncate: a scan with
+whole=False (analysis.angular_basis_scan) cuts each draw at the
+lgmodes.annulus_end of its own grid, annulus and bins, one past the last
+pixel its profiles read. No stream key changes, and no histogram, fit, W
+or sigma moves. The first scan and the unanalyzed image are written to
+disk, so they are drawn whole. A truncated image is zeros past the cut
+and is read only by its profile, so a cut scan keeps no image: it
 profiles each image as it is drawn and drops it before the next draw.
 
 A draw also skips the pixels whose count is known. Below a mean of 10,
@@ -591,8 +592,8 @@ def heralded_image(
     first live pixel draws nothing.
 
     The mean comes from lgmodes.render_from_density, which keeps it for a
-    repeated block (module docstring); the returned pixels are the
-    caller's own either way.
+    repeated block (module docstring); the image's pixels are its own. A
+    mean whose peak is over MEAN_OVERFLOW, or NaN, is refused before a draw.
     """
     n, extent = int(grid[0]), float(grid[1])
     if through is None:
@@ -611,12 +612,10 @@ def heralded_image(
     count = det.pair_rate * det.scale(l) * det.integration_time * weight
     mean = lgmodes.render_from_density(block, alphabet, grid, waist, count=count, floor=acc_per_px)
     meta["expected_counts"] = mean.expected_counts
-    lam = mean.pixels
-    # a kept mean is read-only and shared: the image gets a buffer of its own
-    fresh = lam.flags.writeable
+    lam = mean.pixels  # the image never shares it: a kept mean is read-only
     if not det.sampled:
-        return lgmodes.FieldImage(lam if fresh else lam.copy(), extent, meta=meta)
-    if mean.peak > MEAN_OVERFLOW:
+        return lgmodes.FieldImage(lam.copy(), extent, meta=meta)
+    if not mean.peak <= MEAN_OVERFLOW:  # a NaN peak fails too
         raise NumericalError("per-pixel mean overflows the counter model")
     if gen is None:
         gen = np.random.Generator(np.random.Philox(0))
@@ -625,13 +624,10 @@ def heralded_image(
     lo = min(first, through)
     hi = max(lo, min(end, through))
     reset_stream(gen, key)
-    counts = lam if fresh else np.empty((n, n))  # a fresh mean takes its counts in place
-    flat = counts.reshape(-1)
+    counts = np.zeros((n, n))
     if hi > lo:
         # the lead words: whole Philox blocks, then the rest of one block
         gen.bit_generator.advance(lead // 4)
         gen.bit_generator.random_raw(lead % 4, output=False)
-        flat[lo:hi] = gen.poisson(lam.reshape(-1)[lo:hi])
-    flat[:lo] = 0.0
-    flat[hi:] = 0.0
+        counts.reshape(-1)[lo:hi] = gen.poisson(lam.reshape(-1)[lo:hi])
     return lgmodes.FieldImage.drawn(counts, extent, meta)

@@ -37,13 +37,13 @@ full grid, or for the angular bins on the annulus pixels only.
 
 Renders repeat: every bootstrap draw of a witness row renders the same four
 density blocks on one grid, each made into the same mean count image. So
-the module holds the render factors of the last grid; the results of
-renders repeated on them, 8 B per pixel each: a heralded image's count
-mean, kept in place of its intensity with its sum, max and live span, or
-the intensity of a render made without a count; and the flat pixel index
-and bin index of the last angular annulus. All are read-only and have the
-bits a fresh computation gives. One lock guards the holders against a
-caller that renders from several threads.
+the module holds the render factors of the last grid; the count means of
+heralded renders repeated on them, 8 B per pixel each, kept with their
+sum, max and live span; and the flat pixel index and bin index of the last
+angular annulus, which annulus_end reads as well. A render without a count
+(the gallery's) is never repeated by a bench, so it keeps nothing. All are
+read-only and have the bits a fresh computation gives. One lock guards the
+holders against a caller that renders from several threads.
 """
 
 import functools
@@ -188,33 +188,26 @@ def _annulus_mask(n: int, extent: float, r_min: float, r_max: float) -> np.ndarr
 
 
 def _folded_angle(y, x) -> np.ndarray:
-    """atan2(y, x) folded into [0, 2 pi) by one masked add (see pixel_polar)."""
-    theta = np.arctan2(y, x)
-    np.add(theta, TWO_PI, out=theta, where=theta < 0)
-    return theta
+    """atan2(y, x) folded into [0, 2 pi) by one masked add of 2 pi.
 
-
-def pixel_polar(n: int, extent: float):
-    """(r, theta) arrays at the pixel centers of an n x n image.
-
-    r is hypot(x, y), built from the top-left quadrant (module docstring).
-    theta folds atan2(y, x), which lies in [-pi, pi], into [0, 2 pi) with
-    one masked add of 2 pi. On that range this is np.mod's arithmetic bit
+    atan2 lies in [-pi, pi]. On that range this is np.mod's arithmetic bit
     for bit (fmod returns the angle, and a negative one gets 2 pi added),
     except that np.mod maps -0.0 to +0.0. atan2 returns -0.0 only for a
     y of -0.0, and the grid never makes one: y is c - row times a positive
     step, and c - row rounds an exact 0 to +0.0.
     """
-    x, y = _pixel_xy(n, extent)  # theta broadcasts them to (n, n)
-    return _mirrored(_quadrant_r(n, extent), n), _folded_angle(y, x)
+    theta = np.arctan2(y, x)
+    np.add(theta, TWO_PI, out=theta, where=theta < 0)
+    return theta
 
 
-def annulus_end(n: int, extent: float, annulus) -> int:
+def annulus_end(n: int, extent: float, annulus, nbins: int) -> int:
     """The flat (C-order) index one past the last pixel center of an n x n
-    image that angular_profile's mask puts in the annulus; 0 if it holds none.
-    The pixels from there on are never read by an angular profile."""
-    inside = np.flatnonzero(_annulus_mask(n, extent, float(annulus[0]), float(annulus[1])))
-    return int(inside[-1]) + 1 if inside.size else 0
+    image that angular_profile puts in the annulus; 0 if it holds none.
+    The pixels from there on are never read by an angular profile. It reads
+    the flat index angular_profile holds for (n, extent, annulus, nbins)."""
+    flat, _ = _annulus_bins(n, extent, float(annulus[0]), float(annulus[1]), nbins)
+    return int(flat[-1]) + 1 if flat.size else 0
 
 
 def finite_on_grid(l: int, n: int, extent: float, waist: float) -> bool:
@@ -246,22 +239,21 @@ def pair_terms(block: np.ndarray, alphabet) -> dict:
     return terms
 
 
-MAX_KEPT_RENDERS = 8  # per held stack: kept results, and renders tracked as made once
+MAX_KEPT_RENDERS = 8  # per held stack: count means tracked, made once or kept
 # bytes a render holds per pixel, at most: the alphabet's factors (two rings and
 # a cos/sin pair at l = 0), 32 B; its result, a fringe and the sin row's product
-# it adds, 24 B, budgeted at 32 B; MAX_KEPT_RENDERS kept count means (or
-# intensities, for renders without a count), 8 B each
+# it adds, 24 B, budgeted at 32 B; MAX_KEPT_RENDERS kept count means, 8 B each
 RENDER_BYTES_PER_PIXEL = 32 + 32 + 8 * MAX_KEPT_RENDERS
 
 
 @dataclass
 class _HeldStack:
-    """The render factors of the last grid, with the renders that repeated on them."""
+    """The render factors of the last grid, with the count means rendered on them."""
 
     key: tuple
     factors: dict
-    seen: set = field(default_factory=set)  # render keys made once
-    kept: dict = field(default_factory=dict)  # render key -> read-only result
+    # render key -> None for a count mean made once, or the read-only CountMean kept
+    means: dict = field(default_factory=dict)
 
 
 _lock = threading.Lock()
@@ -283,8 +275,9 @@ def mode_stack(alphabet, n: int, extent: float, waist: float) -> dict:
     with _lock:
         if _held_stack is None or _held_stack.key != key:
             _held_stack = None
-            r, theta = pixel_polar(n, extent)
-            quadrant = r[: (n + 1) // 2, : (n + 1) // 2]  # the rings depend on r alone
+            quadrant = _quadrant_r(n, extent)  # the rings depend on r alone
+            x, y = _pixel_xy(n, extent)
+            theta = _folded_angle(y, x)
             factors = {}
             for m in sorted({abs(a) for a in alphabet}):
                 ring, trig = _mirrored(np.square(_envelope(quadrant, m, waist)), n), None
@@ -346,12 +339,14 @@ def _count_mean(intensity: np.ndarray, count: float, floor: float) -> CountMean:
     """floor + count * intensity / intensity.sum(), made in intensity's buffer:
     scaled by count, divided by the sum, then floor added; floor everywhere
     when the sum is not positive. Its live span is found once, here, and
-    kept with it: a kept mean's images skip the same pixels."""
+    kept with it: a kept mean's images skip the same pixels. An overflow
+    gives inf (NaN on a node) without a warning, for the caller to refuse."""
     total = intensity.sum()
     if total > 0:
-        intensity *= count
-        intensity /= total
-        intensity += floor
+        with np.errstate(over="ignore", invalid="ignore"):
+            intensity *= count
+            intensity /= total
+            intensity += floor
     else:
         intensity.fill(floor)
     return CountMean(
@@ -368,17 +363,17 @@ def render_from_density(
     rho_oam may be unnormalised (its trace carries the event rate); the
     returned array integrates to trace * (flux captured by this grid). Each
     fringe is clipped at 0 before its ring multiplies it, so rounding on a
-    node leaves no negative pixel.
+    node leaves no negative pixel. Without a count the intensity is the
+    caller's own, and the render reads and writes no kept mean.
 
     With a count, the intensity is made into a heralded image's mean count
     image instead: the count of events spread in proportion to it, plus a
-    flat floor per pixel (see _count_mean), returned as a CountMean.
-
-    The second render of a block on the held factors, with the same count
-    and floor bits, keeps its result read-only for later renders of them:
-    a CountMean's pixels, or the intensity. A kept result is looked up
-    before pair_terms parses the block: it was parsed when it was kept,
-    and a block pair_terms refuses is never kept.
+    flat floor per pixel (see _count_mean), returned as a CountMean. The
+    second such render of a block on the held factors, with the same count
+    and floor bits, keeps the CountMean, its pixels read-only, for later
+    renders of them. A kept mean is looked up before pair_terms parses the
+    block: it was parsed when it was kept, and a block pair_terms refuses
+    is never kept.
     """
     n, extent = int(grid[0]), float(grid[1])
     rho = np.asarray(rho_oam, dtype=complex)
@@ -387,21 +382,17 @@ def render_from_density(
     if rho.shape != (k, k):
         raise ValueError(f"density block {rho.shape} does not match alphabet size {k}")
     factors = mode_stack(alphabet, n, extent, waist)
-    # the bits of count and floor, not their values: -0.0 == 0.0 gives other bits
-    key = (rho.tobytes(), None if count is None else struct.pack("<2d", count, floor))
-    with _lock:
-        held = _held_stack
-        if held is None or held.factors is not factors:
-            held = None
-        elif key in held.kept:
-            return held.kept[key]
-    terms = {m: dc for m, dc in pair_terms(rho, alphabet).items() if any(dc)}
-    keep = False
-    if held is not None:  # a parsed block is tracked, and kept on its second render
+    held = None
+    if count is not None:
+        # the bits of count and floor, not their values: -0.0 == 0.0 gives other bits
+        key = (rho.tobytes(), struct.pack("<2d", count, floor))
         with _lock:
-            keep = key in held.seen and len(held.kept) < MAX_KEPT_RENDERS
-            if not keep and len(held.seen) < MAX_KEPT_RENDERS:
-                held.seen.add(key)
+            if _held_stack is not None and _held_stack.factors is factors:
+                held = _held_stack
+                kept = held.means.get(key)
+                if kept is not None:
+                    return kept
+    terms = {m: dc for m, dc in pair_terms(rho, alphabet).items() if any(dc)}
     out = None if terms else np.zeros((n, n))
     for m, (d, c) in terms.items():
         ring, trig = factors[m]
@@ -415,13 +406,17 @@ def render_from_density(
         else:
             term = ring * d
         out = term if out is None else np.add(out, term, out=out)
-    result = out if count is None else _count_mean(out, count, floor)
-    if keep:
-        out.setflags(write=False)
+    if count is None:
+        return out
+    mean = _count_mean(out, count, floor)
+    if held is not None:  # a parsed mean is tracked, and kept on its second render
         with _lock:
-            held.seen.discard(key)
-            result = held.kept.setdefault(key, result)
-    return result
+            if key in held.means:  # kept now, or by another thread since the lookup
+                out.setflags(write=False)
+                mean = held.means[key] = held.means[key] or mean
+            elif len(held.means) < MAX_KEPT_RENDERS:
+                held.means[key] = None
+    return mean
 
 
 # -- angular analysis --------------------------------------------------------
@@ -452,33 +447,39 @@ class AngularHistogram:
         return (np.arange(self.nbins) + 0.5) * TWO_PI / self.nbins
 
 
-def angular_profile(img: FieldImage, nbins: int, annulus: tuple) -> AngularHistogram:
-    """Sum image pixels into polar-angle bins restricted to an annulus.
-
-    The flat (C-order) index of the annulus pixels and their bin index are
-    held for the last (grid, annulus, nbins); the pixels are read with take,
-    in the order a boolean mask reads them.
-    """
+def _annulus_bins(n: int, extent: float, r_min: float, r_max: float, nbins: int) -> tuple:
+    """(flat, idx), read-only: the flat (C-order) index of the annulus pixels
+    of an n x n image, in the order a boolean mask reads them, and their bin
+    index. Held for the last key, so a command builds its mask once."""
     global _held_bins
-    r_min, r_max = float(annulus[0]), float(annulus[1])
-    if not 0.0 <= r_min < r_max:
-        raise ValueError(f"bad annulus ({r_min}, {r_max})")
-    if nbins < 8:
-        raise ValueError("need at least 8 angular bins")
-    key = (img.n, img.extent, r_min, r_max, nbins)
+    key = (n, extent, r_min, r_max, nbins)
     with _lock:
         if _held_bins is None or _held_bins[0] != key:
-            flat = np.flatnonzero(_annulus_mask(img.n, img.extent, r_min, r_max))
-            if not flat.size:
-                raise ValueError("annulus contains no pixels on this grid")
-            rows, cols = np.divmod(flat, img.n)
-            x, y = _pixel_xy(img.n, img.extent)
+            flat = np.flatnonzero(_annulus_mask(n, extent, r_min, r_max))
+            rows, cols = np.divmod(flat, n)
+            x, y = _pixel_xy(n, extent)
             theta = _folded_angle(y[rows, 0], x[0, cols])  # on the annulus pixels only
             idx = np.minimum((theta / TWO_PI * nbins).astype(int), nbins - 1)
             flat.setflags(write=False)
             idx.setflags(write=False)
             _held_bins = (key, flat, idx)
-        _, flat, idx = _held_bins
+        return _held_bins[1:]
+
+
+def angular_profile(img: FieldImage, nbins: int, annulus: tuple) -> AngularHistogram:
+    """Sum image pixels into polar-angle bins restricted to an annulus.
+
+    The pixels are read with take, at the flat index _annulus_bins holds,
+    in the order a boolean mask reads them.
+    """
+    r_min, r_max = float(annulus[0]), float(annulus[1])
+    if not 0.0 <= r_min < r_max:
+        raise ValueError(f"bad annulus ({r_min}, {r_max})")
+    if nbins < 8:
+        raise ValueError("need at least 8 angular bins")
+    flat, idx = _annulus_bins(img.n, img.extent, r_min, r_max, nbins)
+    if not flat.size:
+        raise ValueError("annulus contains no pixels on this grid")
     bins = np.bincount(idx, weights=img.pixels.take(flat), minlength=nbins)
     return AngularHistogram(bins)
 

@@ -62,12 +62,12 @@ RENDER_BUDGET = 2 * 1024**3  # bytes one render may hold: n <= 4,096 at 128 B pe
 
 
 def _render_plan(cfg: RunConfig, l: int) -> tuple:
-    """(grid, annulus, end) of an image bench at charge l, or a ConfigError.
+    """(grid, annulus) of an image bench at charge l, or a ConfigError.
 
     Rules, in order: a charge over MAX_CHARGE, a render over RENDER_BUDGET, an
     LG field that overflows at the grid's corners, and at l >= 1 too few bins
-    for 2l petals, then an annulus with no pixel center. grid is (n, extent),
-    end the annulus's lgmodes.annulus_end on it; None and 0 at l = 0.
+    for 2l petals, then an annulus with no pixel center. grid is (n, extent);
+    annulus is None at l = 0.
     """
     if abs(l) > MAX_CHARGE:
         raise ConfigError(f"pump.l={l} is over {MAX_CHARGE}: its LG normalisation overflows a float")
@@ -83,19 +83,18 @@ def _render_plan(cfg: RunConfig, l: int) -> tuple:
     if not lgmodes.finite_on_grid(l, n, extent, cfg.grid.waist):
         raise ConfigError(f"pump.l={l} overflows the LG amplitude at the corners of the {n}x{n} grid")
     if l < 1:
-        return (n, extent), None, 0
+        return (n, extent), None
     if cfg.analysis.nbins <= 4 * l:
         raise ConfigError(
             f"analysis.nbins={cfg.analysis.nbins} must exceed 4*l={4 * l} to resolve {2 * l} petals"
         )
     annulus = cfg.analysis.annulus or lgmodes.default_annulus(cfg.grid.waist, l)
-    end = lgmodes.annulus_end(n, extent, annulus)
-    if not end:
+    if not lgmodes.annulus_end(n, extent, annulus, cfg.analysis.nbins):
         raise ConfigError(
             f"analysis annulus {annulus} holds no pixel center of the "
             f"{n}x{n} grid of extent {extent:g}"
         )
-    return (n, extent), annulus, end
+    return (n, extent), annulus
 
 
 def build_source(cfg: RunConfig, l: int | None = None):
@@ -181,7 +180,7 @@ def run_pump_gallery(cfg: RunConfig, outdir: str, formats=None) -> dict:
     """
     fmt = output_formats(formats, {"pgm", "json"})
     l = cfg.pump.l
-    grid, annulus, _ = _render_plan(cfg, l)
+    grid, annulus = _render_plan(cfg, l)
     os.makedirs(outdir, exist_ok=True)
     pump = _pump(cfg, l)
     waist = cfg.grid.waist
@@ -308,7 +307,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
     l = cfg.pump.l
     if l < 1:
         raise ConfigError("hybrid witness needs a pump charge l >= 1")
-    grid, annulus, end = _render_plan(cfg, l)
+    grid, annulus = _render_plan(cfg, l)
     cfg.detector.scale(l)  # a missing rate scale fails here, before any file
     os.makedirs(outdir, exist_ok=True)
     state = build_source(cfg)
@@ -343,7 +342,7 @@ def run_hybrid_witness(cfg: RunConfig, outdir: str, formats=None) -> dict:
         def one(keys) -> dict:
             sc = angular_basis_scan(
                 state, l, det, grid, waist,
-                annulus=annulus, nbins=cfg.analysis.nbins, through=end, keys=keys, gen=gen,
+                annulus=annulus, nbins=cfg.analysis.nbins, keys=keys, whole=False, gen=gen,
             )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 

@@ -413,12 +413,13 @@ def test_sampled_image_route_bound_over_random_product_states():
 
 
 def cut_case(l, n, p_white, accidental):
-    """(state, detector, grid, annulus, end) of a sampled l row on an n x n grid."""
+    """(state, detector, grid, annulus, end) of a sampled l row on an n x n grid,
+    end the annulus end a cut scan at 72 bins draws up to."""
     cfg = RunConfig.from_dict({"pump": {"l": l}, "noise": {"p_white": p_white}})
     det = DetectorModel(accidental_rate=accidental, seed=3)
     grid = (n, default_extent(1.0, l))
     annulus = default_annulus(1.0, l)
-    return build_source(cfg), det, grid, annulus, annulus_end(*grid, annulus)
+    return build_source(cfg), det, grid, annulus, annulus_end(*grid, annulus, 72)
 
 
 CUT_CASES = [(3, 256, 0.0, 0.0), (2, 129, 0.3, 50.0), (1, 96, 0.2, 0.0)]
@@ -430,10 +431,8 @@ def test_scan_cut_at_the_annulus_end_is_bit_identical(l, n, p_white, accidental)
     assert 0 < end < n * n
     keys = witness_keys(det.seed, l)[0][0]
     full, cut = (
-        angular_basis_scan(
-            state, l, det, grid, 1.0, annulus=annulus, nbins=72, through=through, keys=keys
-        )
-        for through in (None, end)
+        angular_basis_scan(state, l, det, grid, 1.0, annulus=annulus, nbins=72, keys=keys, whole=w)
+        for w in (True, False)
     )
     assert cut.W == full.W
     assert cut.pair_vis == full.pair_vis
@@ -444,13 +443,11 @@ def test_scan_cut_at_the_annulus_end_is_bit_identical(l, n, p_white, accidental)
 def test_a_cut_scan_holds_no_image():
     # a cut image is zeros past the annulus end and nothing reads it, so each
     # is dropped once profiled; a whole scan keeps its four for the PGMs
-    state, det, grid, annulus, end = cut_case(*CUT_CASES[1])
+    state, det, grid, annulus, _ = cut_case(*CUT_CASES[1])
     keys = witness_keys(det.seed, 2)[0][0]
     full, cut = (
-        angular_basis_scan(
-            state, 2, det, grid, 1.0, annulus=annulus, nbins=72, through=through, keys=keys
-        )
-        for through in (None, end)
+        angular_basis_scan(state, 2, det, grid, 1.0, annulus=annulus, nbins=72, keys=keys, whole=w)
+        for w in (True, False)
     )
     assert cut.images == {}
     assert list(full.images) == list(SCAN_BASES)
@@ -464,13 +461,13 @@ def test_a_cut_bootstrap_holds_one_image_at_a_time():
     # worth; the four images of a scan, held until the scan ends, would
     # take the peak past three
     n = 256
-    state, det, grid, annulus, end = cut_case(3, n, 0.0, 0.0)
+    state, det, grid, annulus, _ = cut_case(3, n, 0.0, 0.0)
 
     def one(seed):
         det_i = dataclasses.replace(det, seed=seed)
         keys = witness_keys(seed, 3)[0][0]
         sc = angular_basis_scan(
-            state, 3, det_i, grid, 1.0, annulus=annulus, nbins=72, through=end, keys=keys
+            state, 3, det_i, grid, 1.0, annulus=annulus, nbins=72, keys=keys, whole=False
         )
         return {"W": sc.W}
 
@@ -487,21 +484,21 @@ def test_a_cut_bootstrap_holds_one_image_at_a_time():
 
 @pytest.mark.parametrize("l, n, p_white, accidental", CUT_CASES[1:])
 def test_bootstrap_cut_at_the_annulus_end_keeps_its_samples(l, n, p_white, accidental):
-    state, det, grid, annulus, end = cut_case(l, n, p_white, accidental)
+    state, det, grid, annulus, _ = cut_case(l, n, p_white, accidental)
 
-    def pipeline(through):
+    def pipeline(whole):
         def one(seed):
             det_i = dataclasses.replace(det, seed=seed)
             keys = witness_keys(seed, l)[0][0]
             sc = angular_basis_scan(
-                state, l, det_i, grid, 1.0, annulus=annulus, nbins=72, through=through, keys=keys
+                state, l, det_i, grid, 1.0, annulus=annulus, nbins=72, keys=keys, whole=whole
             )
             return {"W": sc.W, "V_DA": sc.pair_vis["DA"], "V_RL": sc.pair_vis["RL"]}
 
         return one
 
     seeds = bootstrap_seeds(det.seed, 4).tolist()
-    full, cut = (bootstrap_errors(pipeline(t), seeds) for t in (None, end))
+    full, cut = (bootstrap_errors(pipeline(w), seeds) for w in (True, False))
     for name, samples in full.samples.items():
         assert cut.samples[name].tobytes() == samples.tobytes(), name
 
@@ -518,7 +515,7 @@ def test_witness_cuts_only_its_bootstrap_draws(tmp_path):
 
     with mock.patch.object(detection, "heralded_image", spy):
         run_hybrid_witness(cfg, str(tmp_path), formats=("json",))
-    end = annulus_end(64, default_extent(1.0, 3), default_annulus(1.0, 3))
+    end = annulus_end(64, default_extent(1.0, 3), default_annulus(1.0, 3), 72)
     assert calls == [None] * 5 + [end] * 12
 
 

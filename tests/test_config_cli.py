@@ -508,8 +508,8 @@ def test_charge_bound_at_the_frame_corner():
 
 
 def render_peaks(l: int, n: int = 256) -> tuple:
-    """tracemalloc peaks of the first render on the source alphabet of l,
-    which builds the factors, and of a render with every kept intensity held."""
+    """tracemalloc peaks of the first count mean on the source alphabet of l,
+    which builds the factors, and of a count mean with every kept mean held."""
     alphabet = pipelines._alphabet(l)
     grid = (n, lgmodes.default_extent(1.0, max(l, 1)))
     rng = np.random.default_rng(17)
@@ -521,16 +521,21 @@ def render_peaks(l: int, n: int = 256) -> tuple:
         block[np.ix_([0, -1], [0, -1])] = np.outer(a, a.conj())
         block[len(alphabet) // 2, len(alphabet) // 2] += rng.random()
         blocks.append(block)
+
+    def count_mean(rho):
+        return lgmodes.render_from_density(rho, alphabet, grid, 1.0, count=1e5, floor=0.25)
+
     lgmodes.mode_stack(alphabet, 32, 6.0, 1.0)  # drop any held factors of this key
     tracemalloc.start()
     try:
-        lgmodes.render_from_density(blocks[0], alphabet, grid, 1.0)
+        count_mean(blocks[0])
         fresh = tracemalloc.get_traced_memory()[1]
         for rho in blocks[:-1] * 2:
-            lgmodes.render_from_density(rho, alphabet, grid, 1.0)
-        assert len(lgmodes._held_stack.kept) == lgmodes.MAX_KEPT_RENDERS
+            count_mean(rho)
+        kept = [m for m in lgmodes._held_stack.means.values() if m is not None]
+        assert len(kept) == lgmodes.MAX_KEPT_RENDERS
         tracemalloc.reset_peak()
-        lgmodes.render_from_density(blocks[-1], alphabet, grid, 1.0)
+        count_mean(blocks[-1])
         full = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -557,6 +562,21 @@ def test_cli_numerical_failure_exits_3(tmp_path):
     cfg.write_text(json.dumps({"detector": {"pair_rate": 1e13}}))
     rc = main(["polarization-bell", "--config", str(cfg), "--out", str(tmp_path / "z")])
     assert rc == 3
+
+
+def test_cli_overflowing_event_count_exits_3(tmp_path, capsys):
+    # a count that overflows to inf gives NaN means on the nodal pixels; the
+    # run reports one numerical failure line, with no warning or traceback
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({
+        "detector": {"pair_rate": 1e300, "integration_time": 1e10},
+        "grid": {"n": 129},
+        "analysis": {"n_bootstrap": 2},
+    }))
+    rc = main(["hybrid-witness", "--config", str(cfg), "--out", str(tmp_path / "w")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
 
 
 def test_cli_unwritable_out_exits_4(tmp_path):

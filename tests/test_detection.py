@@ -541,6 +541,23 @@ def test_a_kept_count_mean_is_checked_for_overflow():
         heralded_image(*args, det, 2, stream_keys(5, "heralded_image", 2, "x")[0])
 
 
+def test_an_overflowing_event_count_is_refused():
+    # the count overflows to inf, and 0 * inf makes NaN on the nodal pixels,
+    # so the peak is NaN: the overflow check refuses it as it refuses inf,
+    # and the mean is made without a RuntimeWarning (an error under pytest)
+    state = down_convert(pump_state(2, alphabet=OAM3))
+    det = DetectorModel(pair_rate=1e300, integration_time=1e10, seed=5)
+    args = (state, SETTINGS["A"], SETTINGS["D"], (32, default_extent(1.0, 2)), 1.0)
+    lgmodes.mode_stack((0,), 16, 1.0, 1.0)
+    for _ in range(3):  # a fresh mean, the mean as it is kept, and the kept mean
+        with pytest.raises(NumericalError, match="overflows"):
+            heralded_image(*args, det, 2, stream_keys(5, "heralded_image", 2, "x")[0])
+    peak = next(m for m in lgmodes._held_stack.means.values() if m is not None).peak
+    assert math.isnan(peak)
+    with pytest.raises(NumericalError, match="non-finite"):
+        heralded_image(*args, dataclasses.replace(det, sampled=False), 2, None)
+
+
 def oracle_stream(seed, *tags) -> np.random.Generator:
     """A fresh stream keyed through numpy's SeedSequence, the keys' oracle."""
     return np.random.Generator(np.random.Philox(former_seed_sequence(seed, tags)))
@@ -956,8 +973,10 @@ def test_an_all_negligible_mean_draws_nothing():
 
 def test_a_bad_mean_in_a_negligible_run_is_refused():
     # a NaN is live, so it opens the span at pixel 0; a negative mean is
-    # live, so it closes the span in the trailing run. The draw refuses
-    # either, and FieldImage refuses either unsampled
+    # live, so it closes the span in the trailing run. A sampled image
+    # refuses either: the NaN peak fails the overflow check before the draw,
+    # and the draw refuses the negative mean. FieldImage refuses either
+    # unsampled
     body = negligible_run(3, 20) + [0.5] * 200 + negligible_run(3, 36)
     for at, bad in ((0, np.nan), (240, -1e-30)):
         lam = list(body)
@@ -966,8 +985,9 @@ def test_a_bad_mean_in_a_negligible_run_is_refused():
         assert (span.first, span.end) == ((0, 220) if at == 0 else (20, 241))
         patch, args = image_of(lam)
         key = stream_keys(5, "heralded_image", 2, "bad")[0]
+        refused, message = (NumericalError, "overflows") if at == 0 else (ValueError, "lam")
         with patch:
-            with pytest.raises(ValueError, match="lam"):
+            with pytest.raises(refused, match=message):
                 heralded_image(*args, make_detector(), 2, key)
             with pytest.raises(NumericalError, match="negative or non-finite"):
                 heralded_image(*args, make_detector(sampled=False), 2, None)

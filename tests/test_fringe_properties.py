@@ -20,9 +20,9 @@ from hesim.lgmodes import (
     angular_profile,
     fringe_fit,
     petal_fit,
-    pixel_polar,
 )
 from fringe_oracle import row_fringe_fit
+from grid_oracle import pixel_polar
 
 freqs = st.sampled_from((2, 4, 6, 8, 10, 12))  # a sweep, and petals at l = 1 to 6
 points = st.sampled_from((36, 72, 90))  # a full turn, at 10, 5 and 4 degree steps

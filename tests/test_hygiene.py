@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import, public top-level name and public
 member in src/hesim is used, every import sits at module level, lgmodes
-imports nothing from quantum, and no module reads the process environment."""
+imports nothing from quantum, no module reads the process environment, and
+only the two lgmodes holders are module state a function rebinds."""
 
 import ast
 import pathlib
@@ -219,3 +220,31 @@ def test_no_environment_reads_in_package():
     # configuration comes only from the config file and the command line
     found = {path.name: environment_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the module holders a function may rebind with a global statement. The
+# render factors and the annulus bins stay module state while the benchmark
+# pins one lgmodes.mode_stack call per image and binds
+# angular_profile(img, nbins, annulus); a Grid value built once per command
+# replaces both (ROADMAP item 3)
+GLOBAL_HOLDERS = {("lgmodes.py", "_held_stack"), ("lgmodes.py", "_held_bins")}
+
+
+def global_names(source: str) -> set:
+    """The names that global statements in ``source`` declare."""
+    nodes = ast.walk(ast.parse(source))
+    return {name for node in nodes if isinstance(node, ast.Global) for name in node.names}
+
+
+def test_global_names_detected():
+    src = "x = None\n\ndef f():\n    global x\n    x = 1\n\ndef g():\n    global y, z\n"
+    assert global_names(src) == {"x", "y", "z"}
+
+
+def test_no_module_holders_outside_the_allow_list():
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in global_names(path.read_text())
+    }
+    assert found == GLOBAL_HOLDERS

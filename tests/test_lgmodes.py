@@ -33,13 +33,13 @@ from hesim.lgmodes import (
     mode_stack,
     peak_radius,
     petal_fit,
-    pixel_polar,
     render_from_density,
     write_histogram_csv,
     write_pgm,
 )
 from hesim.pipelines import _render_plan, run_pump_gallery
 from hesim.quantum import partial_trace, pol_ket
+from grid_oracle import pixel_polar
 from maxima_oracle import array_angular_maxima
 
 OAM3 = tuple(range(-3, 4))
@@ -532,9 +532,28 @@ def same_factors(a, b):
 
 
 def direct_render(rho, key):
-    """A fresh render: the same call with no held factors or kept renders."""
+    """A fresh render: the same call with no held factors or kept means."""
     with mock.patch.object(lgmodes, "_held_stack", None):
         return render(rho, key)
+
+
+COUNT, FLOOR = 1.0e5, 0.25  # a heralded image's event count and accidental floor
+
+
+def count_mean(rho, key):
+    """The count mean a heralded image renders of rho, the memo's one entry kind."""
+    alphabet, n, extent, waist = key
+    return render_from_density(rho, alphabet, (n, extent), waist, count=COUNT, floor=FLOOR)
+
+
+def direct_mean(rho, key):
+    """A fresh count mean: the same call with no held factors or kept means."""
+    with mock.patch.object(lgmodes, "_held_stack", None):
+        return count_mean(rho, key)
+
+
+def same_mean(a, b):
+    return same_bits(a.pixels, b.pixels) and a[1:] == b[1:]
 
 
 def random_block(rng, alphabet, m=None):
@@ -603,63 +622,85 @@ def test_new_stack_key_drops_the_held_stack():
 def test_render_interleaved_keys_match_direct():
     rng = np.random.default_rng(7)
     blocks = {key[0]: [random_block(rng, key[0]) for _ in range(2)] for key in STACK_KEYS}
-    # three renders of each block per visit: once, kept, returned from the memo
+    # three count means of each block per visit: made, kept, returned from the
+    # memo; and a render without a count, made afresh every time
     for key in interleaved(STACK_KEYS):
         for rho in blocks[key[0]]:
             for _ in range(3):
-                assert same_bits(render(rho, key), direct_render(rho, key))
+                assert same_mean(count_mean(rho, key), direct_mean(rho, key))
+            assert same_bits(render(rho, key), direct_render(rho, key))
 
 
 def test_render_keeps_only_repeated_blocks():
     key = STACK_KEYS[0]
     mode_stack(*STACK_KEYS[1])  # start from factors with nothing kept
     rho = random_block(np.random.default_rng(3), key[0], 1)
-    once = render(rho, key)
-    assert once.flags.writeable
-    first = weakref.ref(once)
+    once = count_mean(rho, key)
+    assert once.pixels.flags.writeable
+    first = weakref.ref(once.pixels)
     del once
     gc.collect()
     assert first() is None  # a block rendered once is not kept
 
-    kept = render(rho, key)
-    assert not kept.flags.writeable
+    kept = count_mean(rho, key)
+    assert not kept.pixels.flags.writeable
     with pytest.raises(ValueError):
-        kept[0, 0] = 1.0
-    assert render(rho, key) is kept
-    second = weakref.ref(kept)
+        kept.pixels[0, 0] = 1.0
+    assert count_mean(rho, key) is kept
+    second = weakref.ref(kept.pixels)
     del kept
     gc.collect()
     assert second() is not None
-    mode_stack(*STACK_KEYS[1])  # kept intensities go with their factors
+    mode_stack(*STACK_KEYS[1])  # kept means go with their factors
     gc.collect()
     assert second() is None
 
 
+def test_a_countless_render_touches_no_kept_mean():
+    # a render without a count, such as the gallery's, is never repeated by a
+    # bench: it neither reads nor writes the memo, with a kept mean of the
+    # same block on the same factors, and each is the caller's own array
+    key = STACK_KEYS[0]
+    mode_stack(*STACK_KEYS[1])
+    rho = random_block(np.random.default_rng(3), key[0], 1)
+    kept = [count_mean(rho, key) for _ in range(2)][-1]
+    held = lgmodes._held_stack
+    with mock.patch.object(held, "means", mock.NonCallableMock(spec=[])) as memo:
+        renders = [render(rho, key) for _ in range(3)]
+    assert memo.mock_calls == []
+    assert lgmodes._held_stack is held and len(held.means) == 1
+    assert next(iter(held.means.values())) is kept
+    assert all(r.flags.writeable for r in renders)
+    assert renders[0] is not renders[1] and same_bits(renders[0], renders[1])
+    assert same_bits(renders[0], direct_render(rho, key))
+
+
 def test_kept_renders_are_capped():
+    # the memo tracks at most MAX_KEPT_RENDERS count means, made once or kept
     key = STACK_KEYS[0]
     mode_stack(*STACK_KEYS[1])
     rng = np.random.default_rng(5)
     blocks = [random_block(rng, key[0]) for _ in range(lgmodes.MAX_KEPT_RENDERS + 3)]
     for _ in range(2):
         for rho in blocks:
-            render(rho, key)
-    kept = [render(rho, key) for rho in blocks]
-    assert sum(not a.flags.writeable for a in kept) == lgmodes.MAX_KEPT_RENDERS
-    for rho, a in zip(blocks, kept):
-        assert same_bits(a, direct_render(rho, key))
-
+            count_mean(rho, key)
+    assert len(lgmodes._held_stack.means) == lgmodes.MAX_KEPT_RENDERS
+    kept = [count_mean(rho, key) for rho in blocks]
+    assert sum(not m.pixels.flags.writeable for m in kept) == lgmodes.MAX_KEPT_RENDERS
+    for rho, m in zip(blocks, kept):
+        assert same_mean(m, direct_mean(rho, key))
 
 
 def test_a_kept_block_is_not_parsed_again():
-    # the memo is read before pair_terms: the first two renders parse the
+    # the memo is read before pair_terms: the first two count means parse the
     # block (the second keeps it), and the third is returned unparsed
     key = STACK_KEYS[0]
     mode_stack(*STACK_KEYS[1])
     rho = random_block(np.random.default_rng(3), key[0], 1)
     with mock.patch.object(lgmodes, "pair_terms", wraps=lgmodes.pair_terms) as parse:
-        renders = [render(rho, key) for _ in range(3)]
+        means = [count_mean(rho, key) for _ in range(3)]
     assert parse.call_count == 2
-    assert renders[2] is renders[1] and same_bits(renders[2], direct_render(rho, key))
+    assert means[2] is means[1] and same_mean(means[2], direct_mean(rho, key))
 
 
 def test_a_stray_coherence_block_raises_on_warm_factors():
@@ -671,13 +712,15 @@ def test_a_stray_coherence_block_raises_on_warm_factors():
     for _ in range(3):
         render_from_density(good, key[0], key[1:3], key[3], count=100.0)
     held = lgmodes._held_stack
-    assert len(held.kept) == 1 and not held.seen
+    (kept,) = held.means.values()
+    assert kept is not None
     stray = good.copy()
     stray[0, 1] = stray[1, 0] = 0.5  # links -1 and 0
     for _ in range(3):
         with pytest.raises(NumericalError, match="coherences"):
             render_from_density(stray, key[0], key[1:3], key[3], count=100.0)
-    assert lgmodes._held_stack is held and len(held.kept) == 1 and not held.seen
+    assert lgmodes._held_stack is held and len(held.means) == 1
+    assert next(iter(held.means.values())) is kept
 
 def test_concurrent_renders_match_direct():
     # more workers than cores and a short switch interval, so threads swap
@@ -685,16 +728,16 @@ def test_concurrent_renders_match_direct():
     rng = np.random.default_rng(11)
     blocks = {key[0]: [random_block(rng, key[0]) for _ in range(3)] for key in STACK_KEYS}
     jobs = [(rho, key) for key in interleaved(STACK_KEYS) for rho in blocks[key[0]]] * 3
-    expected = [direct_render(rho, key) for rho, key in jobs]
+    expected = [direct_mean(rho, key) for rho, key in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(render, rho, key) for rho, key in jobs]
+            futures = [pool.submit(count_mean, rho, key) for rho, key in jobs]
             got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert all(same_bits(a, b) for a, b in zip(got, expected))
+    assert all(same_mean(a, b) for a, b in zip(got, expected))
 
 
 RENDER_HASHES = """
@@ -766,9 +809,13 @@ def test_annulus_end_covers_the_profile_mask(n, extent, lo, width):
     # 0.707, so an annulus may hold no pixel or reach past the frame
     annulus = (lo * extent, (lo + width) * extent)
     assume(annulus[0] < annulus[1])
-    end = lgmodes.annulus_end(n, extent, annulus)
+    end = lgmodes.annulus_end(n, extent, annulus, 16)
     cfg = RunConfig.from_dict(
-        {"pump": {"l": 1}, "grid": {"n": n, "extent": extent}, "analysis": {"annulus": list(annulus)}}
+        {
+            "pump": {"l": 1},
+            "grid": {"n": n, "extent": extent},
+            "analysis": {"annulus": list(annulus), "nbins": 16},
+        }
     )
     pixels = np.random.default_rng(n).random((n, n)) + 1.0
     if end == 0:
@@ -777,7 +824,7 @@ def test_annulus_end_covers_the_profile_mask(n, extent, lo, width):
         with pytest.raises(ValueError):
             angular_profile(FieldImage(pixels, extent), 16, annulus)
         return
-    assert _render_plan(cfg, 1) == ((n, extent), annulus, end)
+    assert _render_plan(cfg, 1) == ((n, extent), annulus)
     # the profile reads no pixel from end on, and reads pixel end - 1
     full = angular_profile(FieldImage(pixels, extent), 16, annulus).bins
     pixels.reshape(-1)[end:] = 0.0

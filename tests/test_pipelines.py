@@ -1,11 +1,17 @@
 """End-to-end benches: gallery, polarization tests, hybrid witness, artifacts."""
 
+import dataclasses
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from hesim import lgmodes
+from hesim.analysis import SCAN_BASES
 from hesim.config import RunConfig
+from hesim.detection import SETTINGS, heralded_image
 from hesim.errors import ConfigError
 from hesim.pipelines import (
     _json_ready,
@@ -158,6 +164,70 @@ def test_witness_weakens_with_charge_at_calibrated_noise():
         assert out["W"] == pytest.approx(2.0 * (1.0 - p), abs=1e-9)
         w[l] = out["W"]
     assert w[1] > w[2] > w[3] > 1.0
+
+
+# -- what a bench keeps ------------------------------------------------------------
+
+
+def read_tree(path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_a_gallery_keeps_no_render(tmp_path):
+    # a gallery render has no count and is never repeated: one command
+    # leaves the memo empty, and a second run in the process, on the same
+    # held factors, writes the same bytes
+    cfg = RunConfig.from_dict({"pump": {"l": 2, "alpha": 0.6, "phi": 0.3}, "grid": {"n": 64}})
+    lgmodes.mode_stack((0,), 16, 1.0, 1.0)  # start from factors with nothing kept
+    run_pump_gallery(cfg, str(tmp_path / "a"))
+    held = lgmodes._held_stack
+    assert held.means == {}
+    run_pump_gallery(cfg, str(tmp_path / "b"))
+    assert lgmodes._held_stack is held and held.means == {}
+    assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
+
+
+def test_a_witness_keeps_only_its_repeated_count_means(tmp_path):
+    # the A, D, R and L means repeat in every bootstrap scan and are kept;
+    # the unanalyzed image's is made once, tracked and not kept
+    cfg = RunConfig.from_dict({"grid": {"n": 64}, "analysis": {"n_bootstrap": 2}})
+    lgmodes.mode_stack((0,), 16, 1.0, 1.0)
+    run_hybrid_witness(cfg, str(tmp_path), formats=("json",))
+    held = lgmodes._held_stack
+    kept = [m for m in held.means.values() if m is not None]
+    assert len(held.means) == 5 and len(kept) == 4
+    state = build_source(cfg)
+    det = dataclasses.replace(cfg.detector, sampled=False)
+    grid = (64, lgmodes.default_extent(cfg.grid.waist, 3))
+
+    def fresh_mean(idler):
+        with mock.patch.object(lgmodes, "_held_stack", None):
+            img = heralded_image(state, idler, SETTINGS["D"], grid, cfg.grid.waist, det, 3, None)
+        return img.pixels.tobytes()
+
+    assert sorted(m.pixels.tobytes() for m in kept) == sorted(
+        fresh_mean(SETTINGS[b]) for b in SCAN_BASES
+    )
+    assert fresh_mean(None) not in {m.pixels.tobytes() for m in kept}
+
+
+@pytest.mark.parametrize(
+    "run, overrides",
+    [
+        pytest.param(run_pump_gallery, {"pump": {"l": 3}, "grid": {"n": 64}}, id="gallery"),
+        pytest.param(
+            run_hybrid_witness, {"grid": {"n": 64}, "analysis": {"n_bootstrap": 2}}, id="witness"
+        ),
+    ],
+)
+def test_an_image_bench_masks_its_annulus_once(tmp_path, run, overrides):
+    # _render_plan's annulus check, every profile and a cut scan's annulus
+    # end all read the one held flat index
+    with mock.patch.object(lgmodes, "_held_bins", None), mock.patch.object(
+        lgmodes, "_annulus_mask", wraps=lgmodes._annulus_mask
+    ) as mask:
+        run(RunConfig.from_dict(overrides), str(tmp_path), formats=("json",))
+    assert mask.call_count == 1
 
 
 # -- documents -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """render_from_density against the textbook three-operand einsum of lg_amplitude
-fields, pixel_polar's angle fold against np.mod, and the quadrant-built grid
-geometry against a full-grid evaluation, on generated inputs."""
+fields, the grid oracle's pixel_polar (lgmodes' quadrant r and angle fold)
+against np.hypot and np.mod, and the quadrant-built grid geometry against a
+full-grid evaluation, on generated inputs."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -17,9 +18,9 @@ from hesim.lgmodes import (
     lg_amplitude,
     mode_stack,
     pair_terms,
-    pixel_polar,
     render_from_density,
 )
+from grid_oracle import pixel_polar
 
 
 def pixel_centers(n, extent):
@@ -134,7 +135,7 @@ def test_quadrant_geometry_matches_the_full_grid(n, extent, l, waist_frac, lo, w
     annulus = (lo * extent, (lo + width) * extent)
     mask = (r >= annulus[0]) & (r <= annulus[1])
     inside = np.flatnonzero(mask)
-    assert annulus_end(n, extent, annulus) == (int(inside[-1]) + 1 if inside.size else 0)
+    assert annulus_end(n, extent, annulus, nbins) == (int(inside[-1]) + 1 if inside.size else 0)
     img = FieldImage(rng.random((n, n)), extent)
     if not inside.size:
         with pytest.raises(ValueError, match="no pixels"):
